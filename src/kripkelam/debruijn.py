@@ -8,6 +8,12 @@ tests for the higher-order encoding need. Everything in this module is
 written as plain walks over the chain structure, independent of the
 encoding in :mod:`kripkelam.encoding`.
 
+The bridge to the encoding, :func:`db_to_hoas`, uses the chain shape too:
+only the denotation of the binder the occurrence names is carried inward.
+It is captured when that binder is entered and renamed once by each binder
+inside it, so folding a converted term takes time and memory linear in its
+depth.
+
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
 
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .encoding import OpenTerm, Rename, Term, closed, lam, place
+from .encoding import Rename, Term, TermBody, closed, lam, place
 
 __all__ = [
     "Abs",
@@ -175,39 +181,42 @@ def named_to_db(t: NamedTerm) -> DbTerm:
     raise UnboundVariable(t.name)
 
 
-def _open_chain(d: DbTerm, env: tuple) -> OpenTerm:
-    # env holds the denotations of the enclosing binders, innermost first;
-    # entering a binder renames every entry into the new world. The identity
-    # rename is skipped wholesale, it cannot change the entries.
-    identity = Rename.identity()
+_IDENTITY = Rename.identity()
 
-    if isinstance(d, Var):
-        return place(env[d.index])
 
-    body = d.body
-
+def _open_chain(below: int, index: int, target) -> TermBody:
+    # Kripke body of a binder with ``below`` binders under it, in a chain whose
+    # occurrence names the binder with ``index`` binders under it. Only that
+    # binder's denotation, ``target``, is carried: the step entering the
+    # binder captures its fresh variable, and each binder inside it renames
+    # the value into its own world, so the occurrence is renamed exactly
+    # ``index`` times and a fold stays linear in the depth. Binders outside
+    # the named one leave ``target`` untouched, as does the identity rename.
     def step(mx: Rename, fresh):
-        renamed = env if mx is identity else tuple(map(mx.apply, env))
-        return _open_chain(body, (fresh, *renamed))
+        if below == index:
+            value = fresh
+        elif below > index or mx is _IDENTITY:
+            value = target
+        else:
+            value = mx.apply(target)
+        if below == 0:
+            return place(value)
+        return lam(_open_chain(below - 1, index, value))
 
-    return lam(step)
+    return step
 
 
-def db_to_body(d: DbTerm):
+def db_to_body(d: DbTerm) -> TermBody:
     """Binder body of a closed term, usable with ``lam`` or as a raw body.
 
     The returned callable is the body of the outermost binder: given the
     (ignored) outer rename and the outermost variable's denotation, it
     builds the rest of the chain.
     """
-    if not isinstance(d, Lam) or not db_validate(d):
+    k, i = _unchain(d)
+    if not 0 <= i < k:
         raise OpenTermError(f"not a closed term: {format_db(d)}")
-    inner = d.body
-
-    def builder(_outer: Rename, fresh):
-        return _open_chain(inner, (fresh,))
-
-    return builder
+    return _open_chain(k - 1, i, None)
 
 
 def db_to_hoas(d: DbTerm) -> Term:

@@ -28,16 +28,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Union
 
 from .algebras import names, print_alg, size_alg, to_debruijn_alg
-from .debruijn import Var, splitmix64
+from .debruijn import Var, _open_chain, splitmix64
 from .encoding import (
     Algebra,
-    OpenTerm,
     Rename,
     Term,
     closed,
     fold,
     identity_embed,
-    lam,
     lam_alg,
     place,
     run_guarded,
@@ -99,39 +97,27 @@ class BodySkeleton:
         return f"{self.binders} binders over {leaf}"
 
 
-def _grow(remaining: int, leaf, env, fresh, locals_: tuple) -> OpenTerm:
-    if remaining == 0:
-        if leaf is Slot.ENV:
-            return place(env)
-        if leaf is Slot.FRESH:
-            return place(fresh)
-        return place(locals_[leaf])
-
-    def step(mx: Rename, bound):
-        return _grow(
-            remaining - 1,
-            leaf,
-            mx.apply(env),
-            mx.apply(fresh),
-            (bound, *(mx.apply(v) for v in locals_)),
-        )
-
-    return lam(step)
-
-
 def body_of_skeleton(skeleton: BodySkeleton, env_value):
     """Realize a skeleton as a binder body closed over ``env_value``.
 
-    The resulting body maps (rename, fresh) to the skeleton's structure
-    with the env slot holding the renamed ``env_value`` and the fresh slot
-    holding ``fresh``, both carried through the local binders' renames.
+    The resulting body maps (rename, fresh) to the skeleton's structure.
+    Only the leaf's value is carried through the local binders' renames:
+    the renamed ``env_value``, the renamed ``fresh``, or a local binder's
+    variable from the binder that introduces it. ``env_value`` is renamed
+    only when the leaf is the env slot.
     """
     skeleton.validate()
-
-    def body(mx: Rename, fresh):
-        return _grow(skeleton.binders, skeleton.leaf, mx.apply(env_value), fresh, ())
-
-    return body
+    # As a chain, the leaf names the body's own binder (fresh), one of the
+    # local binders below it, or a binder outside the body (env), which every
+    # rename reaches.
+    below = skeleton.binders
+    if skeleton.leaf is Slot.ENV:
+        index = below + 1
+    elif skeleton.leaf is Slot.FRESH:
+        index = below
+    else:
+        index = skeleton.leaf
+    return _open_chain(below, index, env_value)
 
 
 @dataclass(frozen=True)

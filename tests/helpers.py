@@ -1,6 +1,6 @@
 """Shared builders for the test suite."""
 
-from kripkelam import Algebra, Term, closed, lam, place
+from kripkelam import Algebra, Rename, Term, closed, lam, place
 
 
 def term_xy_x() -> Term:
@@ -46,3 +46,35 @@ class Poison:
     def _hit(self, body, embed, candidate):
         self.calls += 1
         return 0
+
+
+class RenameCounter:
+    """Algebra that hands every body a counting, tagging rename.
+
+    The n-th binder interpreted gives its variable the denotation
+    ``("var", n)``; the rename wraps a value as ``("renamed", value)`` and
+    counts its calls. The carrier is whatever the occurrence denotes, so a
+    fold shows which binder an occurrence names and how often its
+    denotation was renamed on the way.
+    """
+
+    def __init__(self):
+        self.applies = 0
+        self.binders = 0
+        self.rename = Rename(self._tag)
+        self.alg = Algebra(self._interpret, name="rename-counter")
+
+    def _tag(self, value):
+        self.applies += 1
+        return ("renamed", value)
+
+    def _interpret(self, body, embed, candidate):
+        self.binders += 1
+        return body(self.rename, ("var", self.binders)).interpret(candidate)
+
+
+def renamed(value, times: int):
+    """``value`` as ``RenameCounter`` shows it after ``times`` renames."""
+    for _ in range(times):
+        value = ("renamed", value)
+    return value

@@ -3,10 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kripkelam import (
+    DEFAULT_MAX_NESTING,
     Lam,
     Var,
     db_to_hoas,
     fold,
+    format_db,
+    lam_alg,
     oracle_print,
     oracle_size,
     print_alg,
@@ -169,6 +172,20 @@ def test_random_chains_agree_with_oracles(ki):
     assert print_term(t) == oracle_print(d)
     assert to_debruijn(t) == d
 
+
+
+@pytest.mark.parametrize(
+    "index", [0, DEFAULT_MAX_NESTING // 2, DEFAULT_MAX_NESTING - 1]
+)
+def test_chains_at_the_guard_limit_agree_with_oracles(index):
+    # Compared as ints and strings: == on a Lam chain this deep recurses
+    # once per binder.
+    d = chain(DEFAULT_MAX_NESTING, index)
+    t = db_to_hoas(d)
+    assert size(t) == oracle_size(d)
+    assert print_term(t) == oracle_print(d)
+    assert format_db(to_debruijn(t)) == format_db(d)
+    assert size(fold(lam_alg(), t)) == oracle_size(d)
 
 # ---------------------------------------------------------------- guard
 

@@ -14,6 +14,7 @@ from kripkelam import (
     db_to_hoas,
     db_to_named,
     db_validate,
+    fold,
     enumerate_terms,
     format_db,
     gen_term,
@@ -26,6 +27,8 @@ from kripkelam import (
     splitmix64,
     to_debruijn,
 )
+
+from helpers import RenameCounter, renamed
 
 
 def chain(k, i):
@@ -105,6 +108,17 @@ def test_roundtrip_on_all_chains_to_depth_32():
     for d in enumerate_terms(32):
         assert to_debruijn(db_to_hoas(d)) == d
 
+
+
+def test_db_to_hoas_renames_only_the_occurrence():
+    # The occurrence names binder k - i, and its denotation is renamed once
+    # by each of the i binders inside it. No other binder's denotation is
+    # renamed at all, so the rename runs exactly i times, not about k*k/2.
+    for k in range(1, 33):
+        for i in range(k):
+            counter = RenameCounter()
+            assert fold(counter.alg, db_to_hoas(chain(k, i))) == renamed(("var", k - i), i)
+            assert counter.applies == i
 
 @settings(max_examples=60, deadline=None)
 @given(chains)

@@ -32,7 +32,7 @@ from kripkelam import (
 )
 from kripkelam.laws import render_reports
 
-from helpers import Poison
+from helpers import Poison, RenameCounter, renamed
 
 
 def skeletons_to(depth):
@@ -116,6 +116,23 @@ def test_local_leaf_names_its_own_binder():
     assert print_term(t) == "\\ x1. \\ x2. \\ x3. \\ x4. x4"
     t = closed(lambda mo, x: lam(body_of_skeleton(BodySkeleton(2, 1), x)))
     assert print_term(t) == "\\ x1. \\ x2. \\ x3. \\ x4. x3"
+
+
+def test_body_of_skeleton_renames_only_the_leaf():
+    # Binder 1 is the body's own and the locals follow it inward. Only the
+    # leaf's value is renamed: env by the body's rename and every local
+    # one, fresh or a local variable once by each local binder inside it.
+    for s in enumerate_skeletons(8):
+        counter = RenameCounter()
+        result = lam(body_of_skeleton(s, "env")).interpret(counter.alg)
+        if s.leaf is Slot.ENV:
+            value, times = "env", s.binders + 1
+        elif s.leaf is Slot.FRESH:
+            value, times = ("var", 1), s.binders
+        else:
+            value, times = ("var", 1 + s.binders - s.leaf), s.leaf
+        assert result == renamed(value, times), s.describe()
+        assert counter.applies == times, s.describe()
 
 
 # ---------------------------------------------------------------- is_hom
