@@ -1,14 +1,11 @@
 """Command line front end.
 
-Input is a single term in named syntax, read from a positional file
-argument or stdin:
-
-    term  := ('\\' | 'λ') ident '.' term | ident
-    ident := [A-Za-z][A-Za-z0-9_]*
-
-with arbitrary whitespace between tokens. There are no applications and no
-parentheses. Exit codes: 0 success, 1 bad input, 2 a check suite failed,
-3 the binder-nesting guard tripped.
+Input is a single term, read from a positional file argument or stdin: in
+named syntax, or in de Bruijn syntax for ``from-db``. Both syntaxes, and
+``parse_named``/``render_named`` (imported here for callers that use them
+from this module), live in :mod:`kripkelam.debruijn`. Exit codes: 0
+success, 1 bad input, 2 a check suite failed, 3 the binder-nesting guard
+tripped.
 """
 
 from __future__ import annotations
@@ -18,12 +15,7 @@ import sys
 
 from .algebras import print_term, size, to_debruijn
 from .debruijn import (
-    Abs,
-    NamedTerm,
-    OpenTermError,
     ParseError,
-    Ref,
-    UnboundVariable,
     db_to_hoas,
     db_to_named,
     enumerate_terms,
@@ -31,98 +23,13 @@ from .debruijn import (
     gen_term,
     named_to_db,
     parse_db,
+    parse_named,
+    render_named,
 )
 from .encoding import DepthLimitError
 from .laws import render_reports, run_all_laws
 
 __all__ = ["main", "parse_named", "render_named"]
-
-_LAMBDA_CHARS = ("\\", "λ")
-
-
-def _ident_end(text: str, start: int) -> int:
-    end = start + 1
-    n = len(text)
-    while end < n and (text[end].isascii() and (text[end].isalnum() or text[end] == "_")):
-        end += 1
-    return end
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isascii() and ch.isalpha()
-
-
-def _tokenize_named(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        col = pos - line_start + 1
-        if ch in _LAMBDA_CHARS:
-            tokens.append(("lambda", ch, line, col))
-            pos += 1
-        elif ch == ".":
-            tokens.append(("dot", ch, line, col))
-            pos += 1
-        elif _is_ident_start(ch):
-            end = _ident_end(text, pos)
-            tokens.append(("ident", text[pos:end], line, col))
-            pos = end
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", "", line, n - line_start + 1))
-    return tokens
-
-
-def parse_named(text: str) -> NamedTerm:
-    """Parse named syntax into a named term, or raise ParseError."""
-    tokens = _tokenize_named(text)
-    at = 0
-
-    def fail(message):
-        _, _, line, col = tokens[at]
-        raise ParseError(message, line, col)
-
-    binders = []
-    while tokens[at][0] == "lambda":
-        at += 1
-        if tokens[at][0] != "ident":
-            fail("expected an identifier after the binder")
-        binders.append(tokens[at][1])
-        at += 1
-        if tokens[at][0] != "dot":
-            fail("expected '.' after the bound name")
-        at += 1
-    if tokens[at][0] != "ident":
-        fail("expected a variable or a binder")
-    term: NamedTerm = Ref(tokens[at][1])
-    at += 1
-    if tokens[at][0] != "eof":
-        fail("trailing input after term")
-    for name in reversed(binders):
-        term = Abs(name, term)
-    return term
-
-
-def render_named(t: NamedTerm) -> str:
-    """Named term back to source syntax, one space after each backslash."""
-    parts = []
-    while isinstance(t, Abs):
-        parts.append(f"\\ {t.name}. ")
-        t = t.body
-    parts.append(t.name)
-    return "".join(parts)
 
 
 def _read_input(path: str | None) -> str:
@@ -243,16 +150,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"error: syntax: {err}", file=sys.stderr)
         return 1
-    except UnboundVariable as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OpenTermError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except DepthLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # also UnboundVariable, OpenTermError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,14 @@
-"""First-order term representations and the oracles built on them.
+"""First-order terms, their two text syntaxes, and the oracles built on them.
 
 Because the term language has binders and variables only, every closed term
 is a chain: some number of nested binders around a single variable
-occurrence. That makes the first-order side easy to enumerate exhaustively
-and to compute against directly, which is exactly what the differential
-tests for the higher-order encoding need. Everything in this module is
-written as plain walks over the chain structure, independent of the
-encoding in :mod:`kripkelam.encoding`.
+occurrence, and that pair is what a first-order term stores: a
+:class:`DbTerm` its binder count and de Bruijn index, a :class:`NamedTerm`
+its binder names (outermost first) and occurrence name. ``Lam``/``Var`` and
+``Abs``/``Ref`` build and view them one node at a time; ``Lam(d)`` and
+``d.body`` cost O(1). ``==``, ``hash``, ``repr``, the oracles and the
+conversions read the two fields and never recurse, so they work at any
+depth, which the differential tests for the encoding rely on.
 
 The bridge to the encoding, :func:`db_to_hoas`, uses the chain shape too:
 only the denotation of the binder the occurrence names is carried inward.
@@ -17,15 +19,17 @@ depth.
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
 
-Text format for de Bruijn terms: constructor name, a space, and a
-parenthesized argument, as in ``Lam (Lam (Var 1))``. The parser accepts
-arbitrary whitespace between tokens.
+Both text syntaxes share one tokenizer, allow any whitespace between tokens
+and report errors by 1-based line and column. De Bruijn text reads
+``Lam (Lam (Var 1))``, parentheses optional. Named text is
+``('\\' | 'λ') ident '.' term | ident`` with ``ident := [A-Za-z][A-Za-z0-9_]*``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+import re
+from operator import attrgetter
+from typing import Iterator
 
 from .encoding import Rename, Term, TermBody, closed, lam, place
 
@@ -50,43 +54,111 @@ __all__ = [
     "oracle_print",
     "oracle_size",
     "parse_db",
+    "parse_named",
+    "render_named",
     "splitmix64",
 ]
 
 
-@dataclass(frozen=True)
-class Var:
+class _Chain:
+    """A chain: ``binders`` around one variable ``occurrence``, both read-only."""
+
+    __slots__ = ("_binders", "_occurrence")
+    binders = property(attrgetter("_binders"))
+    occurrence = property(attrgetter("_occurrence"))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Chain):
+            return NotImplemented
+        return self._binders == other._binders and self._occurrence == other._occurrence
+
+    def __hash__(self):
+        return hash((self._binders, self._occurrence))
+
+    def __reduce__(self):
+        return _make, (type(self), self._binders, self._occurrence)
+
+
+def _make(cls, binders, occurrence):
+    t = object.__new__(cls)
+    t._binders = binders
+    t._occurrence = occurrence
+    return t
+
+
+class DbTerm(_Chain):
+    """``binders`` binders around the index ``occurrence``: a ``Lam``, or a ``Var`` if none."""
+
+    __slots__ = ()
+
+    index = property(attrgetter("_occurrence"))
+
+    def __repr__(self):
+        return "Lam(" * self._binders + f"Var({self._occurrence!r})" + ")" * self._binders
+
+
+class Var(DbTerm):
     """A variable occurrence by de Bruijn index."""
 
-    index: int
+    __slots__ = ()
+
+    def __new__(cls, index: int):
+        return _make(Var, 0, index)
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(DbTerm):
     """A binder node."""
 
-    body: "DbTerm"
+    __slots__ = ()
+
+    def __new__(cls, body: DbTerm):
+        if not isinstance(body, DbTerm):
+            raise TypeError(f"not a de Bruijn term: {body!r}")
+        return _make(Lam, body._binders + 1, body._occurrence)
+
+    @property
+    def body(self) -> DbTerm:
+        return _chain(self._binders - 1, self._occurrence)
 
 
-DbTerm = Union[Lam, Var]
+class NamedTerm(_Chain):
+    """Binder names, outermost first, around ``occurrence``: an ``Abs``, or a ``Ref`` if none."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        opened = "".join([f"Abs({name!r}, " for name in self._binders])
+        return opened + f"Ref({self._occurrence!r})" + ")" * len(self._binders)
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTerm):
     """A named variable occurrence."""
 
-    name: str
+    __slots__ = ()
+
+    name = property(attrgetter("_occurrence"))
+
+    def __new__(cls, name: str):
+        return _make(Ref, (), name)
 
 
-@dataclass(frozen=True)
-class Abs:
-    """A named binder."""
+class Abs(NamedTerm):
+    """A named binder; ``Abs(name, body)`` and ``.body`` copy the names."""
 
-    name: str
-    body: "NamedTerm"
+    __slots__ = ()
 
+    def __new__(cls, name: str, body: NamedTerm):
+        if not isinstance(body, NamedTerm):
+            raise TypeError(f"not a named term: {body!r}")
+        return _make(Abs, (name, *body._binders), body._occurrence)
 
-NamedTerm = Union[Abs, Ref]
+    @property
+    def name(self) -> str:
+        return self._binders[0]
+
+    @property
+    def body(self) -> NamedTerm:
+        return _named(self._binders[1:], self._occurrence)
 
 
 class UnboundVariable(ValueError):
@@ -111,20 +183,17 @@ class ParseError(ValueError):
 
 def _unchain(d: DbTerm) -> tuple[int, int]:
     """Split a chain into (binder count, final index)."""
-    k = 0
-    while isinstance(d, Lam):
-        k += 1
-        d = d.body
-    if not isinstance(d, Var):
+    if not isinstance(d, DbTerm):
         raise TypeError(f"not a de Bruijn term: {d!r}")
-    return k, d.index
+    return d._binders, d._occurrence
 
 
 def _chain(k: int, i: int) -> DbTerm:
-    d: DbTerm = Var(i)
-    for _ in range(k):
-        d = Lam(d)
-    return d
+    return _make(Lam if k else Var, k, i)
+
+
+def _named(binders: tuple[str, ...], occurrence: str) -> NamedTerm:
+    return _make(Abs if binders else Ref, binders, occurrence)
 
 
 def db_validate(d: DbTerm, depth: int = 0) -> bool:
@@ -135,11 +204,14 @@ def db_validate(d: DbTerm, depth: int = 0) -> bool:
 
 def oracle_size(d: DbTerm) -> int:
     """Node count: one per binder plus one per variable occurrence."""
-    size = 0
-    while isinstance(d, Lam):
-        size += 1
-        d = d.body
-    return size + 1
+    return _unchain(d)[0] + 1
+
+
+def _unchain_closed(d: DbTerm) -> tuple[int, int]:
+    k, i = _unchain(d)
+    if not 0 <= i < k:
+        raise OpenTermError(f"term is open: index {i} under {k} binders")
+    return k, i
 
 
 def oracle_print(d: DbTerm) -> str:
@@ -148,37 +220,24 @@ def oracle_print(d: DbTerm) -> str:
     Byte format: backslash, space, name, period, space per binder, then the
     occurrence's name; no trailing newline.
     """
-    k, i = _unchain(d)
-    if not 0 <= i < k:
-        raise OpenTermError(f"term is open: index {i} under {k} binders")
-    parts = [f"\\ x{level}. " for level in range(1, k + 1)]
-    parts.append(f"x{k - i}")
-    return "".join(parts)
+    k, i = _unchain_closed(d)
+    return "".join([f"\\ x{level}. " for level in range(1, k + 1)]) + f"x{k - i}"
 
 
 def db_to_named(d: DbTerm) -> NamedTerm:
     """Closed term to named form, binder at nesting level k named ``x{k}``."""
-    k, i = _unchain(d)
-    if not 0 <= i < k:
-        raise OpenTermError(f"term is open: index {i} under {k} binders")
-    t: NamedTerm = Ref(f"x{k - i}")
-    for level in range(k, 0, -1):
-        t = Abs(f"x{level}", t)
-    return t
+    k, i = _unchain_closed(d)
+    return _named(tuple([f"x{level}" for level in range(1, k + 1)]), f"x{k - i}")
 
 
 def named_to_db(t: NamedTerm) -> DbTerm:
     """Named form to de Bruijn; the nearest enclosing binder wins on shadowing."""
-    binders: list[str] = []
-    while isinstance(t, Abs):
-        binders.append(t.name)
-        t = t.body
-    if not isinstance(t, Ref):
+    if not isinstance(t, NamedTerm):
         raise TypeError(f"not a named term: {t!r}")
-    for index, binder in enumerate(reversed(binders)):
-        if binder == t.name:
-            return _chain(len(binders), index)
-    raise UnboundVariable(t.name)
+    try:
+        return _chain(len(t.binders), t.binders[::-1].index(t.occurrence))
+    except ValueError:
+        raise UnboundVariable(t.occurrence) from None
 
 
 _IDENTITY = Rename.identity()
@@ -276,79 +335,99 @@ def format_db(d: DbTerm) -> str:
     return "Lam (" * k + f"Var {i}" + ")" * k
 
 
-_DB_WORDS = ("Lam", "Var")
+def render_named(t: NamedTerm) -> str:
+    """Named term back to source syntax, one space after each backslash."""
+    return "".join([f"\\ {name}. " for name in t.binders]) + t.occurrence
 
 
-def _tokenize_db(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        col = pos - line_start + 1
-        if ch in "()":
-            tokens.append((ch, ch, line, col))
-            pos += 1
-        elif ch.isdigit():
-            end = pos
-            while end < n and text[end].isdigit():
-                end += 1
-            tokens.append(("int", text[pos:end], line, col))
-            pos = end
-        elif ch.isalpha():
-            end = pos
-            while end < n and text[end].isalnum():
-                end += 1
-            word = text[pos:end]
-            if word not in _DB_WORDS:
-                raise ParseError(f"unknown constructor {word}", line, col)
-            tokens.append((word, word, line, col))
-            pos = end
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", "", line, n - line_start + 1))
+def _lexicon(token: str):
+    # One token, and a maximal run of whitespace-separated tokens. A word
+    # ends where no character can continue it: ``Var_`` is ``Var``, then an
+    # unexpected ``_``. The run is matched only to place an error: its
+    # backtracking stack grows with the text.
+    return re.compile(token), re.compile(rf"(?:\s*(?:{token}))*\s*")
+
+
+_DB_LEXICON = _lexicon(r"[()]|\d+|(?:Lam|Var)(?![^\W_])")
+_NAMED_LEXICON = _lexicon(r"[\\λ.]|[A-Za-z][A-Za-z0-9_]*")
+_UNEXPECTED = re.compile(r"[^\W_]+|.", re.S)
+
+
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    column = pos - text.rfind("\n", 0, pos)
+    return ParseError(message, text.count("\n", 0, pos) + 1, column)
+
+
+def _tokenize(text: str, lexicon) -> list[str]:
+    """Tokens of ``text``, then ``""`` for its end; a character that starts
+    no token is a ParseError, even after a token the parser would reject."""
+    token, run = lexicon
+    tokens = token.findall(text)
+    # Tokens hold no whitespace, so they cover every other character
+    # exactly when findall skipped nothing but whitespace.
+    if sum(map(len, tokens)) < len("".join(text.split())):
+        end = run.match(text).end()
+        raise _error_at(text, end, f"unexpected {_UNEXPECTED.match(text, end).group()!r}")
+    tokens.append("")
     return tokens
+
+
+def _token_error(text: str, lexicon, at: int, message: str) -> ParseError:
+    starts = [m.start() for m in lexicon[0].finditer(text)] + [len(text)]
+    return _error_at(text, starts[at], message)
 
 
 def parse_db(text: str) -> DbTerm:
     """Parse the de Bruijn text format; whitespace between tokens is free."""
-    tokens = _tokenize_db(text)
-    at = 0
+    tokens = _tokenize(text, _DB_LEXICON)
 
-    def fail(message):
-        kind, value, line, col = tokens[at]
-        raise ParseError(message, line, col)
+    def fail(at, message):
+        raise _token_error(text, _DB_LEXICON, at, message)
 
     # Chains only: a prefix of Lam and ( markers, one Var, then the
     # closing parens in reverse marker order.
-    markers = []
-    while tokens[at][0] in ("Lam", "("):
-        markers.append(tokens[at][0])
+    at = 0
+    while tokens[at] in ("Lam", "("):
         at += 1
-    if tokens[at][0] != "Var":
-        fail("expected Lam, Var or (")
-    at += 1
-    if tokens[at][0] != "int":
-        fail("expected an index after Var")
-    term: DbTerm = Var(int(tokens[at][1]))
-    at += 1
+    markers = tokens[:at]
+    if tokens[at] != "Var":
+        fail(at, "expected Lam, Var or (")
+    if not tokens[at + 1][:1].isdigit():
+        fail(at + 1, "expected an index after Var")
+    index = int(tokens[at + 1])
+    at += 2
     for marker in reversed(markers):
         if marker == "(":
-            if tokens[at][0] != ")":
-                fail("expected )")
+            if tokens[at] != ")":
+                fail(at, "expected )")
             at += 1
-        else:
-            term = Lam(term)
-    if tokens[at][0] != "eof":
-        fail("trailing input after term")
-    return term
+    if tokens[at]:
+        fail(at, "trailing input after term")
+    return _chain(markers.count("Lam"), index)
+
+
+_LAMBDAS = ("\\", "λ")
+_NOT_IDENT = (*_LAMBDAS, ".", "")
+
+
+def parse_named(text: str) -> NamedTerm:
+    """Parse named syntax into a named term, or raise ParseError."""
+    tokens = _tokenize(text, _NAMED_LEXICON)
+
+    def fail(at, message):
+        raise _token_error(text, _NAMED_LEXICON, at, message)
+
+    binders = []
+    at = 0
+    while tokens[at] in _LAMBDAS:
+        if tokens[at + 1] in _NOT_IDENT:
+            fail(at + 1, "expected an identifier after the binder")
+        if tokens[at + 2] != ".":
+            fail(at + 2, "expected '.' after the bound name")
+        binders.append(tokens[at + 1])
+        at += 3
+    if tokens[at] in _NOT_IDENT:
+        fail(at, "expected a variable or a binder")
+    if tokens[at + 1]:
+        fail(at + 1, "trailing input after term")
+    return _named(tuple(binders), tokens[at])

@@ -28,8 +28,9 @@ active limit raises :class:`DepthLimitError` instead of exhausting the
 interpreter stack. To make the default limit reachable on CPython, a fold
 that outgrows a small inline nesting cap, or the calling thread's stack,
 is re-run on a worker thread with a large stack and a raised recursion
-limit (raised globally and left in place; lowering it would endanger
-concurrent deep folds). This re-running relies on folds being pure.
+limit. The limit is process-wide, so it stays raised while any deep fold
+is in flight and is restored when the last one ends. This re-running
+relies on folds being pure.
 """
 
 from __future__ import annotations
@@ -243,15 +244,12 @@ class _GuardState(threading.local):
 
 _guard = _GuardState()
 _worker_setup_lock = threading.Lock()
+# Deep folds in flight and the recursion limit before the first of them.
+_deep_folds = 0
+_limit_before = 0
 
 
-def _run_scoped(thunk, limit: int, raise_recursion_limit: bool):
-    if raise_recursion_limit:
-        # Raised and left in place: lowering it while another thread is mid
-        # deep fold would break that fold.
-        need = limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
+def _run_scoped(thunk, limit: int):
     g = _guard
     g.active = True
     g.count = 0
@@ -263,22 +261,37 @@ def _run_scoped(thunk, limit: int, raise_recursion_limit: bool):
 
 
 def _run_on_worker(thunk, limit: int):
+    global _deep_folds, _limit_before
     outcome: dict[str, Any] = {}
 
     def work():
+        global _deep_folds
         try:
-            outcome["value"] = _run_scoped(thunk, limit, raise_recursion_limit=True)
+            outcome["value"] = _run_scoped(thunk, limit)
         except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
             outcome["error"] = exc
+        finally:
+            with _worker_setup_lock:
+                _deep_folds -= 1
+                if _deep_folds == 0:
+                    sys.setrecursionlimit(_limit_before)
 
+    # The recursion limit is process-wide: raised before the first deep
+    # fold in flight starts, restored when the last one ends.
     with _worker_setup_lock:
-        previous = threading.stack_size()
+        if _deep_folds == 0:
+            _limit_before = sys.getrecursionlimit()
+        need = limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM
+        previous = threading.stack_size(_WORKER_STACK_BYTES)
         try:
-            threading.stack_size(_WORKER_STACK_BYTES)
+            sys.setrecursionlimit(max(sys.getrecursionlimit(), need))
             worker = threading.Thread(target=work, name="kripkelam-deep-fold")
             worker.start()
+            _deep_folds += 1
         finally:
             threading.stack_size(previous)
+            if _deep_folds == 0:
+                sys.setrecursionlimit(_limit_before)
     worker.join()
     if "error" in outcome:
         raise outcome["error"]
@@ -304,7 +317,7 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
         raise ValueError("max_depth must be at least 1")
     inline_limit = min(limit, _INLINE_NESTING_CAP)
     try:
-        return _run_scoped(thunk, inline_limit, raise_recursion_limit=False)
+        return _run_scoped(thunk, inline_limit)
     except DepthLimitError as trip:
         if trip.limit != inline_limit or inline_limit == limit:
             raise

@@ -1,6 +1,14 @@
 """Shared builders for the test suite."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 from kripkelam import Algebra, Rename, Term, closed, lam, place
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def term_xy_x() -> Term:
@@ -78,3 +86,18 @@ def renamed(value, times: int):
     for _ in range(times):
         value = ("renamed", value)
     return value
+
+
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter, at the default recursion limit,
+    with this checkout's ``src`` first on the path; return its stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

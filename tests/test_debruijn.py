@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kripkelam import (
+    DEFAULT_MAX_NESTING,
     Abs,
     Lam,
     OpenTermError,
@@ -27,8 +31,9 @@ from kripkelam import (
     splitmix64,
     to_debruijn,
 )
+from kripkelam.debruijn import parse_named, render_named
 
-from helpers import RenameCounter, renamed
+from helpers import RenameCounter, renamed, run_fresh
 
 
 def chain(k, i):
@@ -297,3 +302,140 @@ def test_parse_db_errors_carry_positions():
 @given(chains)
 def test_format_parse_roundtrip(d):
     assert parse_db(format_db(d)) == d
+
+
+# ---------------------------------------------------------------- syntax parity
+
+# Both syntaxes go through one tokenizer. Every row is what the earlier
+# per-syntax tokenizers gave: the parsed term, or the (line, column) of the
+# ParseError.
+PARSE_TABLE = [
+    (parse_named, "\\é. é", (1, 2)),  # identifiers are ASCII
+    (parse_named, "\\λ. λ", (1, 2)),
+    (parse_named, "\\x.\n  \\y. 1", (2, 7)),
+    (parse_named, "_x", (1, 1)),
+    (parse_named, "\\x_.x_", Abs("x_", Ref("x_"))),
+    (parse_named, "\\x. x\r\n", Abs("x", Ref("x"))),
+    (parse_named, "λx.x", Abs("x", Ref("x"))),
+    (parse_named, "  λ a .\n \\ b_2 . a ", Abs("a", Abs("b_2", Ref("a")))),
+    (parse_named, "x", Ref("x")),
+    (parse_named, "\\x. (y)", (1, 5)),
+    (parse_named, "\\x.\n\\y infix", (2, 4)),
+    (parse_named, "\\. x", (1, 2)),
+    (parse_named, "", (1, 1)),
+    (parse_named, "\\x. x y", (1, 7)),
+    (parse_named, "\\x.", (1, 4)),
+    (parse_named, "\\1x. x", (1, 2)),
+    (parse_named, "\\x y. x", (1, 4)),
+    (parse_named, "\\x.\r\n\\y.é", (2, 4)),
+    (parse_named, "x\ty", (1, 3)),
+    (parse_db, "Var_ 0", (1, 4)),  # _ is not part of a de Bruijn word
+    (parse_db, "Lam (Var 1x)", (1, 11)),
+    (parse_db, "Lam (Var é)", (1, 10)),
+    (parse_db, "Lam\n (Var -1)", (2, 7)),
+    (parse_db, "Lam(Var 0)", Lam(Var(0))),
+    (parse_db, "Lam ( Lam Var 0 )", Lam(Lam(Var(0)))),
+    (parse_db, "  Lam\n(\tLam ( Var\n1 ) )  ", Lam(Lam(Var(1)))),
+    (parse_db, "Lam Lam Var 1", Lam(Lam(Var(1)))),
+    (parse_db, "Var ٣", Var(3)),  # any decimal digit, as int() reads it
+    (parse_db, "Lam (Var x)", (1, 10)),
+    (parse_db, "Lam (Var 0", (1, 11)),
+    (parse_db, "Lam (Var 0)) ", (1, 12)),
+    (parse_db, "Lam (Var 0)) é", (1, 14)),  # a bad character outranks a bad parse
+    (parse_db, "Foo (Var 0)", (1, 1)),
+    (parse_db, "Lamx (Var 0)", (1, 1)),
+    (parse_db, "", (1, 1)),
+    (parse_db, "Var", (1, 4)),
+    (parse_db, "(Var 0", (1, 7)),
+    (parse_db, "Var 0 )", (1, 7)),
+]
+
+
+@pytest.mark.parametrize("parse, text, expected", PARSE_TABLE)
+def test_parsers_match_the_table(parse, text, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == expected
+    else:
+        assert parse(text) == expected
+
+
+def test_parse_db_rejects_non_decimal_digits():
+    # "²" passes str.isdigit but int() cannot read it: a syntax error, not
+    # a bare ValueError from int().
+    with pytest.raises(ParseError) as err:
+        parse_db("Lam (Var ²)")
+    assert (err.value.line, err.value.column) == (1, 10)
+
+
+# ---------------------------------------------------------------- deep terms
+
+
+def test_deep_terms_compare_hash_and_print_at_the_default_recursion_limit():
+    # A fresh process has never raised its recursion limit, so any of these
+    # that recursed once per binder would fail at this depth.
+    out = run_fresh(f"""
+        from kripkelam import Lam, Var, db_to_named
+
+        def chain(k, i):
+            d = Var(i)
+            for _ in range(k):
+                d = Lam(d)
+            return d
+
+        k = {DEFAULT_MAX_NESTING}
+        a, b = chain(k, 7), chain(k, 7)
+        assert a == b and hash(a) == hash(b) and a != chain(k, 8)
+        assert repr(a) == "Lam(" * k + "Var(7)" + ")" * k
+        na, nb = db_to_named(a), db_to_named(b)
+        assert na == nb and hash(na) == hash(nb) and na != db_to_named(chain(k, 8))
+        assert repr(na).startswith("Abs('x1', Abs('x2', ") and repr(na).endswith("Ref('x9993')" + ")" * k)
+        print("ok")
+    """)
+    assert out == "ok\n"
+
+
+deep_chains = st.integers(min_value=1, max_value=DEFAULT_MAX_NESTING).flatmap(
+    lambda k: st.integers(min_value=0, max_value=k - 1).map(lambda i: chain(k, i))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(deep_chains)
+def test_text_roundtrips_up_to_the_guard_limit(d):
+    assert parse_db(format_db(d)) == d
+    assert named_to_db(parse_named(render_named(db_to_named(d)))) == d
+
+
+def test_terms_are_immutable():
+    for t in (Var(0), Lam(Lam(Var(1))), Ref("x"), Abs("x", Ref("x"))):
+        for field in ("binders", "occurrence"):
+            with pytest.raises(AttributeError):
+                setattr(t, field, getattr(t, field))
+            with pytest.raises(AttributeError):
+                delattr(t, field)
+    with pytest.raises(AttributeError):
+        Var(0).index = 1
+    with pytest.raises(AttributeError):
+        Ref("x").name = "y"
+
+
+def test_terms_copy_and_pickle_as_values():
+    for t in (Var(0), Lam(Lam(Var(1))), Ref("x"), Abs("x", Abs("y", Ref("x")))):
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and type(twin) is type(t)
+
+
+def test_node_views_of_stored_chains():
+    d = parse_db("Lam (Lam (Var 1))")
+    assert isinstance(d, Lam) and isinstance(d.body, Lam) and isinstance(d.body.body, Var)
+    assert d.body.body.index == 1
+    t = parse_named("\\x. \\y. x")
+    assert (t.name, t.body.name, t.body.body.name) == ("x", "y", "x")
+    assert isinstance(t.body.body, Ref)
+    assert Lam(Var(0)) != Abs("x", Ref("x")) and Var(0) != Ref("x")
+    with pytest.raises(TypeError):
+        Lam(Ref("x"))
+    with pytest.raises(TypeError):
+        Abs("x", Var(0))

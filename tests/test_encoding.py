@@ -1,3 +1,4 @@
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +24,7 @@ from kripkelam import (
 )
 from kripkelam.algebras import print_alg, size
 
-from helpers import Poison, deep_term, term_x_x, term_xy_x, term_xy_y
+from helpers import Poison, deep_term, run_fresh, term_x_x, term_xy_x, term_xy_y
 
 
 # ---------------------------------------------------------------- place
@@ -280,3 +281,59 @@ def test_guard_state_is_thread_local():
     assert errors == ["tripped"]
     # this thread's folds are unaffected
     assert fold(size_alg(), term_x_x()) == 2
+
+
+# ---------------------------------------------------------------- recursion limit
+
+
+def test_deep_fold_restores_the_recursion_limit():
+    # Raised for the big-stack worker, the limit goes back down when the
+    # last deep fold in flight ends, on both of these paths.
+    out = run_fresh("""
+        import sys, threading
+        from kripkelam import db_to_hoas, size
+        from kripkelam.debruijn import Lam, Var
+
+        def chain(k, i):
+            d = Var(i)
+            for _ in range(k):
+                d = Lam(d)
+            return d
+
+        before = sys.getrecursionlimit()
+        assert size(db_to_hoas(chain(500, 3))) == 501
+        print(sys.getrecursionlimit() == before)
+
+        go = threading.Barrier(2)
+        sizes = []
+
+        def fold(k):
+            go.wait()
+            sizes.append(size(db_to_hoas(chain(k, k // 2))))
+
+        threads = [threading.Thread(target=fold, args=(k,)) for k in (3000, 9000)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        print(sorted(sizes) == [3001, 9001], sys.getrecursionlimit() == before)
+    """)
+    assert out == "True\nTrue True\n"
+
+
+def test_concurrent_deep_folds_share_the_raised_limit():
+    # Eight threads switching often: a lost update to the count of deep
+    # folds in flight would lower the limit under a running fold (a
+    # RecursionError here) or leave it raised afterwards.
+    before = sys.getrecursionlimit()
+    depths = [1000 + 100 * n for n in range(32)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(fold, size_alg(), deep_term(d)) for d in depths]
+            sizes = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [d + 1 for d in depths]
+    assert sys.getrecursionlimit() == before
