@@ -60,7 +60,6 @@ from .encoding import (
 from .laws import (
     BodySkeleton,
     CarrierContext,
-    HomInstance,
     Report,
     Slot,
     Witness,
@@ -69,7 +68,6 @@ from .laws import (
     check_fold_hom,
     check_hom,
     check_id_hom,
-    check_is_hom,
     enumerate_skeletons,
     gen_skeleton,
     hom_sides,

@@ -4,8 +4,9 @@ Input is a single term, read from a positional file argument or stdin: in
 named syntax, or in de Bruijn syntax for ``from-db``. Both syntaxes, and
 ``parse_named``/``render_named`` (imported here for callers that use them
 from this module), live in :mod:`kripkelam.debruijn`. Exit codes: 0
-success, 1 bad input, 2 a check suite failed, 3 the binder-nesting guard
-tripped.
+success, 1 bad input, 2 a check suite failed, 3 the binder guard tripped:
+one fold interpreted more binders than its limit (``DEFAULT_MAX_NESTING``),
+which also bounds how deeply they nest.
 """
 
 from __future__ import annotations

@@ -340,16 +340,11 @@ def render_named(t: NamedTerm) -> str:
     return "".join([f"\\ {name}. " for name in t.binders]) + t.occurrence
 
 
-def _lexicon(token: str):
-    # One token, and a maximal run of whitespace-separated tokens. A word
-    # ends where no character can continue it: ``Var_`` is ``Var``, then an
-    # unexpected ``_``. The run is matched only to place an error: its
-    # backtracking stack grows with the text.
-    return re.compile(token), re.compile(rf"(?:\s*(?:{token}))*\s*")
-
-
-_DB_LEXICON = _lexicon(r"[()]|\d+|(?:Lam|Var)(?![^\W_])")
-_NAMED_LEXICON = _lexicon(r"[\\λ.]|[A-Za-z][A-Za-z0-9_]*")
+# One token of each syntax. A word ends where no character can continue it:
+# ``Var_`` is ``Var``, then an unexpected ``_``.
+_DB_TOKEN = re.compile(r"[()]|\d+|(?:Lam|Var)(?![^\W_])")
+_NAMED_TOKEN = re.compile(r"[\\λ.]|[A-Za-z][A-Za-z0-9_]*")
+_SPACE = re.compile(r"\s*")
 _UNEXPECTED = re.compile(r"[^\W_]+|.", re.S)
 
 
@@ -358,31 +353,37 @@ def _error_at(text: str, pos: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, pos) + 1, column)
 
 
-def _tokenize(text: str, lexicon) -> list[str]:
+def _tokenize(text: str, token: re.Pattern) -> list[str]:
     """Tokens of ``text``, then ``""`` for its end; a character that starts
     no token is a ParseError, even after a token the parser would reject."""
-    token, run = lexicon
     tokens = token.findall(text)
     # Tokens hold no whitespace, so they cover every other character
     # exactly when findall skipped nothing but whitespace.
     if sum(map(len, tokens)) < len("".join(text.split())):
-        end = run.match(text).end()
+        # Place the error at the first non-whitespace character between two
+        # tokens, or after the last one, holding one match at a time.
+        end = 0
+        for match in token.finditer(text):
+            if text[end : match.start()].strip():
+                break
+            end = match.end()
+        end = _SPACE.match(text, end).end()
         raise _error_at(text, end, f"unexpected {_UNEXPECTED.match(text, end).group()!r}")
     tokens.append("")
     return tokens
 
 
-def _token_error(text: str, lexicon, at: int, message: str) -> ParseError:
-    starts = [m.start() for m in lexicon[0].finditer(text)] + [len(text)]
+def _token_error(text: str, token: re.Pattern, at: int, message: str) -> ParseError:
+    starts = [m.start() for m in token.finditer(text)] + [len(text)]
     return _error_at(text, starts[at], message)
 
 
 def parse_db(text: str) -> DbTerm:
     """Parse the de Bruijn text format; whitespace between tokens is free."""
-    tokens = _tokenize(text, _DB_LEXICON)
+    tokens = _tokenize(text, _DB_TOKEN)
 
     def fail(at, message):
-        raise _token_error(text, _DB_LEXICON, at, message)
+        raise _token_error(text, _DB_TOKEN, at, message)
 
     # Chains only: a prefix of Lam and ( markers, one Var, then the
     # closing parens in reverse marker order.
@@ -412,10 +413,10 @@ _NOT_IDENT = (*_LAMBDAS, ".", "")
 
 def parse_named(text: str) -> NamedTerm:
     """Parse named syntax into a named term, or raise ParseError."""
-    tokens = _tokenize(text, _NAMED_LEXICON)
+    tokens = _tokenize(text, _NAMED_TOKEN)
 
     def fail(at, message):
-        raise _token_error(text, _NAMED_LEXICON, at, message)
+        raise _token_error(text, _NAMED_TOKEN, at, message)
 
     binders = []
     at = 0

@@ -22,15 +22,17 @@ it only through ``place`` and through renames. Algebras that respect purity
 may be folded concurrently; all values here are immutable after
 construction.
 
-Deep terms: folding recurses once per binder. Folds are guarded by a
-nesting counter (default limit ``DEFAULT_MAX_NESTING``); exceeding the
-active limit raises :class:`DepthLimitError` instead of exhausting the
-interpreter stack. To make the default limit reachable on CPython, a fold
-that outgrows a small inline nesting cap, or the calling thread's stack,
-is re-run on a worker thread with a large stack and a raised recursion
-limit. The limit is process-wide, so it stays raised while any deep fold
-is in flight and is restored when the last one ends. This re-running
-relies on folds being pure.
+Deep terms: folding recurses once per binder. The guard counts the binders
+interpreted in one top-level guarded call; passing the active limit
+(default ``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError` instead
+of exhausting the interpreter stack. A binder is interpreted before those
+inside it, so this bounds nesting too, but an algebra that interprets each
+body twice trips it at 14 binders. To make the default limit reachable on
+CPython, a fold that outgrows a small inline cap, or the calling thread's
+stack, is re-run on a worker thread with a large stack and a raised
+recursion limit. The limit is process-wide, so it stays raised while any
+deep fold is in flight and is restored when the last one ends. This
+re-running relies on folds being pure.
 """
 
 from __future__ import annotations
@@ -63,15 +65,19 @@ _FRAME_HEADROOM = 2048
 
 # Nesting depth safe on the calling thread's stack. Anything deeper is
 # retried on a worker thread with a private large stack.
+# It trips only if the caller raised the recursion limit: the stack overflows.
 _INLINE_NESTING_CAP = 400
 _WORKER_STACK_BYTES = 512 * 1024 * 1024
 
 
 class DepthLimitError(RuntimeError):
-    """A fold nested more binders than the active guard allows."""
+    """A guarded call interpreted more binders than the active limit allows."""
 
     def __init__(self, limit: int):
-        super().__init__(f"binder nesting exceeds the configured limit of {limit}")
+        super().__init__(
+            f"more than {limit} binder interpretations in one guarded call "
+            "(the limit on binder nesting counts every binder interpreted)"
+        )
         self.limit = limit
 
 
@@ -228,7 +234,8 @@ def fold(alg: Algebra, t: Term, max_depth: int | None = None):
     """Interpret a closed term with an algebra.
 
     Pure: same term, same algebra, same result. ``max_depth`` overrides the
-    nesting guard for this fold (default ``DEFAULT_MAX_NESTING``). With a
+    guard's limit for this fold (default ``DEFAULT_MAX_NESTING``): the most
+    binder interpretations it may make, which also bounds nesting. With a
     function-typed carrier the carrier value may recurse further when
     applied; apply it inside :func:`run_guarded` (or use the entry points in
     :mod:`kripkelam.algebras`) to keep the guard's protection.
@@ -299,16 +306,20 @@ def _run_on_worker(thunk, limit: int):
 
 
 def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
-    """Run ``thunk`` under the binder-nesting guard and return its result.
+    """Run ``thunk`` under the binder guard and return its result.
 
-    Inside an already-guarded computation this is a plain call, so nested
-    folds accumulate into the enclosing count. At top level the thunk first
-    runs inline without touching the interpreter's recursion limit; if the
-    calling thread's stack runs out first, or the inline nesting cap trips
-    below the requested limit, the thunk is re-run on a worker thread with
-    a large stack and a recursion limit to match. The thunk therefore may
-    execute twice and must be pure, which every fold of conforming algebras
-    is.
+    The guard counts the binders interpreted while ``thunk`` runs, which
+    bounds their nesting too, and raises :class:`DepthLimitError` past
+    ``max_depth`` (default ``DEFAULT_MAX_NESTING``). Inside an
+    already-guarded computation this is a plain call, so nested folds
+    accumulate into the enclosing count.
+
+    At top level the thunk first runs inline without touching the
+    interpreter's recursion limit; if the calling thread's stack runs out
+    first, or the inline cap trips below the requested limit, the thunk is
+    re-run on a worker thread with a large stack and a recursion limit to
+    match. The thunk therefore may execute twice and must be pure, which
+    every fold of conforming algebras is.
     """
     if _guard.active:
         return thunk()

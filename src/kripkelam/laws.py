@@ -19,13 +19,19 @@ of this library uses), and results are compared at observable carriers,
 applying function carriers to a canonical argument first. A reported
 failure is a real counterexample and comes with the skeleton (and seed, if
 generated) that produced it; a pass covers only the instances that ran.
+
+:func:`hom_sides` evaluates one instance and returns both observed sides.
+The suites (:func:`check_hom` and the three laws built on it) run it over
+``(seed, skeleton)`` pairs as :func:`skeleton_pool` returns them, with seed
+None for an enumerated skeleton, and record each refuted pair as a
+:class:`Witness`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Union
+from typing import Any, Callable, Iterable, Union
 
 from .algebras import names, print_alg, size_alg, to_debruijn_alg
 from .debruijn import Var, _open_chain, splitmix64
@@ -44,7 +50,6 @@ from .encoding import (
 __all__ = [
     "BodySkeleton",
     "CarrierContext",
-    "HomInstance",
     "Report",
     "Slot",
     "Witness",
@@ -53,7 +58,6 @@ __all__ = [
     "check_fold_hom",
     "check_hom",
     "check_id_hom",
-    "check_is_hom",
     "enumerate_skeletons",
     "gen_skeleton",
     "hom_sides",
@@ -120,41 +124,30 @@ def body_of_skeleton(skeleton: BodySkeleton, env_value):
     return _open_chain(below, index, env_value)
 
 
-@dataclass(frozen=True)
-class HomInstance:
-    """One concrete instance of the homomorphism equation."""
+def hom_sides(
+    alg1: Algebra,
+    alg2: Algebra,
+    h: Callable[[Any], Any],
+    skeleton: BodySkeleton,
+    env_value,
+    observe: Callable[[Any], Any],
+) -> tuple[Any, Any]:
+    """One instance of the equation: both sides, observed, as ``(lhs, rhs)``.
 
-    alg1: Algebra
-    alg2: Algebra
-    h: Callable[[Any], Any]
-    skeleton: BodySkeleton
-    env_value: Any
-    observe: Callable[[Any], Any]
-
-
-def hom_sides(instance: HomInstance) -> tuple[Any, Any]:
-    """Evaluate both sides of the equation and observe them."""
-    f = body_of_skeleton(instance.skeleton, instance.env_value)
+    The body is ``skeleton`` closed over ``env_value``; ``h`` is a
+    homomorphism from ``alg1`` to ``alg2`` on this instance exactly when
+    the two sides are equal.
+    """
+    f = body_of_skeleton(skeleton, env_value)
     embed = identity_embed()
-    h = instance.h
-    observe = instance.observe
 
-    lhs = run_guarded(
-        lambda: observe(h(instance.alg1.interpret_lam(f, embed, instance.alg1)))
-    )
+    lhs = run_guarded(lambda: observe(h(alg1.interpret_lam(f, embed, alg1))))
 
     def adapted(mx: Rename, fresh):
         return f(Rename(lambda a: mx.apply(h(a))), fresh)
 
-    rhs = run_guarded(
-        lambda: observe(instance.alg2.interpret_lam(adapted, embed, instance.alg2))
-    )
+    rhs = run_guarded(lambda: observe(alg2.interpret_lam(adapted, embed, alg2)))
     return lhs, rhs
-
-
-def check_is_hom(instance: HomInstance) -> bool:
-    lhs, rhs = hom_sides(instance)
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -189,39 +182,32 @@ class Report:
         return f"{self.suite}: {self.checked} checked, {len(self.failures)} failures [{status}]"
 
 
-Skeletons = Iterable[Union[BodySkeleton, tuple[Union[int, None], BodySkeleton]]]
-
-
-def _tagged(skeletons: Skeletons) -> Iterator[tuple[Union[int, None], BodySkeleton]]:
-    for item in skeletons:
-        if isinstance(item, BodySkeleton):
-            yield None, item
-        else:
-            yield item
+# A skeleton as :func:`skeleton_pool` returns it: tagged with the seed that
+# generated it, or None if it was enumerated.
+_PoolItem = tuple[Union[int, None], BodySkeleton]
 
 
 def check_hom(
     alg1: Algebra,
     alg2: Algebra,
     h: Callable[[Any], Any],
-    skeletons: Skeletons,
+    skeletons: Iterable[_PoolItem],
     *,
     env_value,
     observe: Callable[[Any], Any],
     suite: str = "hom",
 ) -> Report:
-    """Check one candidate homomorphism over a family of skeletons."""
+    """Check one candidate homomorphism on every ``(seed, skeleton)`` pair."""
     report = Report(suite)
-    for seed, skeleton in _tagged(skeletons):
-        instance = HomInstance(alg1, alg2, h, skeleton, env_value, observe)
-        lhs, rhs = hom_sides(instance)
+    for seed, skeleton in skeletons:
+        lhs, rhs = hom_sides(alg1, alg2, h, skeleton, env_value, observe)
         report.checked += 1
         if lhs != rhs:
             report.failures.append(Witness(skeleton, seed, lhs, rhs))
     return report
 
 
-def check_id_hom(alg: Algebra, skeletons: Skeletons, *, env_value, observe) -> Report:
+def check_id_hom(alg: Algebra, skeletons: Iterable[_PoolItem], *, env_value, observe) -> Report:
     """The identity function is a homomorphism from ``alg`` to itself."""
     label = alg.name or "alg"
     return check_hom(
@@ -241,7 +227,7 @@ def check_compose_hom(
     alg3: Algebra,
     h1: Callable[[Any], Any],
     h2: Callable[[Any], Any],
-    skeletons: Skeletons,
+    skeletons: Iterable[_PoolItem],
     *,
     env_value,
     observe: Callable[[Any], Any],
@@ -265,26 +251,19 @@ def identity_term() -> Term:
     return closed(lambda _outer, x: place(x))
 
 
-def check_fold_hom(
-    alg: Algebra,
-    skeletons: Skeletons,
-    *,
-    observe,
-    env_term: Union[Term, None] = None,
-) -> Report:
+def check_fold_hom(alg: Algebra, skeletons: Iterable[_PoolItem], *, observe) -> Report:
     """Folding with ``alg`` is a homomorphism from ``lam_alg()`` to ``alg``.
 
-    The environment value lives at the term carrier, so it is a term;
-    default is the identity term.
+    The environment value lives at the term carrier, so it is a term: the
+    identity term.
     """
-    env = env_term if env_term is not None else identity_term()
     label = alg.name or "alg"
     return check_hom(
         lam_alg(),
         alg,
         lambda t: fold(alg, t),
         skeletons,
-        env_value=env,
+        env_value=identity_term(),
         observe=observe,
         suite=f"fold_hom[{label}]",
     )
@@ -320,15 +299,12 @@ def gen_skeleton(seed: int, max_binders: int) -> BodySkeleton:
     return BodySkeleton(binders, choice - 2)
 
 
-def skeleton_pool(
-    max_binders: int, samples: int, seed: int, gen_max_binders: Union[int, None] = None
-) -> list[tuple[Union[int, None], BodySkeleton]]:
-    """Enumerated skeletons plus ``samples`` generated ones, seed-tagged."""
-    gen_bound = 4 * max_binders if gen_max_binders is None else gen_max_binders
-    pool: list[tuple[Union[int, None], BodySkeleton]] = [
-        (None, s) for s in enumerate_skeletons(max_binders)
-    ]
-    pool.extend((seed + i, gen_skeleton(seed + i, gen_bound)) for i in range(samples))
+def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[_PoolItem]:
+    """Every skeleton up to ``max_binders`` tagged None, then ``samples``
+    generated ones with up to ``4 * max_binders`` binders, tagged with their
+    seeds ``seed``, ``seed + 1``, ..."""
+    pool: list[_PoolItem] = [(None, s) for s in enumerate_skeletons(max_binders)]
+    pool.extend((seed + i, gen_skeleton(seed + i, 4 * max_binders)) for i in range(samples))
     return pool
 
 
@@ -383,13 +359,17 @@ def run_all_laws(max_binders: int = 8, samples: int = 1000, seed: int = 0) -> li
     return reports
 
 
-def render_reports(reports: Iterable[Report], max_witnesses: int = 5) -> str:
+_SHOWN_WITNESSES = 5
+
+
+def render_reports(reports: Iterable[Report]) -> str:
+    """One summary line per report, then up to five of its counterexamples."""
     lines = []
     for report in reports:
         lines.append(report.summary())
-        for witness in report.failures[:max_witnesses]:
+        for witness in report.failures[:_SHOWN_WITNESSES]:
             lines.append(f"  counterexample: {witness.describe()}")
-        hidden = len(report.failures) - max_witnesses
+        hidden = len(report.failures) - _SHOWN_WITNESSES
         if hidden > 0:
             lines.append(f"  ... and {hidden} more")
     return "\n".join(lines)

@@ -8,7 +8,6 @@ import time
 
 from kripkelam import (
     BodySkeleton,
-    HomInstance,
     Slot,
     check_hom,
     db_to_body,
@@ -169,7 +168,11 @@ def test_criterion_6_cli_end_to_end(monkeypatch, capsys):
 
 def test_criterion_7_checker_refutes_wrong_homomorphism():
     start = time.perf_counter()
-    skeletons = [BodySkeleton(0, Slot.FRESH), BodySkeleton(0, Slot.ENV), BodySkeleton(1, 0)]
+    skeletons = [
+        (None, BodySkeleton(0, Slot.FRESH)),
+        (None, BodySkeleton(0, Slot.ENV)),
+        (None, BodySkeleton(1, 0)),
+    ]
     report = check_hom(
         size_alg(),
         size_alg(),
@@ -183,10 +186,9 @@ def test_criterion_7_checker_refutes_wrong_homomorphism():
     witness_ok = False
     if refuted:
         witness = report.failures[0]
-        inst = HomInstance(
+        lhs, rhs = hom_sides(
             size_alg(), size_alg(), lambda n: n + 1, witness.skeleton, 1, lambda n: n
         )
-        lhs, rhs = hom_sides(inst)
         witness_ok = (lhs, rhs) == (witness.lhs, witness.rhs) and lhs != rhs
     elapsed = time.perf_counter() - start
     ok = refuted and witness_ok

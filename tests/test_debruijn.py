@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,31 @@ def test_parse_db_rejects_non_decimal_digits():
     with pytest.raises(ParseError) as err:
         parse_db("Lam (Var ²)")
     assert (err.value.line, err.value.column) == (1, 10)
+
+
+@pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (parse_named, "".join(f"\\ x{j}. " for j in range(10_000)) + "x0", 88892),
+        (parse_db, "Lam (" * 10_000 + "Var 0" + ")" * 10_000, 60005),
+    ],
+    ids=["named", "db"],
+)
+def test_placing_a_lexical_error_takes_memory_like_tokenizing(parse, text, column):
+    # A bad last character on a 10,000-binder text: placing the error must
+    # not hold a backtracking stack that grows with the text (it took
+    # 7.4 MB when a regex over the whole token run placed it).
+    bad = text[:-1] + "?"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "unexpected '?'" in str(err.value)
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------- deep terms

@@ -241,6 +241,21 @@ def test_deep_fold_through_worker_thread_matches_shallow_semantics():
     assert s.startswith("Lam (" * 3) and s.endswith(")))")
 
 
+def test_guard_counts_binder_interpretations_not_nesting():
+    # Interpreting each body twice makes 2**k - 1 interpretations for k
+    # nested binders: 8,191 for 13 fit the default limit, 16,383 for 14 do
+    # not, although 14 binders nest far below it.
+    def twice(body, embed, alg):
+        return sum(body(Rename.identity(), 1).interpret(alg) for _ in range(2))
+
+    alg = Algebra(twice, name="twice")
+    assert fold(alg, deep_term(13)) == 2**13
+    with pytest.raises(DepthLimitError) as err:
+        fold(alg, deep_term(14))
+    assert err.value.limit == encoding.DEFAULT_MAX_NESTING
+    assert "binder interpretations" in str(err.value) and "nesting" in str(err.value)
+
+
 def test_invalid_max_depth_rejected():
     with pytest.raises(ValueError):
         fold(size_alg(), term_x_x(), max_depth=0)
@@ -337,3 +352,24 @@ def test_concurrent_deep_folds_share_the_raised_limit():
         sys.setswitchinterval(interval)
     assert sizes == [d + 1 for d in depths]
     assert sys.getrecursionlimit() == before
+
+
+def test_inline_cap_protects_a_caller_that_raised_the_recursion_limit():
+    # At this limit the recursion limit no longer stops an inline fold of
+    # 10,000 binders before the calling thread's stack overflows, which
+    # crashes the interpreter; the inline cap sends the fold to the
+    # big-stack worker first. The caller's limit is left as it set it.
+    out = run_fresh("""
+        import sys
+        from kripkelam import db_to_hoas, oracle_print, print_term, size, to_debruijn
+        from kripkelam.debruijn import Lam, Var
+
+        sys.setrecursionlimit(200_000)
+        d = Var(5000)
+        for _ in range(10_000):
+            d = Lam(d)
+        t = db_to_hoas(d)
+        print(size(t) == 10_001, print_term(t) == oracle_print(d), to_debruijn(t) == d)
+        print(sys.getrecursionlimit())
+    """)
+    assert out == "True True True\n200000\n"

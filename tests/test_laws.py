@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from kripkelam import (
     BodySkeleton,
-    HomInstance,
     Slot,
     body_of_skeleton,
     check_compose_hom,
     check_fold_hom,
     check_hom,
     check_id_hom,
-    check_is_hom,
     closed,
     db_to_hoas,
     enumerate_skeletons,
@@ -36,7 +34,8 @@ from helpers import Poison, RenameCounter, renamed
 
 
 def skeletons_to(depth):
-    return enumerate_skeletons(depth)
+    """Every skeleton up to ``depth`` binders, tagged as enumerated."""
+    return [(None, s) for s in enumerate_skeletons(depth)]
 
 
 # ---------------------------------------------------------------- skeletons
@@ -139,14 +138,14 @@ def test_body_of_skeleton_renames_only_the_leaf():
 
 
 def test_identity_is_a_homomorphism_on_every_skeleton():
-    for s in skeletons_to(6):
-        inst = HomInstance(size_alg(), size_alg(), lambda x: x, s, 1, lambda n: n)
-        assert check_is_hom(inst)
+    for _, s in skeletons_to(6):
+        lhs, rhs = hom_sides(size_alg(), size_alg(), lambda x: x, s, 1, lambda n: n)
+        assert lhs == rhs
 
 
 def test_fold_is_a_homomorphism_from_lam_alg():
-    for s in skeletons_to(6):
-        inst = HomInstance(
+    for _, s in skeletons_to(6):
+        lhs, rhs = hom_sides(
             lam_alg(),
             size_alg(),
             lambda t: fold(size_alg(), t),
@@ -154,23 +153,24 @@ def test_fold_is_a_homomorphism_from_lam_alg():
             identity_term(),
             lambda n: n,
         )
-        assert check_is_hom(inst)
+        assert lhs == rhs
 
 
 def test_successor_is_not_a_homomorphism():
-    inst = HomInstance(
+    lhs, rhs = hom_sides(
         size_alg(), size_alg(), lambda n: n + 1, BodySkeleton(0, Slot.FRESH), 1, lambda n: n
     )
     # lhs: successor applied after interpreting the one-binder body (1 + 1)
     # rhs: interpreting the same body unchanged
-    assert hom_sides(inst) == (3, 2)
-    assert not check_is_hom(inst)
+    assert (lhs, rhs) == (3, 2)
+    assert lhs != rhs
 
 
 def test_hom_sides_are_observables():
     ctx = [c for c in standard_contexts() if c.label == "debruijn"][0]
-    inst = HomInstance(ctx.alg, ctx.alg, lambda x: x, BodySkeleton(1, Slot.ENV), ctx.env_value, ctx.observe)
-    lhs, rhs = hom_sides(inst)
+    lhs, rhs = hom_sides(
+        ctx.alg, ctx.alg, lambda x: x, BodySkeleton(1, Slot.ENV), ctx.env_value, ctx.observe
+    )
     assert lhs == rhs
     assert isinstance(format_db(lhs), str)
 
@@ -236,10 +236,8 @@ def test_broken_second_leg_is_reported_with_witness():
     assert not report.ok
     witness = report.failures[0]
     # the witness re-evaluates to the same disagreement
-    inst = HomInstance(
-        size_alg(), size_alg(), lambda x: x + 1, witness.skeleton, 1, lambda n: n
-    )
-    assert hom_sides(inst) == (witness.lhs, witness.rhs)
+    sides = hom_sides(size_alg(), size_alg(), lambda x: x + 1, witness.skeleton, 1, lambda n: n)
+    assert sides == (witness.lhs, witness.rhs)
     assert witness.lhs != witness.rhs
 
 
@@ -307,19 +305,17 @@ def test_run_all_laws_reports_are_reproducible():
 )
 def test_id_and_fold_hold_on_random_skeletons(skeleton):
     for ctx in standard_contexts():
-        assert check_is_hom(
-            HomInstance(ctx.alg, ctx.alg, lambda x: x, skeleton, ctx.env_value, ctx.observe)
+        lhs, rhs = hom_sides(ctx.alg, ctx.alg, lambda x: x, skeleton, ctx.env_value, ctx.observe)
+        assert lhs == rhs
+        lhs, rhs = hom_sides(
+            lam_alg(),
+            ctx.alg,
+            lambda t, alg=ctx.alg: fold(alg, t),
+            skeleton,
+            identity_term(),
+            ctx.observe,
         )
-        assert check_is_hom(
-            HomInstance(
-                lam_alg(),
-                ctx.alg,
-                lambda t, alg=ctx.alg: fold(alg, t),
-                skeleton,
-                identity_term(),
-                ctx.observe,
-            )
-        )
+        assert lhs == rhs
 
 
 def test_poison_candidate_never_runs_inside_law_checks():
