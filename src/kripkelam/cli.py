@@ -44,29 +44,34 @@ def _hoas_from_text(text: str):
     return db_to_hoas(named_to_db(parse_named(text)))
 
 
-def _cmd_parse(args) -> int:
-    term = parse_named(_read_input(args.file))
-    print(render_named(term))
-    return 0
+# The commands that read one term and print one line: name, help line, and
+# the map from input text to that line.
+_TERM_COMMANDS = {
+    "parse": (
+        "parse named syntax and echo it back",
+        lambda text: render_named(parse_named(text)),
+    ),
+    "size": (
+        "binder plus occurrence count",
+        lambda text: size(_hoas_from_text(text)),
+    ),
+    "print": (
+        "canonical form with names x1, x2, ...",
+        lambda text: print_term(_hoas_from_text(text)),
+    ),
+    "to-db": (
+        "convert to de Bruijn text form",
+        lambda text: format_db(to_debruijn(_hoas_from_text(text))),
+    ),
+    "from-db": (
+        "convert de Bruijn text form to named syntax",
+        lambda text: render_named(db_to_named(parse_db(text))),
+    ),
+}
 
 
-def _cmd_size(args) -> int:
-    print(size(_hoas_from_text(_read_input(args.file))))
-    return 0
-
-
-def _cmd_print(args) -> int:
-    print(print_term(_hoas_from_text(_read_input(args.file))))
-    return 0
-
-
-def _cmd_to_db(args) -> int:
-    print(format_db(to_debruijn(_hoas_from_text(_read_input(args.file)))))
-    return 0
-
-
-def _cmd_from_db(args) -> int:
-    print(render_named(db_to_named(parse_db(_read_input(args.file)))))
+def _cmd_term(args) -> int:
+    print(args.convert(_read_input(args.file)))
     return 0
 
 
@@ -93,10 +98,6 @@ def _cmd_check_laws(args) -> int:
     return 0 if all(r.ok for r in reports) else 2
 
 
-def _add_input_arg(sub):
-    sub.add_argument("file", nargs="?", default=None, help="input file (default stdin)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kripkelam",
@@ -105,25 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("parse", help="parse named syntax and echo it back")
-    _add_input_arg(p)
-    p.set_defaults(handler=_cmd_parse)
-
-    p = commands.add_parser("size", help="binder plus occurrence count")
-    _add_input_arg(p)
-    p.set_defaults(handler=_cmd_size)
-
-    p = commands.add_parser("print", help="canonical form with names x1, x2, ...")
-    _add_input_arg(p)
-    p.set_defaults(handler=_cmd_print)
-
-    p = commands.add_parser("to-db", help="convert to de Bruijn text form")
-    _add_input_arg(p)
-    p.set_defaults(handler=_cmd_to_db)
-
-    p = commands.add_parser("from-db", help="convert de Bruijn text form to named syntax")
-    _add_input_arg(p)
-    p.set_defaults(handler=_cmd_from_db)
+    for name, (help_text, convert) in _TERM_COMMANDS.items():
+        p = commands.add_parser(name, help=help_text)
+        p.add_argument("file", nargs="?", default=None, help="input file (default stdin)")
+        p.set_defaults(handler=_cmd_term, convert=convert)
 
     p = commands.add_parser("roundtrip", help="exhaustive de Bruijn round-trip self-check")
     p.add_argument("--max-depth", type=int, default=32, metavar="K")

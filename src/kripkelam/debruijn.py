@@ -272,9 +272,7 @@ def db_to_body(d: DbTerm) -> TermBody:
     (ignored) outer rename and the outermost variable's denotation, it
     builds the rest of the chain.
     """
-    k, i = _unchain(d)
-    if not 0 <= i < k:
-        raise OpenTermError(f"not a closed term: {format_db(d)}")
+    k, i = _unchain_closed(d)
     return _open_chain(k - 1, i, None)
 
 
@@ -358,17 +356,20 @@ def _tokenize(text: str, token: re.Pattern) -> list[str]:
     no token is a ParseError, even after a token the parser would reject."""
     tokens = token.findall(text)
     # Tokens hold no whitespace, so they cover every other character
-    # exactly when findall skipped nothing but whitespace.
-    if sum(map(len, tokens)) < len("".join(text.split())):
-        # Place the error at the first non-whitespace character between two
-        # tokens, or after the last one, holding one match at a time.
+    # exactly when findall skipped nothing but whitespace. Counting the
+    # ASCII spaces settles that without building anything; when they fall
+    # short, the gaps may still hold only other (e.g. Unicode) whitespace.
+    if sum(map(len, tokens)) + sum(map(text.count, " \n\t\r")) < len(text):
+        # Find the first non-whitespace character between two tokens, or
+        # after the last one, holding one match at a time.
         end = 0
         for match in token.finditer(text):
             if text[end : match.start()].strip():
                 break
             end = match.end()
         end = _SPACE.match(text, end).end()
-        raise _error_at(text, end, f"unexpected {_UNEXPECTED.match(text, end).group()!r}")
+        if end < len(text):
+            raise _error_at(text, end, f"unexpected {_UNEXPECTED.match(text, end).group()!r}")
     tokens.append("")
     return tokens
 

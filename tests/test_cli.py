@@ -147,6 +147,27 @@ def test_cli_reads_input_file(tmp_path, monkeypatch, capsys):
     assert (code, out) == (0, "Lam (Lam (Var 0))\n")
 
 
+TERM_COMMAND_RUNS = [
+    ("parse", "λfoo. \\bar. foo", "\\ foo. \\ bar. foo\n"),
+    ("size", "\\x.\\y.x", "3\n"),
+    ("print", "\\a. λb.\tb", "\\ x1. \\ x2. x2\n"),
+    ("to-db", "\\x. \\y. \\z. y", "Lam (Lam (Lam (Var 1)))\n"),
+    ("from-db", "Lam (Lam (Var 1))", "\\ x1. \\ x2. x1\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, expected", TERM_COMMAND_RUNS, ids=[run[0] for run in TERM_COMMAND_RUNS]
+)
+def test_single_term_commands_read_a_file_like_stdin(
+    tmp_path, monkeypatch, capsys, command, text, expected
+):
+    src = tmp_path / "term.txt"
+    src.write_text(text, encoding="utf-8")
+    assert run_cli(monkeypatch, capsys, [command, str(src)]) == (0, expected, "")
+    assert run_cli(monkeypatch, capsys, [command], text) == (0, expected, "")
+
+
 def test_cli_missing_file_exits_one(monkeypatch, capsys):
     code, _, err = run_cli(monkeypatch, capsys, ["size", "/no/such/file"])
     assert code == 1
@@ -156,6 +177,33 @@ def test_cli_missing_file_exits_one(monkeypatch, capsys):
 def test_cli_double_dash_forces_stdin(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["size", "--"], "\\x.x")
     assert (code, out) == (0, "2\n")
+
+
+# Every subcommand with its one-line help, in the order ``--help`` lists them.
+SUBCOMMANDS = [
+    ("parse", "parse named syntax and echo it back"),
+    ("size", "binder plus occurrence count"),
+    ("print", "canonical form with names x1, x2, ..."),
+    ("to-db", "convert to de Bruijn text form"),
+    ("from-db", "convert de Bruijn text form to named syntax"),
+    ("roundtrip", "exhaustive de Bruijn round-trip self-check"),
+    ("gen", "emit seeded pseudo-random terms"),
+    ("check-laws", "run the homomorphism law suites"),
+]
+
+
+def test_help_lists_every_subcommand_in_order(monkeypatch, capsys):
+    # argparse's layout varies across versions and terminal widths, so read
+    # the choices line and each command's line instead of the whole text.
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    names = [name for name, _ in SUBCOMMANDS]
+    assert "{" + ",".join(names) + "}" in lines
+    listed = [tuple(line.split(None, 1)) for line in lines if line.split(" ", 1)[0] in names]
+    assert listed == SUBCOMMANDS
 
 
 # ---------------------------------------------------------------- pipelines

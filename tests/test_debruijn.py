@@ -349,6 +349,12 @@ PARSE_TABLE = [
     (parse_db, "Var", (1, 4)),
     (parse_db, "(Var 0", (1, 7)),
     (parse_db, "Var 0 )", (1, 7)),
+    # Whitespace beyond the ASCII space, tab and line breaks separates tokens too.
+    (parse_named, "\u3000λx.\u3000x\u3000", Abs("x", Ref("x"))),
+    (parse_named, "\\x.\xa0\x0bx\x0c", Abs("x", Ref("x"))),
+    (parse_named, "\\x.\u3000y\u3000é", (1, 7)),
+    (parse_db, "Lam\u2003(Var\x850)", Lam(Var(0))),
+    (parse_db, "Var\u30000\u3000?", (1, 7)),
 ]
 
 
@@ -370,12 +376,13 @@ def test_parse_db_rejects_non_decimal_digits():
     assert (err.value.line, err.value.column) == (1, 10)
 
 
+DEEP_NAMED_TEXT = "".join(f"\\ x{j}. " for j in range(10_000)) + "x0"
+DEEP_DB_TEXT = "Lam (" * 10_000 + "Var 0" + ")" * 10_000
+
+
 @pytest.mark.parametrize(
     "parse, text, column",
-    [
-        (parse_named, "".join(f"\\ x{j}. " for j in range(10_000)) + "x0", 88892),
-        (parse_db, "Lam (" * 10_000 + "Var 0" + ")" * 10_000, 60005),
-    ],
+    [(parse_named, DEEP_NAMED_TEXT, 88892), (parse_db, DEEP_DB_TEXT, 60005)],
     ids=["named", "db"],
 )
 def test_placing_a_lexical_error_takes_memory_like_tokenizing(parse, text, column):
@@ -393,6 +400,25 @@ def test_placing_a_lexical_error_takes_memory_like_tokenizing(parse, text, colum
     assert (err.value.line, err.value.column) == (1, column)
     assert "unexpected '?'" in str(err.value)
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "parse, text, unparse",
+    [(parse_named, DEEP_NAMED_TEXT, render_named), (parse_db, DEEP_DB_TEXT, format_db)],
+    ids=["named", "db"],
+)
+def test_tokenizing_a_valid_text_builds_no_word_list(parse, text, unparse):
+    # Both texts are already canonical. Checking that the tokens cover the
+    # text once split it into a list of every word, which peaked at
+    # 1.58 MB (named) and 1.44 MB (de Bruijn).
+    tracemalloc.start()
+    try:
+        term = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unparse(term) == text
+    assert peak < 1_200_000
 
 
 # ---------------------------------------------------------------- deep terms
