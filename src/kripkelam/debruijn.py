@@ -28,6 +28,7 @@ and report errors by 1-based line and column. De Bruijn text reads
 from __future__ import annotations
 
 import re
+from itertools import islice
 from operator import attrgetter
 from typing import Iterator
 
@@ -375,8 +376,9 @@ def _tokenize(text: str, token: re.Pattern) -> list[str]:
 
 
 def _token_error(text: str, token: re.Pattern, at: int, message: str) -> ParseError:
-    starts = [m.start() for m in token.finditer(text)] + [len(text)]
-    return _error_at(text, starts[at], message)
+    # Token `at` is the end-of-input sentinel when the text has no more.
+    match = next(islice(token.finditer(text), at, None), None)
+    return _error_at(text, match.start() if match else len(text), message)
 
 
 def parse_db(text: str) -> DbTerm:

@@ -27,12 +27,16 @@ interpreted in one top-level guarded call; passing the active limit
 (default ``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError` instead
 of exhausting the interpreter stack. A binder is interpreted before those
 inside it, so this bounds nesting too, but an algebra that interprets each
-body twice trips it at 14 binders. To make the default limit reachable on
-CPython, a fold that outgrows a small inline cap, or the calling thread's
-stack, is re-run on a worker thread with a large stack and a raised
-recursion limit. The limit is process-wide, so it stays raised while any
-deep fold is in flight and is restored when the last one ends. This
-re-running relies on folds being pure.
+body twice trips it at 14 binders. Each top-level guarded call runs once,
+on the calling thread, with the recursion limit raised to what its limit
+needs; the limit is process-wide, so it stays raised while any guarded call
+is in flight and is restored when the last one ends. This relies on
+CPython 3.11 and later, where a Python-to-Python call takes no C stack, so
+a 10,000-binder fold fits even a thread started with a 256 KiB stack. An
+algebra whose per-binder recursion passes through a C function (a
+generator inside ``sum``, say) takes C stack per binder: a deep fold of it
+raises ``RecursionError`` on 3.12 and later, or can overflow a small
+thread stack and crash the interpreter.
 """
 
 from __future__ import annotations
@@ -59,15 +63,10 @@ __all__ = [
 
 DEFAULT_MAX_NESTING = 10_000
 
-# Python frames consumed per binder level while folding, with margin.
+# Python frames allowed per binder while folding: `size` takes 4, and the
+# rest is margin for user algebras.
 _FRAMES_PER_LEVEL = 16
 _FRAME_HEADROOM = 2048
-
-# Nesting depth safe on the calling thread's stack. Anything deeper is
-# retried on a worker thread with a private large stack.
-# It trips only if the caller raised the recursion limit: the stack overflows.
-_INLINE_NESTING_CAP = 400
-_WORKER_STACK_BYTES = 512 * 1024 * 1024
 
 
 class DepthLimitError(RuntimeError):
@@ -233,6 +232,7 @@ def closed(builder: TermBody) -> Term:
 def fold(alg: Algebra, t: Term, max_depth: int | None = None):
     """Interpret a closed term with an algebra.
 
+    The fold runs once, on the calling thread, inside :func:`run_guarded`.
     Pure: same term, same algebra, same result. ``max_depth`` overrides the
     guard's limit for this fold (default ``DEFAULT_MAX_NESTING``): the most
     binder interpretations it may make, which also bounds nesting. With a
@@ -250,59 +250,11 @@ class _GuardState(threading.local):
 
 
 _guard = _GuardState()
-_worker_setup_lock = threading.Lock()
-# Deep folds in flight and the recursion limit before the first of them.
-_deep_folds = 0
+_limit_lock = threading.Lock()
+# Top-level guarded calls in flight and the recursion limit before the
+# first of them.
+_in_flight = 0
 _limit_before = 0
-
-
-def _run_scoped(thunk, limit: int):
-    g = _guard
-    g.active = True
-    g.count = 0
-    g.limit = limit
-    try:
-        return thunk()
-    finally:
-        g.active = False
-
-
-def _run_on_worker(thunk, limit: int):
-    global _deep_folds, _limit_before
-    outcome: dict[str, Any] = {}
-
-    def work():
-        global _deep_folds
-        try:
-            outcome["value"] = _run_scoped(thunk, limit)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
-            outcome["error"] = exc
-        finally:
-            with _worker_setup_lock:
-                _deep_folds -= 1
-                if _deep_folds == 0:
-                    sys.setrecursionlimit(_limit_before)
-
-    # The recursion limit is process-wide: raised before the first deep
-    # fold in flight starts, restored when the last one ends.
-    with _worker_setup_lock:
-        if _deep_folds == 0:
-            _limit_before = sys.getrecursionlimit()
-        need = limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM
-        previous = threading.stack_size(_WORKER_STACK_BYTES)
-        try:
-            sys.setrecursionlimit(max(sys.getrecursionlimit(), need))
-            worker = threading.Thread(target=work, name="kripkelam-deep-fold")
-            worker.start()
-            _deep_folds += 1
-        finally:
-            threading.stack_size(previous)
-            if _deep_folds == 0:
-                sys.setrecursionlimit(_limit_before)
-    worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
 
 
 def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
@@ -314,24 +266,34 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     already-guarded computation this is a plain call, so nested folds
     accumulate into the enclosing count.
 
-    At top level the thunk first runs inline without touching the
-    interpreter's recursion limit; if the calling thread's stack runs out
-    first, or the inline cap trips below the requested limit, the thunk is
-    re-run on a worker thread with a large stack and a recursion limit to
-    match. The thunk therefore may execute twice and must be pure, which
-    every fold of conforming algebras is.
+    At top level the thunk runs once, on the calling thread, with the
+    interpreter's recursion limit raised to what ``max_depth`` binders
+    need. The limit is process-wide: it stays raised while any top-level
+    guarded call is in flight and is restored when the last one ends.
     """
-    if _guard.active:
+    global _in_flight, _limit_before
+    g = _guard
+    if g.active:
         return thunk()
     limit = DEFAULT_MAX_NESTING if max_depth is None else int(max_depth)
     if limit < 1:
         raise ValueError("max_depth must be at least 1")
-    inline_limit = min(limit, _INLINE_NESTING_CAP)
+    # The interpreter stores its recursion limit in a C int.
+    need = min(limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM, 2**31 - 1)
+    with _limit_lock:
+        if _in_flight == 0:
+            _limit_before = sys.getrecursionlimit()
+        if need > sys.getrecursionlimit():
+            sys.setrecursionlimit(need)
+        _in_flight += 1
     try:
-        return _run_scoped(thunk, inline_limit)
-    except DepthLimitError as trip:
-        if trip.limit != inline_limit or inline_limit == limit:
-            raise
-    except RecursionError:
-        pass
-    return _run_on_worker(thunk, limit)
+        g.active = True
+        g.count = 0
+        g.limit = limit
+        return thunk()
+    finally:
+        g.active = False
+        with _limit_lock:
+            _in_flight -= 1
+            if _in_flight == 0:
+                sys.setrecursionlimit(_limit_before)

@@ -6,7 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from kripkelam import Algebra, Rename, Term, closed, lam, place
+from kripkelam import Algebra, Lam, Rename, Term, Var, closed, lam, place
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -24,6 +24,14 @@ def term_x_x() -> Term:
 def term_xy_y() -> Term:
     """Two binders, body is the inner variable."""
     return closed(lambda mo, x: lam(lambda mx, y: place(y)))
+
+
+def chain(k: int, i: int):
+    """The de Bruijn chain of ``k`` binders around ``Var(i)``."""
+    d = Var(i)
+    for _ in range(k):
+        d = Lam(d)
+    return d
 
 
 def deep_term(depth: int) -> Term:

@@ -21,14 +21,7 @@ from kripkelam import (
 )
 from kripkelam.algebras import NameStream, names
 
-from helpers import term_x_x, term_xy_x, term_xy_y
-
-
-def chain(k, i):
-    d = Var(i)
-    for _ in range(k):
-        d = Lam(d)
-    return d
+from helpers import chain, term_x_x, term_xy_x, term_xy_y
 
 
 # ---------------------------------------------------------------- names

@@ -3,9 +3,11 @@ import io
 import pytest
 
 import kripkelam.encoding as encoding
-from kripkelam import Abs, Lam, ParseError, Ref, Var
+from kripkelam import Abs, ParseError, Ref
 from kripkelam.cli import main, parse_named, render_named
 from kripkelam.debruijn import db_to_named
+
+from helpers import chain
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -13,13 +15,6 @@ def run_cli(monkeypatch, capsys, argv, stdin=""):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def chain(k, i):
-    d = Var(i)
-    for _ in range(k):
-        d = Lam(d)
-    return d
 
 
 # ---------------------------------------------------------------- parser

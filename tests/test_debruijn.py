@@ -34,14 +34,7 @@ from kripkelam import (
 )
 from kripkelam.debruijn import parse_named, render_named
 
-from helpers import RenameCounter, renamed, run_fresh
-
-
-def chain(k, i):
-    d = Var(i)
-    for _ in range(k):
-        d = Lam(d)
-    return d
+from helpers import RenameCounter, chain, renamed, run_fresh
 
 
 chains = st.integers(min_value=1, max_value=64).flatmap(
@@ -399,6 +392,27 @@ def test_placing_a_lexical_error_takes_memory_like_tokenizing(parse, text, colum
         tracemalloc.stop()
     assert (err.value.line, err.value.column) == (1, column)
     assert "unexpected '?'" in str(err.value)
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "parse, bad, column",
+    [(parse_named, DEEP_NAMED_TEXT + " y", 88894), (parse_db, DEEP_DB_TEXT + " Var", 60007)],
+    ids=["named", "db"],
+)
+def test_placing_a_syntax_error_takes_memory_like_tokenizing(parse, bad, column):
+    # Every token of a 10,000-binder text is valid but one too many: placing
+    # the error must not list every token's start on top of the tokens (that
+    # peaked at 2.19 MB named, 2.25 MB de Bruijn).
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "trailing input after term" in str(err.value)
     assert peak < 2_000_000
 
 

@@ -12,11 +12,14 @@ from kripkelam import (
     DepthLimitError,
     Rename,
     closed,
+    db_to_hoas,
     fold,
     format_db,
     identity_embed,
     lam,
     lam_alg,
+    oracle_print,
+    oracle_size,
     place,
     print_term,
     size_alg,
@@ -24,7 +27,7 @@ from kripkelam import (
 )
 from kripkelam.algebras import print_alg, size
 
-from helpers import Poison, deep_term, run_fresh, term_x_x, term_xy_x, term_xy_y
+from helpers import Poison, chain, deep_term, run_fresh, term_x_x, term_xy_x, term_xy_y
 
 
 # ---------------------------------------------------------------- place
@@ -217,6 +220,13 @@ def test_fold_honors_explicit_max_depth():
     assert fold(size_alg(), t, max_depth=120) == 121
 
 
+def test_a_max_depth_beyond_any_recursion_limit_still_folds():
+    # 10**9 binders would need more frames than a recursion limit can hold.
+    before = sys.getrecursionlimit()
+    assert fold(size_alg(), term_xy_x(), max_depth=10**9) == 3
+    assert sys.getrecursionlimit() == before
+
+
 def test_guard_covers_function_carrier_entry_points():
     t = deep_term(120)
     with pytest.raises(DepthLimitError):
@@ -232,13 +242,46 @@ def test_guard_resets_between_folds():
         assert fold(size_alg(), t, max_depth=301) == 301
 
 
-def test_deep_fold_through_worker_thread_matches_shallow_semantics():
-    # past the inline cap the fold reruns on a worker thread; results agree
-    depth = 3_000
-    assert fold(size_alg(), deep_term(depth)) == depth + 1
-    db = to_debruijn(deep_term(depth))
-    s = format_db(db)
-    assert s.startswith("Lam (" * 3) and s.endswith(")))")
+def test_deep_fold_matches_shallow_semantics():
+    # The same entry points agree with the first-order oracles whether a
+    # chain fits the default recursion limit or needs it raised.
+    for depth in (3, 300, 3_000):
+        d = chain(depth, depth // 2)
+        t = db_to_hoas(d)
+        assert size(t) == oracle_size(d)
+        assert print_term(t) == oracle_print(d)
+        assert to_debruijn(t) == d
+        assert fold(size_alg(), deep_term(depth)) == depth + 1
+        assert to_debruijn(deep_term(depth)) == chain(depth, 0)
+
+
+class Counting:
+    """Size-like algebra that counts its interpretations; each body is
+    interpreted ``times`` times."""
+
+    def __init__(self, times: int = 1):
+        self.calls = 0
+        self.times = times
+        self.alg = Algebra(self._interpret, name="counting")
+
+    def _interpret(self, body, embed, alg):
+        self.calls += 1
+        # A list, not a generator: the recursion must not pass through C.
+        return 1 + sum([body(Rename.identity(), 1).interpret(alg) for _ in range(self.times)])
+
+
+@pytest.mark.parametrize("k", [500, 3_000])
+def test_a_fold_interprets_each_binder_once(k):
+    counting = Counting()
+    assert fold(counting.alg, deep_term(k)) == k + 1
+    assert counting.calls == k
+
+
+def test_an_algebra_interpreting_bodies_twice_is_run_once():
+    # 2**9 - 1 interpretations for 9 nested binders, each body twice.
+    counting = Counting(times=2)
+    assert fold(counting.alg, deep_term(9)) == 2**10 - 1
+    assert counting.calls == 2**9 - 1
 
 
 def test_guard_counts_binder_interpretations_not_nesting():
@@ -302,8 +345,8 @@ def test_guard_state_is_thread_local():
 
 
 def test_deep_fold_restores_the_recursion_limit():
-    # Raised for the big-stack worker, the limit goes back down when the
-    # last deep fold in flight ends, on both of these paths.
+    # Raised for a deep fold, the limit goes back down when the last deep
+    # fold in flight ends, on one thread and on two at once.
     out = run_fresh("""
         import sys, threading
         from kripkelam import db_to_hoas, size
@@ -354,11 +397,9 @@ def test_concurrent_deep_folds_share_the_raised_limit():
     assert sys.getrecursionlimit() == before
 
 
-def test_inline_cap_protects_a_caller_that_raised_the_recursion_limit():
-    # At this limit the recursion limit no longer stops an inline fold of
-    # 10,000 binders before the calling thread's stack overflows, which
-    # crashes the interpreter; the inline cap sends the fold to the
-    # big-stack worker first. The caller's limit is left as it set it.
+def test_deep_fold_keeps_a_limit_the_caller_raised():
+    # The caller's own limit is above what 10,000 binders need: the fold
+    # runs under it and leaves it as the caller set it.
     out = run_fresh("""
         import sys
         from kripkelam import db_to_hoas, oracle_print, print_term, size, to_debruijn
@@ -373,3 +414,38 @@ def test_inline_cap_protects_a_caller_that_raised_the_recursion_limit():
         print(sys.getrecursionlimit())
     """)
     assert out == "True True True\n200000\n"
+
+
+def test_deep_fold_runs_on_a_thread_with_a_small_stack():
+    # A fold takes no C stack per binder, so a 10,000-binder chain folds
+    # on a thread started with a 256 KiB stack.
+    out = run_fresh("""
+        import sys, threading
+        from kripkelam import (
+            db_to_hoas, fold, format_db, lam_alg, oracle_print, oracle_size,
+            print_term, size, to_debruijn,
+        )
+        from kripkelam.debruijn import Lam, Var
+
+        d = Var(5000)
+        for _ in range(10_000):
+            d = Lam(d)
+        before = sys.getrecursionlimit()
+        results = []
+
+        def work():
+            t = db_to_hoas(d)
+            results.extend([
+                size(t) == oracle_size(d),
+                print_term(t) == oracle_print(d),
+                format_db(to_debruijn(t)) == format_db(d),
+                size(fold(lam_alg(), t)) == oracle_size(d),
+            ])
+
+        threading.stack_size(256 * 1024)
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=120)
+        print(worker.is_alive(), results, sys.getrecursionlimit() == before)
+    """)
+    assert out == "False [True, True, True, True] True\n"
