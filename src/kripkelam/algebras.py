@@ -9,7 +9,7 @@ the folded value is applied; the entry points ``print_term`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .debruijn import DbTerm, Lam, Var
 from .encoding import Algebra, Rename, Term, fold, run_guarded
@@ -26,29 +26,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class NameStream:
     """Infinite supply of canonical names x{n}, x{n+1}, ... by index."""
 
-    start: int = 1
+    __slots__ = ("_start",)
+    start = property(attrgetter("_start"))
+
+    def __init__(self, start: int = 1):
+        self._start = start
 
     @property
     def head(self) -> str:
-        return f"x{self.start}"
+        return f"x{self._start}"
 
     @property
     def rest(self) -> "NameStream":
-        return NameStream(self.start + 1)
+        return NameStream(self._start + 1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._start == other._start
+
+    def __hash__(self):
+        return hash((self._start,))
+
+    def __repr__(self):
+        return f"NameStream(start={self._start!r})"
+
+    def __reduce__(self):
+        return NameStream, (self._start,)
 
 
 def names(start: int = 1) -> NameStream:
     return NameStream(start)
 
 
+_IDENTITY = Rename.identity()
+
+
 def _size_lam(body, embed, alg):
     # One for the binder, one per occurrence of its variable: the variable
     # denotes 1 and the body is re-interpreted with the same algebra.
-    return 1 + body(Rename.identity(), 1).interpret(alg)
+    return 1 + body(_IDENTITY, 1).interpret(alg)
 
 
 _SIZE_ALG = Algebra(_size_lam, name="size")
@@ -66,7 +86,7 @@ def size(t: Term, max_depth: int | None = None) -> int:
 def _print_lam(body, embed, alg):
     def render(stream: NameStream) -> str:
         x = stream.head
-        rendered = body(Rename.identity(), lambda _stream: x).interpret(alg)
+        rendered = body(_IDENTITY, lambda _stream: x).interpret(alg)
         return "\\ " + x + ". " + rendered(stream.rest)
 
     return render
@@ -92,7 +112,7 @@ def print_term(t: Term, max_depth: int | None = None) -> str:
 def _debruijn_lam(body, embed, alg):
     def at_depth(v: int) -> DbTerm:
         bound = v + 1
-        inner = body(Rename.identity(), lambda n: Var(n - bound)).interpret(alg)
+        inner = body(_IDENTITY, lambda n: Var(n - bound)).interpret(alg)
         return Lam(inner(bound))
 
     return at_depth

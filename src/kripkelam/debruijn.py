@@ -28,6 +28,7 @@ and report errors by 1-based line and column. De Bruijn text reads
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import islice
 from operator import attrgetter
 from typing import Iterator
@@ -244,7 +245,7 @@ def named_to_db(t: NamedTerm) -> DbTerm:
 _IDENTITY = Rename.identity()
 
 
-def _open_chain(below: int, index: int, target) -> TermBody:
+def _chain_step(below: int, index: int, target, mx: Rename, fresh):
     # Kripke body of a binder with ``below`` binders under it, in a chain whose
     # occurrence names the binder with ``index`` binders under it. Only that
     # binder's denotation, ``target``, is carried: the step entering the
@@ -252,18 +253,21 @@ def _open_chain(below: int, index: int, target) -> TermBody:
     # the value into its own world, so the occurrence is renamed exactly
     # ``index`` times and a fold stays linear in the depth. Binders outside
     # the named one leave ``target`` untouched, as does the identity rename.
-    def step(mx: Rename, fresh):
-        if below == index:
-            value = fresh
-        elif below > index or mx is _IDENTITY:
-            value = target
-        else:
-            value = mx.apply(target)
-        if below == 0:
-            return place(value)
-        return lam(_open_chain(below - 1, index, value))
+    if below == index:
+        value = fresh
+    elif below > index or mx is _IDENTITY:
+        value = target
+    else:
+        value = mx.apply(target)
+    if below == 0:
+        return place(value)
+    return lam(partial(_chain_step, below - 1, index, value))
 
-    return step
+
+def _open_chain(below: int, index: int, target) -> TermBody:
+    # The body as a partial over ``_chain_step``: with the ``lam`` around
+    # it, a fold allocates about two small objects per binder.
+    return partial(_chain_step, below, index, target)
 
 
 def db_to_body(d: DbTerm) -> TermBody:

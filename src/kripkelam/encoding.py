@@ -37,12 +37,20 @@ algebra whose per-binder recursion passes through a C function (a
 generator inside ``sum``, say) takes C stack per binder: a deep fold of it
 raises ``RecursionError`` on 3.12 and later, or can overflow a small
 thread stack and crash the interpreter.
+
+The guard's own state is a context variable, so it is per thread and per
+asyncio task. A new thread starts unguarded on Python 3.11 to 3.13, so its
+folds are top-level calls with their own count; free-threaded builds of
+3.14 may copy the starting thread's context into it. A task or copied
+context made inside a guarded call shares that call's count while the
+call runs.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from contextvars import ContextVar
 from typing import Any, Callable
 
 __all__ = [
@@ -63,7 +71,7 @@ __all__ = [
 
 DEFAULT_MAX_NESTING = 10_000
 
-# Python frames allowed per binder while folding: `size` takes 4, and the
+# Python frames allowed per binder while folding: `size` takes 3, and the
 # rest is margin for user algebras.
 _FRAMES_PER_LEVEL = 16
 _FRAME_HEADROOM = 2048
@@ -123,6 +131,30 @@ class OpenTerm:
         return self._run(alg)
 
 
+class _Lam(OpenTerm):
+    """``lam(body)``: interpreting it hands ``body`` to the algebra."""
+
+    __slots__ = ("_body",)
+
+    def __init__(self, body: TermBody):
+        self._body = body
+
+    def interpret(self, alg):
+        return alg.interpret_lam(self._body, _identity, alg)
+
+
+class _Placed(OpenTerm):
+    """``place(value)``: interpreting it returns ``value``."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value):
+        self._value = value
+
+    def interpret(self, alg):
+        return self._value
+
+
 class Algebra:
     """Interpreter for a single binder node, producing carrier values.
 
@@ -140,11 +172,11 @@ class Algebra:
         self.name = name
 
     def interpret_lam(self, body: TermBody, embed: Embed, candidate):
-        g = _guard
-        if g.active:
-            g.count += 1
-            if g.count > g.limit:
-                raise DepthLimitError(g.limit)
+        budget = _budget.get()
+        if budget is not None:
+            budget.left -= 1
+            if budget.left < 0 and budget.active:
+                raise DepthLimitError(budget.limit)
         return self._interpret(body, embed, candidate)
 
     def __repr__(self):
@@ -174,7 +206,7 @@ def identity_embed() -> Embed:
 
 def place(x) -> OpenTerm:
     """Treat an already-interpreted value as a term; the algebra is ignored."""
-    return OpenTerm(lambda _alg: x)
+    return _Placed(x)
 
 
 def lam(body: TermBody) -> OpenTerm:
@@ -184,11 +216,7 @@ def lam(body: TermBody) -> OpenTerm:
     algebra, with the candidate family instantiated to the algebra type
     itself and the identity embedding.
     """
-
-    def run(alg):
-        return alg.interpret_lam(body, _identity, alg)
-
-    return OpenTerm(run)
+    return _Lam(body)
 
 
 def _rebuild_lam(body: TermBody, embed: Embed, _construction_alg) -> Term:
@@ -226,7 +254,7 @@ def closed(builder: TermBody) -> Term:
     closed term without at least one binder, so this is the only way to
     make a :class:`Term` from scratch.
     """
-    return Term(lambda alg: lam(builder).interpret(alg))
+    return Term(_Lam(builder).interpret)
 
 
 def fold(alg: Algebra, t: Term, max_depth: int | None = None):
@@ -243,13 +271,21 @@ def fold(alg: Algebra, t: Term, max_depth: int | None = None):
     return run_guarded(lambda: t.run(alg), max_depth)
 
 
-class _GuardState(threading.local):
-    active = False
-    count = 0
-    limit = DEFAULT_MAX_NESTING
+class _Budget:
+    """Binder interpretations left to one top-level guarded call, and its limit."""
+
+    __slots__ = ("left", "limit", "active")
+
+    def __init__(self, limit: int):
+        self.left = limit
+        self.limit = limit
+        self.active = True
 
 
-_guard = _GuardState()
+# The budget of the top-level guarded call this context runs in, or None. A
+# context copied inside the call keeps the budget after the call ends; the
+# call marks it inactive then, and an inactive budget guards nothing.
+_budget: ContextVar[_Budget | None] = ContextVar("kripkelam_guard_budget", default=None)
 _limit_lock = threading.Lock()
 # Top-level guarded calls in flight and the recursion limit before the
 # first of them.
@@ -264,7 +300,10 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     bounds their nesting too, and raises :class:`DepthLimitError` past
     ``max_depth`` (default ``DEFAULT_MAX_NESTING``). Inside an
     already-guarded computation this is a plain call, so nested folds
-    accumulate into the enclosing count.
+    accumulate into the enclosing count. The count lives in a context
+    variable: each thread and each asyncio task has its own, and a thread
+    started inside a guarded call starts unguarded on Python 3.11 to 3.13,
+    so its folds are top-level calls with their own count.
 
     At top level the thunk runs once, on the calling thread, with the
     interpreter's recursion limit raised to what ``max_depth`` binders
@@ -272,8 +311,8 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     guarded call is in flight and is restored when the last one ends.
     """
     global _in_flight, _limit_before
-    g = _guard
-    if g.active:
+    budget = _budget.get()
+    if budget is not None and budget.active:
         return thunk()
     limit = DEFAULT_MAX_NESTING if max_depth is None else int(max_depth)
     if limit < 1:
@@ -286,13 +325,13 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
         if need > sys.getrecursionlimit():
             sys.setrecursionlimit(need)
         _in_flight += 1
+    budget = _Budget(limit)
+    token = _budget.set(budget)
     try:
-        g.active = True
-        g.count = 0
-        g.limit = limit
         return thunk()
     finally:
-        g.active = False
+        budget.active = False
+        _budget.reset(token)
         with _limit_lock:
             _in_flight -= 1
             if _in_flight == 0:

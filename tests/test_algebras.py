@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +40,20 @@ def test_name_stream_yields_indexed_names():
 def test_name_stream_from_arbitrary_start():
     assert names(12).head == "x12"
     assert NameStream(7).rest.head == "x8"
+
+
+def test_name_streams_are_immutable_values():
+    s = names(1)
+    assert s == NameStream(1) == NameStream() and s != NameStream(2) and s != 1
+    assert hash(s) == hash(NameStream(1)) and s.rest == NameStream(2)
+    assert repr(s) == "NameStream(start=1)" and repr(NameStream(7).rest) == "NameStream(start=8)"
+    for twin in (copy.copy(s.rest), copy.deepcopy(s.rest), pickle.loads(pickle.dumps(s.rest))):
+        assert twin == NameStream(2) and type(twin) is NameStream
+    with pytest.raises(AttributeError):
+        s.start = 2
+    with pytest.raises(AttributeError):
+        del s.start
+    assert s.start == 1
 
 
 # ---------------------------------------------------------------- size

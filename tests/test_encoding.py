@@ -1,3 +1,4 @@
+import contextvars
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +11,7 @@ import kripkelam.encoding as encoding
 from kripkelam import (
     Algebra,
     DepthLimitError,
+    OpenTerm,
     Rename,
     closed,
     db_to_hoas,
@@ -42,6 +44,22 @@ def test_place_never_consults_the_algebra():
     poison = Poison()
     assert place(3).interpret(poison.alg) == 3
     assert poison.calls == 0
+
+
+def test_lam_and_place_build_open_terms():
+    assert isinstance(lam(lambda mx, x: place(x)), OpenTerm)
+    assert isinstance(place(3), OpenTerm)
+
+
+def test_open_term_of_a_function_calls_it_with_the_algebra():
+    seen = []
+
+    def run(alg):
+        seen.append(alg)
+        return "value"
+
+    assert OpenTerm(run).interpret(size_alg()) == "value"
+    assert seen == [size_alg()]
 
 
 # ---------------------------------------------------------------- lam / fold
@@ -339,6 +357,41 @@ def test_guard_state_is_thread_local():
     assert errors == ["tripped"]
     # this thread's folds are unaffected
     assert fold(size_alg(), term_x_x()) == 2
+
+
+def test_a_thread_started_inside_a_guarded_call_has_its_own_budget():
+    # The outer call may make 510 interpretations and spends 500 before it
+    # starts the thread. The thread's 500-binder fold is a top-level call
+    # with its own budget, and the outer call still has exactly 10 left.
+    results = []
+
+    def thread_fold():
+        results.append(size(db_to_hoas(chain(500, 250))))
+
+    def outer():
+        assert size(db_to_hoas(chain(500, 0))) == 501
+        worker = threading.Thread(target=thread_fold)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert size(db_to_hoas(chain(10, 3))) == 11
+        with pytest.raises(DepthLimitError) as err:
+            size(term_x_x())
+        assert err.value.limit == 510
+
+    encoding.run_guarded(outer, max_depth=510)
+    assert results == [501]
+
+
+def test_a_context_copied_inside_a_guarded_call_is_unguarded_after_it():
+    # The copy still holds the call's budget of 5; once the call has
+    # returned, folds run in the copy are top-level calls again, and raw
+    # interpretation there is unguarded, as it is outside any guarded call.
+    copies = []
+    encoding.run_guarded(lambda: copies.append(contextvars.copy_context()), max_depth=5)
+    assert copies[0].run(size, db_to_hoas(chain(3_000, 7))) == 3_001
+    assert copies[0].run(lambda: lam(lambda mx, x: place(x)).interpret(size_alg())) == 2
+    assert copies[0].run(lambda: deep_term(6).run(size_alg())) == 7
 
 
 # ---------------------------------------------------------------- recursion limit
