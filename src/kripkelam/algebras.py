@@ -9,6 +9,7 @@ the folded value is applied; the entry points ``print_term`` and
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
 
 from .debruijn import DbTerm, Lam, Var
@@ -83,10 +84,24 @@ def size(t: Term, max_depth: int | None = None) -> int:
     return fold(size_alg(), t, max_depth)
 
 
+class _Name(str):
+    """A bound variable's denotation in ``print_alg``: its name, whatever the stream."""
+
+    __slots__ = ()
+
+    def __call__(self, _stream: NameStream) -> str:
+        return self
+
+
+# The carriers ``render`` and ``at_depth`` below are plain functions that
+# take their body and algebra as defaults rather than closure cells, which
+# saves two GC-tracked cells per binder. They stay plain functions because a
+# fold recurses through them: a call into a ``__call__`` object or a
+# ``functools.partial`` passes through C and takes C stack per binder.
 def _print_lam(body, embed, alg):
-    def render(stream: NameStream) -> str:
+    def render(stream: NameStream, body=body, alg=alg) -> str:
         x = stream.head
-        rendered = body(_IDENTITY, lambda _stream: x).interpret(alg)
+        rendered = body(_IDENTITY, _Name(x)).interpret(alg)
         return "\\ " + x + ". " + rendered(stream.rest)
 
     return render
@@ -109,10 +124,14 @@ def print_term(t: Term, max_depth: int | None = None) -> str:
     return run_guarded(lambda: fold(print_alg(), t)(names(1)), max_depth)
 
 
+def _var_at(bound: int, n: int) -> DbTerm:
+    return Var(n - bound)
+
+
 def _debruijn_lam(body, embed, alg):
-    def at_depth(v: int) -> DbTerm:
+    def at_depth(v: int, body=body, alg=alg) -> DbTerm:
         bound = v + 1
-        inner = body(_IDENTITY, lambda n: Var(n - bound)).interpret(alg)
+        inner = body(_IDENTITY, partial(_var_at, bound)).interpret(alg)
         return Lam(inner(bound))
 
     return at_depth

@@ -14,7 +14,9 @@ The bridge to the encoding, :func:`db_to_hoas`, uses the chain shape too:
 only the denotation of the binder the occurrence names is carried inward.
 It is captured when that binder is entered and renamed once by each binder
 inside it, so folding a converted term takes time and memory linear in its
-depth.
+depth. Each binder of a converted term is one small object that is both the
+``lam`` node and its own body, so a fold keeps one GC-tracked object alive
+per binder.
 
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
@@ -28,12 +30,11 @@ and report errors by 1-based line and column. De Bruijn text reads
 from __future__ import annotations
 
 import re
-from functools import partial
 from itertools import islice
 from operator import attrgetter
 from typing import Iterator
 
-from .encoding import Rename, Term, TermBody, closed, lam, place
+from .encoding import OpenTerm, Rename, Term, TermBody, closed, identity_embed, place
 
 __all__ = [
     "Abs",
@@ -243,31 +244,46 @@ def named_to_db(t: NamedTerm) -> DbTerm:
 
 
 _IDENTITY = Rename.identity()
+_EMBED = identity_embed()
 
 
-def _chain_step(below: int, index: int, target, mx: Rename, fresh):
-    # Kripke body of a binder with ``below`` binders under it, in a chain whose
-    # occurrence names the binder with ``index`` binders under it. Only that
-    # binder's denotation, ``target``, is carried: the step entering the
-    # binder captures its fresh variable, and each binder inside it renames
-    # the value into its own world, so the occurrence is renamed exactly
-    # ``index`` times and a fold stays linear in the depth. Binders outside
-    # the named one leave ``target`` untouched, as does the identity rename.
-    if below == index:
-        value = fresh
-    elif below > index or mx is _IDENTITY:
-        value = target
-    else:
-        value = mx.apply(target)
-    if below == 0:
-        return place(value)
-    return lam(partial(_chain_step, below - 1, index, value))
+class _ChainBinder(OpenTerm):
+    """One binder of a chain that is also its own Kripke body.
 
+    The binder has ``below`` binders under it, and the chain's occurrence
+    names the binder with ``index`` binders under it. Only that binder's
+    denotation, ``target``, is carried: calling the body at the named
+    binder captures its fresh variable, and each binder inside it renames
+    the value into its own world, so the occurrence is renamed exactly
+    ``index`` times and a fold stays linear in the depth. Binders outside
+    the named one leave ``target`` untouched, as does the identity rename.
+    Being its own body, a binder costs a fold one GC-tracked object. Calling
+    the body returns the next binder before the fold recurses into it, so
+    the fold's own recursion stays in plain Python calls.
+    """
 
-def _open_chain(below: int, index: int, target) -> TermBody:
-    # The body as a partial over ``_chain_step``: with the ``lam`` around
-    # it, a fold allocates about two small objects per binder.
-    return partial(_chain_step, below, index, target)
+    __slots__ = ("below", "index", "target")
+
+    def __init__(self, below: int, index: int, target):
+        self.below = below
+        self.index = index
+        self.target = target
+
+    def interpret(self, alg):
+        return alg.interpret_lam(self, _EMBED, alg)
+
+    def __call__(self, mx: Rename, fresh) -> OpenTerm:
+        below = self.below
+        index = self.index
+        if below == index:
+            value = fresh
+        elif below > index or mx is _IDENTITY:
+            value = self.target
+        else:
+            value = mx.apply(self.target)
+        if below == 0:
+            return place(value)
+        return _ChainBinder(below - 1, index, value)
 
 
 def db_to_body(d: DbTerm) -> TermBody:
@@ -278,7 +294,7 @@ def db_to_body(d: DbTerm) -> TermBody:
     builds the rest of the chain.
     """
     k, i = _unchain_closed(d)
-    return _open_chain(k - 1, i, None)
+    return _ChainBinder(k - 1, i, None)
 
 
 def db_to_hoas(d: DbTerm) -> Term:

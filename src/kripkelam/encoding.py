@@ -34,7 +34,8 @@ is in flight and is restored when the last one ends. This relies on
 CPython 3.11 and later, where a Python-to-Python call takes no C stack, so
 a 10,000-binder fold fits even a thread started with a 256 KiB stack. An
 algebra whose per-binder recursion passes through a C function (a
-generator inside ``sum``, say) takes C stack per binder: a deep fold of it
+generator inside ``sum``, say, or a function carrier that is a ``__call__``
+object or a ``functools.partial``) takes C stack per binder: a deep fold of it
 raises ``RecursionError`` on 3.12 and later, or can overflow a small
 thread stack and crash the interpreter.
 

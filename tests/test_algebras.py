@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from kripkelam import (
     DEFAULT_MAX_NESTING,
+    Algebra,
     Lam,
     Var,
     db_to_hoas,
@@ -17,6 +19,7 @@ from kripkelam import (
     oracle_size,
     print_alg,
     print_term,
+    run_guarded,
     size,
     size_alg,
     to_debruijn,
@@ -196,6 +199,47 @@ def test_chains_at_the_guard_limit_agree_with_oracles(index):
     assert print_term(t) == oracle_print(d)
     assert format_db(to_debruijn(t)) == format_db(d)
     assert size(fold(lam_alg(), t)) == oracle_size(d)
+
+
+@pytest.mark.parametrize(
+    "alg, apply, per_binder",
+    [
+        (size_alg(), lambda v: v, 1),
+        (print_alg(), lambda v: v(names(1)), 4),
+        (to_debruijn_alg(), lambda v: v(1), 3),
+    ],
+    ids=["size", "print", "debruijn"],
+)
+def test_a_fold_keeps_few_tracked_objects_alive_per_binder(alg, apply, per_binder):
+    # What a fold allocates for a binder stays alive until the fold returns,
+    # and the cyclic GC rescans every tracked object of it. Counting the
+    # live tracked objects at the 1,001st and the 2,000th binder gives the
+    # cost of one binder. A lam node around a partial body, and closure
+    # carriers, kept 3, 8 and 7 alive.
+    k = 2_000
+    binders = 0
+    counts = {}
+
+    def counting(body, embed, candidate):
+        nonlocal binders
+        binders += 1
+        if binders in (1_001, k):
+            counts[binders] = len(gc.get_objects())
+        return alg.interpret_lam(body, embed, candidate)
+
+    wrapper = Algebra(counting, name="counting")
+    t = db_to_hoas(chain(k, k // 2))
+    # Each binder counts twice against the guard: once for the wrapper and
+    # once for the wrapped algebra.
+    limit = 2 * k
+    gc.disable()
+    try:
+        run_guarded(lambda: apply(fold(wrapper, t)), limit)
+    finally:
+        gc.enable()
+    assert binders == k
+    assert (counts[k] - counts[1_001]) / (k - 1_001) <= per_binder
+
 
 # ---------------------------------------------------------------- guard
 

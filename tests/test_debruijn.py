@@ -465,19 +465,28 @@ def test_deep_terms_compare_hash_and_print_at_the_default_recursion_limit():
 def test_folding_a_deep_chain_takes_little_memory_per_binder():
     # What a fold allocates for a binder lives until the fold returns, so
     # it sets the peak. A closure body and an OpenTerm around a closure per
-    # binder peaked at 1.71 MB here (6.25 MB at 10,000 binders). The bound
-    # is 400 bytes a binder, 4 MB at 10,000. The chain is shorter than that
-    # because tracemalloc walks the whole stack on every allocation, which
-    # made a traced 10,000-binder fold take 25 s.
-    t = db_to_hoas(chain(3_000, 1_500))
-    assert size(t) == 3_001
-    tracemalloc.start()
-    try:
-        assert size(t) == 3_001
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_200_000
+    # binder peaked at 1.71 MB here for size (6.25 MB at 10,000 binders).
+    # The size bound is 400 bytes a binder, 4 MB at 10,000. Closure
+    # carriers and a lam node around a partial body per binder peaked at
+    # 1.99 MB for print_term and 1.54 MB for to_debruijn. The chain is
+    # shorter than 10,000 because tracemalloc walks the whole stack on every
+    # allocation, which made a traced 10,000-binder fold take 25 s.
+    d = chain(3_000, 1_500)
+    t = db_to_hoas(d)
+    cases = [
+        (size, 3_001, 1_200_000),
+        (print_term, oracle_print(d), 1_750_000),
+        (lambda term: format_db(to_debruijn(term)), format_db(d), 1_200_000),
+    ]
+    for run, expected, bound in cases:
+        assert run(t) == expected
+        tracemalloc.start()
+        try:
+            assert run(t) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (run, peak)
 
 
 deep_chains = st.integers(min_value=1, max_value=DEFAULT_MAX_NESTING).flatmap(
