@@ -6,7 +6,8 @@ named syntax, or in de Bruijn syntax for ``from-db``. Both syntaxes, and
 from this module), live in :mod:`kripkelam.debruijn`. Exit codes: 0
 success, 1 bad input, 2 a check suite failed, 3 the binder guard tripped:
 one fold interpreted more binders than its limit (``DEFAULT_MAX_NESTING``),
-which also bounds how deeply they nest.
+which also bounds how deeply they nest. Only ``check-laws`` imports
+:mod:`kripkelam.laws`, when it runs, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .debruijn import (
     render_named,
 )
 from .encoding import DepthLimitError
-from .laws import render_reports, run_all_laws
 
 __all__ = ["main", "parse_named", "render_named"]
 
@@ -93,8 +93,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check_laws(args) -> int:
-    reports = run_all_laws(args.max_depth, args.samples, args.seed)
-    print(render_reports(reports))
+    from . import laws
+
+    reports = laws.run_all_laws(args.max_depth, args.samples, args.seed)
+    print(laws.render_reports(reports))
     return 0 if all(r.ok for r in reports) else 2
 
 

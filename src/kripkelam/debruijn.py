@@ -418,7 +418,12 @@ def parse_db(text: str) -> DbTerm:
         fail(at, "expected Lam, Var or (")
     if not tokens[at + 1][:1].isdigit():
         fail(at + 1, "expected an index after Var")
-    index = int(tokens[at + 1])
+    # Leading zeros do not count towards int()'s limit on digits.
+    digits = tokens[at + 1].lstrip("0") or "0"
+    try:
+        index = int(digits)
+    except ValueError:  # more digits than int() converts
+        fail(at + 1, f"index too long: {len(digits)} digits")
     at += 2
     for marker in reversed(markers):
         if marker == "(":

@@ -96,16 +96,21 @@ def renamed(value, times: int):
     return value
 
 
-def run_fresh(script: str) -> str:
-    """Run ``script`` in a new interpreter, at the default recursion limit,
-    with this checkout's ``src`` first on the path; return its stdout."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args``, at the default recursion limit,
+    with this checkout's ``src`` first on the path; capture its output."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=300,
     )
+
+
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter (see ``run_python``); return its stdout."""
+    done = run_python("-c", textwrap.dedent(script))
     assert done.returncode == 0, done.stderr
     return done.stdout

@@ -7,7 +7,7 @@ from kripkelam import Abs, ParseError, Ref
 from kripkelam.cli import main, parse_named, render_named
 from kripkelam.debruijn import db_to_named
 
-from helpers import chain
+from helpers import chain, run_python
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -126,6 +126,14 @@ def test_cli_bad_db_syntax_exits_one(monkeypatch, capsys):
     assert "error: syntax:" in err
 
 
+def test_cli_from_db_reads_or_places_an_over_long_index(monkeypatch, capsys):
+    zeros = run_cli(monkeypatch, capsys, ["from-db"], "Lam (Var " + "0" * 5000 + ")")
+    assert zeros == (0, "\\ x1. x1\n", "")
+    code, out, err = run_cli(monkeypatch, capsys, ["from-db"], "Var " + "1" * 5000)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: syntax: 1:5: ")
+
+
 def test_cli_depth_guard_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(encoding, "DEFAULT_MAX_NESTING", 50)
     deep = render_named(db_to_named(chain(60, 0)))
@@ -161,6 +169,46 @@ def test_single_term_commands_read_a_file_like_stdin(
     src.write_text(text, encoding="utf-8")
     assert run_cli(monkeypatch, capsys, [command, str(src)]) == (0, expected, "")
     assert run_cli(monkeypatch, capsys, [command], text) == (0, expected, "")
+
+
+def _imported_modules(importtime_log: str) -> set[str]:
+    """Module names that ``python -X importtime`` reported on stderr."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_log.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_imports():
+    done = run_python("-X", "importtime", "-c", "pass")
+    assert done.returncode == 0, done.stderr
+    return _imported_modules(done.stderr)
+
+
+@pytest.mark.parametrize(
+    "command, text, expected", TERM_COMMAND_RUNS, ids=[run[0] for run in TERM_COMMAND_RUNS]
+)
+def test_a_fresh_term_command_imports_no_law_module(
+    tmp_path, bare_interpreter_imports, command, text, expected
+):
+    src = tmp_path / "term.txt"
+    src.write_text(text, encoding="utf-8")
+    done = run_python("-X", "importtime", "-m", "kripkelam.cli", command, str(src))
+    assert (done.returncode, done.stdout) == (0, expected), done.stderr
+    imported = _imported_modules(done.stderr)
+    assert "kripkelam.debruijn" in imported  # the log was read
+    assert "kripkelam.laws" not in done.stderr
+    assert "dataclasses" not in imported - bare_interpreter_imports
+
+
+def test_a_fresh_check_laws_process_passes_every_suite():
+    done = run_python("-m", "kripkelam.cli", "check-laws", "--samples", "10")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 9
+    assert all(line.endswith(" [ok]") for line in lines)
 
 
 def test_cli_missing_file_exits_one(monkeypatch, capsys):
@@ -280,14 +328,13 @@ def test_cli_rejects_nonpositive_depth_bounds(monkeypatch, capsys):
 
 
 def test_cli_check_laws_failure_exits_two(monkeypatch, capsys):
-    import kripkelam.cli as cli
     from kripkelam.laws import BodySkeleton, Report, Slot, Witness
 
     def stub(max_binders, samples, seed):
         witness = Witness(BodySkeleton(0, Slot.FRESH), None, 1, 2)
         return [Report("id_hom[size]", checked=1, failures=[witness])]
 
-    monkeypatch.setattr(cli, "run_all_laws", stub)
+    monkeypatch.setattr("kripkelam.laws.run_all_laws", stub)
     code, out, _ = run_cli(monkeypatch, capsys, ["check-laws"])
     assert code == 2
     assert "FAIL" in out

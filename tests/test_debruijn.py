@@ -348,6 +348,10 @@ PARSE_TABLE = [
     (parse_named, "\\x.\u3000y\u3000é", (1, 7)),
     (parse_db, "Lam\u2003(Var\x850)", Lam(Var(0))),
     (parse_db, "Var\u30000\u3000?", (1, 7)),
+    # An index past int()'s 4,300-digit limit: leading zeros do not count,
+    # and one int() cannot convert is a placed syntax error.
+    pytest.param(parse_db, "Lam (Var " + "0" * 5000 + ")", Lam(Var(0)), id="db-5000-leading-zeros"),
+    pytest.param(parse_db, "Var " + "1" * 5000, (1, 5), id="db-5000-digit-index"),
 ]
 
 
