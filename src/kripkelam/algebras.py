@@ -3,17 +3,29 @@
 Each algebra interprets one binder node. The size algebra works at an
 integer carrier directly. The other two use function carriers (name stream
 to text, nesting depth to tree), so the interesting recursion happens when
-the folded value is applied; the entry points ``print_term`` and
-``to_debruijn`` run that application inside the nesting guard.
+the folded value is applied.
+
+The entry points ``size``, ``print_term`` and ``to_debruijn`` fold none of
+the three. They fold a one-step unfolding algebra, whose carrier is the
+binder's own Kripke body, and walk the chain in a loop inside the nesting
+guard: each body is asked at the identity rename for a fresh level marker,
+and what it returns is unfolded again, until the occurrence yields the
+marker of the binder it names. The walk takes no recursion and keeps no
+state per binder, and each entry point builds its result from the binder
+count and that level. Every binder is still interpreted once, so the guard
+counts as for a fold. Tests check that each entry point agrees with its
+algebra, and that the unfolding algebra is linked to each by a
+homomorphism.
 """
 
 from __future__ import annotations
 
+import reprlib
 from functools import partial
 from operator import attrgetter
 
-from .debruijn import DbTerm, Lam, Var
-from .encoding import Algebra, Rename, Term, fold, run_guarded
+from .debruijn import DbTerm, Lam, Var, _chain
+from .encoding import Algebra, Rename, Term, run_guarded
 
 __all__ = [
     "NameStream",
@@ -81,7 +93,8 @@ def size_alg() -> Algebra:
 
 
 def size(t: Term, max_depth: int | None = None) -> int:
-    return fold(size_alg(), t, max_depth)
+    """Count binders and the occurrence, as ``fold(size_alg(), t)`` does."""
+    return _unfold(t, max_depth)[0] + 1
 
 
 class _Name(str):
@@ -121,7 +134,8 @@ def print_alg() -> Algebra:
 
 def print_term(t: Term, max_depth: int | None = None) -> str:
     """Render a closed term using the name stream starting at x1."""
-    return run_guarded(lambda: fold(print_alg(), t)(names(1)), max_depth)
+    k, j = _unfold(t, max_depth)
+    return _render(1, k, j)
 
 
 def _var_at(bound: int, n: int) -> DbTerm:
@@ -152,4 +166,51 @@ def to_debruijn_alg() -> Algebra:
 
 def to_debruijn(t: Term, max_depth: int | None = None) -> DbTerm:
     """Convert a closed term to de Bruijn form, starting at depth 1."""
-    return run_guarded(lambda: fold(to_debruijn_alg(), t)(1), max_depth)
+    k, j = _unfold(t, max_depth)
+    return _chain(k, k - j)
+
+
+class _Level:
+    """The variable of the binder at one level of a walk."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level: int):
+        self.level = level
+
+
+# Interprets a binder as its body, so folding a term with it unfolds the
+# outermost binder only.
+_UNFOLD = Algebra(lambda body, embed, candidate: body, name="unfold")
+
+
+def _walk(c, level: int) -> tuple[int, int]:
+    """Walk a chain from ``c``, a value at the carrier of ``_UNFOLD``.
+
+    A body ``c`` is the binder at ``level``: it is asked at the identity
+    rename for that level's marker, and what it returns is unfolded. An
+    occurrence that denotes a body, such as a term renamed in through
+    ``lam_alg``, goes on with that body at the next level. Returns the
+    level of the last binder walked and the level the occurrence names; a
+    marker ``c`` walks no binder.
+    """
+    while c.__class__ is not _Level:
+        if not callable(c):
+            raise TypeError(
+                f"ill-formed term: an occurrence denotes {reprlib.repr(c)}, "
+                "which is neither a variable bound by the term nor a binder body"
+            )
+        c = c(_IDENTITY, _Level(level)).interpret(_UNFOLD)
+        level += 1
+    return level - 1, c.level
+
+
+def _unfold(t: Term, max_depth: int | None) -> tuple[int, int]:
+    """The binder count of ``t`` and the level its occurrence names."""
+    return run_guarded(lambda: _walk(t.run(_UNFOLD), 1), max_depth)
+
+
+def _render(start: int, last: int, occurrence: int) -> str:
+    """Binders named x{start} to x{last} around the occurrence x{occurrence}."""
+    prefixes = "".join([f"\\ x{level}. " for level in range(start, last + 1)])
+    return prefixes + f"x{occurrence}"

@@ -418,8 +418,12 @@ def parse_db(text: str) -> DbTerm:
         fail(at, "expected Lam, Var or (")
     if not tokens[at + 1][:1].isdigit():
         fail(at + 1, "expected an index after Var")
-    # Leading zeros do not count towards int()'s limit on digits.
-    digits = tokens[at + 1].lstrip("0") or "0"
+    # Leading zeros, in any script, do not count towards int()'s limit on
+    # digits. A token holds decimal digits only, so each reads as one int.
+    digits = tokens[at + 1]
+    if not digits.isascii():
+        digits = digits.translate({ord(ch): str(int(ch)) for ch in set(digits)})
+    digits = digits.lstrip("0") or "0"
     try:
         index = int(digits)
     except ValueError:  # more digits than int() converts

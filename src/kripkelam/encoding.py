@@ -22,22 +22,24 @@ it only through ``place`` and through renames. Algebras that respect purity
 may be folded concurrently; all values here are immutable after
 construction.
 
-Deep terms: folding recurses once per binder. The guard counts the binders
-interpreted in one top-level guarded call; passing the active limit
-(default ``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError` instead
-of exhausting the interpreter stack. A binder is interpreted before those
-inside it, so this bounds nesting too, but an algebra that interprets each
-body twice trips it at 14 binders. Each top-level guarded call runs once,
-on the calling thread, with the recursion limit raised to what its limit
-needs; the limit is process-wide, so it stays raised while any guarded call
-is in flight and is restored when the last one ends. This relies on
-CPython 3.11 and later, where a Python-to-Python call takes no C stack, so
-a 10,000-binder fold fits even a thread started with a 256 KiB stack. An
-algebra whose per-binder recursion passes through a C function (a
-generator inside ``sum``, say, or a function carrier that is a ``__call__``
-object or a ``functools.partial``) takes C stack per binder: a deep fold of it
-raises ``RecursionError`` on 3.12 and later, or can overflow a small
-thread stack and crash the interpreter.
+Deep terms: a fold recurses once per binder through the algebra it is
+given. The entry points of :mod:`kripkelam.algebras` do not: they walk the
+chain in a loop, one binder interpretation per step. The guard counts the
+binders interpreted in one top-level guarded call; passing the active
+limit (default ``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError`
+instead of exhausting the interpreter stack. A binder is interpreted
+before those inside it, so this bounds nesting too, but an algebra that
+interprets each body twice trips it at 14 binders. Each top-level guarded
+call runs once, on the calling thread, with the recursion limit raised to
+what its limit needs; the limit is process-wide, so it stays raised while
+any guarded call is in flight and is restored when the last one ends. This
+relies on CPython 3.11 and later, where a Python-to-Python call takes no C
+stack, so a 10,000-binder fold fits even a thread started with a 256 KiB
+stack. An algebra whose per-binder recursion passes through a C function
+(a generator inside ``sum``, say, or a function carrier that is a
+``__call__`` object or a ``functools.partial``) takes C stack per binder:
+a deep fold of it raises ``RecursionError`` on 3.12 and later, or can
+overflow a small thread stack and crash the interpreter.
 
 The guard's own state is a context variable, so it is per thread and per
 asyncio task. A new thread starts unguarded on Python 3.11 to 3.13, so its

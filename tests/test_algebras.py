@@ -11,12 +11,17 @@ from kripkelam import (
     Algebra,
     Lam,
     Var,
+    closed,
     db_to_hoas,
+    enumerate_terms,
     fold,
     format_db,
+    identity_embed,
+    lam,
     lam_alg,
     oracle_print,
     oracle_size,
+    place,
     print_alg,
     print_term,
     run_guarded,
@@ -25,9 +30,10 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
-from kripkelam.algebras import NameStream, names
+from kripkelam.algebras import _UNFOLD, NameStream, _Level, _render, _walk, names
+from kripkelam.laws import check_hom, enumerate_skeletons, identity_term
 
-from helpers import chain, term_x_x, term_xy_x, term_xy_y
+from helpers import Poison, chain, deep_term, term_x_x, term_xy_x, term_xy_y
 
 
 # ---------------------------------------------------------------- names
@@ -239,6 +245,95 @@ def test_a_fold_keeps_few_tracked_objects_alive_per_binder(alg, apply, per_binde
         gc.enable()
     assert binders == k
     assert (counts[k] - counts[1_001]) / (k - 1_001) <= per_binder
+
+
+# ------------------------------------------------------- the unfolding walk
+
+
+def _size_from(c):
+    return _walk(c, 1)[0] + 1
+
+
+def _print_from(c):
+    return lambda stream: _render(stream.start, *_walk(c, stream.start))
+
+
+def _debruijn_from(c):
+    def at_depth(v):
+        last, occurrence = _walk(c, v)
+        return chain(last - v + 1, last - occurrence)
+
+    return at_depth
+
+
+@pytest.mark.parametrize(
+    "alg, h, observe",
+    [
+        (size_alg(), _size_from, lambda n: n),
+        (print_alg(), _print_from, lambda render: render(names(1))),
+        (to_debruijn_alg(), _debruijn_from, lambda f: f(1)),
+    ],
+    ids=["size", "print", "debruijn"],
+)
+@pytest.mark.parametrize(
+    "env_value",
+    [_Level(0), identity_term().run(_UNFOLD)],
+    ids=["level", "body"],
+)
+def test_walking_then_rendering_is_a_homomorphism_from_the_unfolding_algebra(
+    alg, h, observe, env_value
+):
+    # The entry points fold the unfolding algebra and walk its value: that
+    # agrees with folding the public algebra when walking from a carrier
+    # value, then rendering, is a homomorphism into it. The environment is
+    # an outer binder's level or a body renamed in, as through lam_alg.
+    pool = [(None, s) for s in enumerate_skeletons(32)]
+    report = check_hom(_UNFOLD, alg, h, pool, env_value=env_value, observe=observe)
+    assert report.checked == len(pool)
+    assert report.ok, report.failures[:3]
+
+
+def _hand_built_terms():
+    running = lambda mo, x: lam(lambda mx, y: place(mx.apply(x)))  # noqa: E731
+    # A body whose occurrence is a closed term renamed in: folded with
+    # lam_alg, the rename folds that term with the algebra in play.
+    renamed_in = closed(lambda mo, x: lam(lambda mx, y: place(mo.apply(term_xy_x()))))
+    return [
+        term_x_x(),
+        term_xy_x(),
+        term_xy_y(),
+        deep_term(7),
+        closed(lambda mo, x: lam(lambda mx, y: lam(lambda mz, z: place(mz.apply(mx.apply(x)))))),
+        lam_alg().interpret_lam(running, identity_embed(), Poison().alg),
+        fold(lam_alg(), renamed_in),
+        fold(lam_alg(), fold(lam_alg(), renamed_in)),
+    ]
+
+
+def test_entry_points_equal_their_folds_at_the_canonical_argument():
+    terms = [db_to_hoas(d) for d in enumerate_terms(40)]
+    terms += [fold(lam_alg(), t) for t in terms]
+    terms += _hand_built_terms()
+    for t in terms:
+        assert size(t) == fold(size_alg(), t)
+        assert print_term(t) == fold(print_alg(), t)(names(1))
+        assert to_debruijn(t) == fold(to_debruijn_alg(), t)(1)
+
+
+@pytest.mark.parametrize("entry", [size, print_term, to_debruijn])
+@pytest.mark.parametrize(
+    "t",
+    [
+        closed(lambda mo, x: place(42)),
+        closed(lambda mo, x: lam(lambda mx, y: place("x1"))),
+    ],
+    ids=["outer", "inner"],
+)
+def test_an_occurrence_no_binder_bound_is_a_type_error(entry, t):
+    # size once counted the 42 as the occurrence's size, and print_term
+    # and to_debruijn called it.
+    with pytest.raises(TypeError, match="ill-formed term: an occurrence denotes (42|'x1'), "):
+        entry(t)
 
 
 # ---------------------------------------------------------------- guard

@@ -352,6 +352,9 @@ PARSE_TABLE = [
     # and one int() cannot convert is a placed syntax error.
     pytest.param(parse_db, "Lam (Var " + "0" * 5000 + ")", Lam(Var(0)), id="db-5000-leading-zeros"),
     pytest.param(parse_db, "Var " + "1" * 5000, (1, 5), id="db-5000-digit-index"),
+    # Zeros of every script are leading zeros.
+    pytest.param(parse_db, "Lam (Var " + "٠" * 5000 + ")", Lam(Var(0)), id="db-5000-arabic-indic-zeros"),
+    pytest.param(parse_db, "Var " + "٠0" * 2500 + "٣", Var(3), id="db-5000-mixed-script-zeros"),
 ]
 
 
@@ -466,31 +469,36 @@ def test_deep_terms_compare_hash_and_print_at_the_default_recursion_limit():
     assert out == "ok\n"
 
 
+def _traced(run, t):
+    """``run(t)`` and the peak memory tracemalloc saw it take, after a warm-up call."""
+    run(t)
+    tracemalloc.start()
+    try:
+        out = run(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_folding_a_deep_chain_takes_little_memory_per_binder():
-    # What a fold allocates for a binder lives until the fold returns, so
-    # it sets the peak. A closure body and an OpenTerm around a closure per
-    # binder peaked at 1.71 MB here for size (6.25 MB at 10,000 binders).
-    # The size bound is 400 bytes a binder, 4 MB at 10,000. Closure
-    # carriers and a lam node around a partial body per binder peaked at
-    # 1.99 MB for print_term and 1.54 MB for to_debruijn. The chain is
-    # shorter than 10,000 because tracemalloc walks the whole stack on every
-    # allocation, which made a traced 10,000-binder fold take 25 s.
-    d = chain(3_000, 1_500)
-    t = db_to_hoas(d)
-    cases = [
-        (size, 3_001, 1_200_000),
-        (print_term, oracle_print(d), 1_750_000),
-        (lambda term: format_db(to_debruijn(term)), format_db(d), 1_200_000),
-    ]
-    for run, expected, bound in cases:
-        assert run(t) == expected
-        tracemalloc.start()
-        try:
-            assert run(t) == expected
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (run, peak)
+    # The entry points walk a chain in a loop that keeps nothing alive per
+    # binder. Under CPython 3.11, size and to_debruijn peak at 864 bytes at
+    # 1,000 and at 10,000 binders alike; print_term peaks at its text plus
+    # the binder prefixes it joins, 8.5 times the text. Folding their
+    # algebras, with a function carrier per binder, peaked at 0.95, 4.75
+    # and 3.23 MB at 10,000 binders, and tracemalloc's walk of the deep
+    # stack made a traced 10,000-binder fold take 25 s.
+    for k in (1_000, DEFAULT_MAX_NESTING):
+        d = chain(k, k // 2)
+        t = db_to_hoas(d)
+        for run, expected in ((size, oracle_size(d)), (to_debruijn, d)):
+            out, peak = _traced(run, t)
+            assert out == expected
+            assert peak < 1_500, (run, k, peak)
+        text, peak = _traced(print_term, t)
+        assert text == oracle_print(d)
+        assert peak < 10 * len(text), (k, peak)
 
 
 deep_chains = st.integers(min_value=1, max_value=DEFAULT_MAX_NESTING).flatmap(
