@@ -25,7 +25,7 @@ from functools import partial
 from operator import attrgetter
 
 from .debruijn import DbTerm, Lam, Var, _chain
-from .encoding import Algebra, Rename, Term, run_guarded
+from .encoding import Algebra, OpenTerm, Rename, Term, run_guarded
 
 __all__ = [
     "NameStream",
@@ -195,14 +195,26 @@ def _walk(c, level: int) -> tuple[int, int]:
     marker ``c`` walks no binder.
     """
     while c.__class__ is not _Level:
-        if not callable(c):
-            raise TypeError(
-                f"ill-formed term: an occurrence denotes {reprlib.repr(c)}, "
-                "which is neither a variable bound by the term nor a binder body"
-            )
-        c = c(_IDENTITY, _Level(level)).interpret(_UNFOLD)
+        try:
+            opened = c(_IDENTITY, _Level(level))
+        except TypeError as err:
+            # Raised by the call itself, not from inside a body: ``c`` is
+            # no callable that takes a rename and a variable.
+            if err.__traceback__.tb_next is None:
+                raise _ill_formed(c) from err
+            raise
+        if not isinstance(opened, OpenTerm):
+            raise _ill_formed(c)
+        c = opened.interpret(_UNFOLD)
         level += 1
     return level - 1, c.level
+
+
+def _ill_formed(c) -> TypeError:
+    return TypeError(
+        f"ill-formed term: it holds {reprlib.repr(c)}, "
+        "which is neither a variable bound by the term nor a binder body"
+    )
 
 
 def _unfold(t: Term, max_depth: int | None) -> tuple[int, int]:

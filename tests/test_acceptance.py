@@ -19,10 +19,13 @@ from kripkelam import (
     hom_sides,
     identity_embed,
     lam_alg,
+    names,
     oracle_print,
     oracle_size,
+    print_alg,
     print_term,
     run_all_laws,
+    run_guarded,
     size_alg,
     to_debruijn,
     to_debruijn_alg,
@@ -81,6 +84,8 @@ def test_criterion_3_differential_oracles():
             size_bad += 1
         if print_term(t) != oracle_print(d):
             print_bad += 1
+        if run_guarded(lambda: fold(print_alg(), t)(names(1))) != oracle_print(d):
+            print_bad += 1
     elapsed = time.perf_counter() - start
     ok = size_bad == 0 and print_bad == 0 and elapsed < 30.0
     _report(
@@ -122,6 +127,8 @@ def test_criterion_5_algebra_switch_instrumentation():
             fold(size_alg(), t) == oracle_size(d)
             and print_term(t) == oracle_print(d)
             and to_debruijn(t) == d
+            and run_guarded(lambda: fold(print_alg(), t)(names(1))) == oracle_print(d)
+            and run_guarded(lambda: fold(to_debruijn_alg(), t)(1)) == d
         )
         checked += 1
         poisoned_calls += poison.calls

@@ -322,18 +322,34 @@ def test_entry_points_equal_their_folds_at_the_canonical_argument():
 
 @pytest.mark.parametrize("entry", [size, print_term, to_debruijn])
 @pytest.mark.parametrize(
-    "t",
+    "t, held",
     [
-        closed(lambda mo, x: place(42)),
-        closed(lambda mo, x: lam(lambda mx, y: place("x1"))),
+        (closed(lambda mo, x: place(42)), "42"),
+        (closed(lambda mo, x: lam(lambda mx, y: place("x1"))), "'x1'"),
+        (closed(lambda mo, x: place(len)), "<built-in function len>"),
+        (closed(lambda mo, x: place(lambda *a: 5)), "<function "),
+        (closed(lambda mo, x: lam(lambda my: place(my))), "<function "),
     ],
-    ids=["outer", "inner"],
+    ids=["outer", "inner", "builtin", "not-an-open-term", "wrong-arity-body"],
 )
-def test_an_occurrence_no_binder_bound_is_a_type_error(entry, t):
+def test_an_occurrence_no_binder_bound_is_a_type_error(entry, t, held):
     # size once counted the 42 as the occurrence's size, and print_term
-    # and to_debruijn called it.
-    with pytest.raises(TypeError, match="ill-formed term: an occurrence denotes (42|'x1'), "):
+    # and to_debruijn called it. A callable is no binder body unless it
+    # takes a rename and a variable and returns an open term.
+    with pytest.raises(TypeError, match="ill-formed term: it holds ") as err:
         entry(t)
+    assert str(err.value).startswith(f"ill-formed term: it holds {held}")
+    assert str(err.value).endswith("neither a variable bound by the term nor a binder body")
+
+
+@pytest.mark.parametrize("entry", [size, print_term, to_debruijn])
+def test_a_type_error_raised_inside_a_body_is_its_own(entry):
+    def body(mo, x):
+        return lam(lambda my, y: place(my.apply(x) + "!"))
+
+    with pytest.raises(TypeError, match="unsupported operand") as err:
+        entry(closed(body))
+    assert err.value.__cause__ is None
 
 
 # ---------------------------------------------------------------- guard

@@ -24,13 +24,18 @@ from kripkelam import (
     format_db,
     gen_term,
     named_to_db,
+    names,
     oracle_print,
     oracle_size,
     parse_db,
+    print_alg,
     print_term,
+    run_guarded,
     size,
+    size_alg,
     splitmix64,
     to_debruijn,
+    to_debruijn_alg,
 )
 from kripkelam.debruijn import parse_named, render_named
 
@@ -483,12 +488,17 @@ def _traced(run, t):
 
 def test_folding_a_deep_chain_takes_little_memory_per_binder():
     # The entry points walk a chain in a loop that keeps nothing alive per
-    # binder. Under CPython 3.11, size and to_debruijn peak at 864 bytes at
-    # 1,000 and at 10,000 binders alike; print_term peaks at its text plus
-    # the binder prefixes it joins, 8.5 times the text. Folding their
-    # algebras, with a function carrier per binder, peaked at 0.95, 4.75
-    # and 3.23 MB at 10,000 binders, and tracemalloc's walk of the deep
-    # stack made a traced 10,000-binder fold take 25 s.
+    # binder. size and to_debruijn peak at 864 bytes at 1,000 and at
+    # 10,000 binders alike (872 on CPython 3.12 and 3.13); print_term peaks
+    # at its text plus the binder prefixes it joins, 8.5 times the text,
+    # and format_db at about twice its text. Folding the algebras themselves
+    # keeps what a fold allocates for a binder alive until it returns: a
+    # closure body and an OpenTerm around a closure per binder peaked at
+    # 1.71 MB here for size, and closure carriers and a lam node around a
+    # partial body per binder at 1.99 MB for print_term and 1.54 MB for
+    # to_debruijn. Those folds run at 3,000 binders because tracemalloc
+    # walks the whole stack on every allocation, which made a traced
+    # 10,000-binder fold take 25 s.
     for k in (1_000, DEFAULT_MAX_NESTING):
         d = chain(k, k // 2)
         t = db_to_hoas(d)
@@ -499,6 +509,28 @@ def test_folding_a_deep_chain_takes_little_memory_per_binder():
         text, peak = _traced(print_term, t)
         assert text == oracle_print(d)
         assert peak < 10 * len(text), (k, peak)
+        text, peak = _traced(lambda term: format_db(to_debruijn(term)), t)
+        assert text == format_db(d)
+        assert peak < 3 * len(text), (k, peak)
+    d = chain(3_000, 1_500)
+    t = db_to_hoas(d)
+    folds = [
+        (lambda term: fold(size_alg(), term), 3_001, 1_200_000),
+        (
+            lambda term: run_guarded(lambda: fold(print_alg(), term)(names(1))),
+            oracle_print(d),
+            1_750_000,
+        ),
+        (
+            lambda term: format_db(run_guarded(lambda: fold(to_debruijn_alg(), term)(1))),
+            format_db(d),
+            1_200_000,
+        ),
+    ]
+    for run, expected, bound in folds:
+        out, peak = _traced(run, t)
+        assert out == expected
+        assert peak < bound, (run, peak)
 
 
 deep_chains = st.integers(min_value=1, max_value=DEFAULT_MAX_NESTING).flatmap(

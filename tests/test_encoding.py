@@ -26,8 +26,9 @@ from kripkelam import (
     print_term,
     size_alg,
     to_debruijn,
+    to_debruijn_alg,
 )
-from kripkelam.algebras import print_alg, size
+from kripkelam.algebras import names, print_alg, size
 
 from helpers import Poison, chain, deep_term, run_fresh, term_x_x, term_xy_x, term_xy_y
 
@@ -261,7 +262,8 @@ def test_guard_resets_between_folds():
 
 
 def test_deep_fold_matches_shallow_semantics():
-    # The same entry points agree with the first-order oracles whether a
+    # The same entry points, and the folds of their algebras applied to the
+    # canonical argument, agree with the first-order oracles whether a
     # chain fits the default recursion limit or needs it raised.
     for depth in (3, 300, 3_000):
         d = chain(depth, depth // 2)
@@ -269,6 +271,9 @@ def test_deep_fold_matches_shallow_semantics():
         assert size(t) == oracle_size(d)
         assert print_term(t) == oracle_print(d)
         assert to_debruijn(t) == d
+        assert fold(size_alg(), t) == oracle_size(d)
+        assert encoding.run_guarded(lambda: fold(print_alg(), t)(names(1))) == oracle_print(d)
+        assert encoding.run_guarded(lambda: fold(to_debruijn_alg(), t)(1)) == d
         assert fold(size_alg(), deep_term(depth)) == depth + 1
         assert to_debruijn(deep_term(depth)) == chain(depth, 0)
 
@@ -452,10 +457,14 @@ def test_concurrent_deep_folds_share_the_raised_limit():
 
 def test_deep_fold_keeps_a_limit_the_caller_raised():
     # The caller's own limit is above what 10,000 binders need: the fold
-    # runs under it and leaves it as the caller set it.
+    # runs under it and leaves it as the caller set it. The algebras'
+    # folds recurse once per binder when applied; the entry points walk.
     out = run_fresh("""
         import sys
-        from kripkelam import db_to_hoas, oracle_print, print_term, size, to_debruijn
+        from kripkelam import (
+            db_to_hoas, fold, names, oracle_print, print_alg, print_term,
+            run_guarded, size, size_alg, to_debruijn, to_debruijn_alg,
+        )
         from kripkelam.debruijn import Lam, Var
 
         sys.setrecursionlimit(200_000)
@@ -465,18 +474,27 @@ def test_deep_fold_keeps_a_limit_the_caller_raised():
         t = db_to_hoas(d)
         print(size(t) == 10_001, print_term(t) == oracle_print(d), to_debruijn(t) == d)
         print(sys.getrecursionlimit())
+        print(
+            fold(size_alg(), t) == 10_001,
+            run_guarded(lambda: fold(print_alg(), t)(names(1))) == oracle_print(d),
+            run_guarded(lambda: fold(to_debruijn_alg(), t)(1)) == d,
+        )
+        print(sys.getrecursionlimit())
     """)
-    assert out == "True True True\n200000\n"
+    assert out == "True True True\n200000\nTrue True True\n200000\n"
 
 
 def test_deep_fold_runs_on_a_thread_with_a_small_stack():
     # A fold takes no C stack per binder, so a 10,000-binder chain folds
-    # on a thread started with a 256 KiB stack.
+    # on a thread started with a 256 KiB stack: the entry points, which
+    # walk the chain, and the library's algebras, whose folds and carriers
+    # recurse through plain Python functions once per binder.
     out = run_fresh("""
         import sys, threading
         from kripkelam import (
-            db_to_hoas, fold, format_db, lam_alg, oracle_print, oracle_size,
-            print_term, size, to_debruijn,
+            db_to_hoas, fold, format_db, lam_alg, names, oracle_print,
+            oracle_size, print_alg, print_term, run_guarded, size, size_alg,
+            to_debruijn, to_debruijn_alg,
         )
         from kripkelam.debruijn import Lam, Var
 
@@ -493,6 +511,10 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
                 print_term(t) == oracle_print(d),
                 format_db(to_debruijn(t)) == format_db(d),
                 size(fold(lam_alg(), t)) == oracle_size(d),
+                fold(size_alg(), t) == oracle_size(d),
+                run_guarded(lambda: fold(print_alg(), t)(names(1))) == oracle_print(d),
+                run_guarded(lambda: fold(to_debruijn_alg(), t)(1)) == d,
+                fold(size_alg(), fold(lam_alg(), t)) == oracle_size(d),
             ])
 
         threading.stack_size(256 * 1024)
@@ -501,4 +523,4 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
         worker.join(timeout=120)
         print(worker.is_alive(), results, sys.getrecursionlimit() == before)
     """)
-    assert out == "False [True, True, True, True] True\n"
+    assert out == "False [True, True, True, True, True, True, True, True] True\n"
