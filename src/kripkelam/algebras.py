@@ -12,10 +12,11 @@ guard: each body is asked at the identity rename for a fresh level marker,
 and what it returns is unfolded again, until the occurrence yields the
 marker of the binder it names. The walk takes no recursion and keeps no
 state per binder, and each entry point builds its result from the binder
-count and that level. Every binder is still interpreted once, so the guard
-counts as for a fold. Tests check that each entry point agrees with its
-algebra, and that the unfolding algebra is linked to each by a
-homomorphism.
+count and that level; a value met on the way that is neither a marker nor
+a binder body is an ill-formed term, one ``TypeError`` from all three.
+Every binder is still interpreted once, so the guard counts as for a
+fold. Tests check that each entry point agrees with its algebra, and that
+the unfolding algebra is linked to each by a homomorphism.
 """
 
 from __future__ import annotations
