@@ -21,10 +21,15 @@ per binder.
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
 
-Both text syntaxes share one tokenizer, allow any whitespace between tokens
-and report errors by 1-based line and column. De Bruijn text reads
-``Lam (Lam (Var 1))``, parentheses optional. Named text is
+Each text syntax is recognised by one regular-expression match whose
+repeats are possessive, so reading a term builds no token list and the match
+keeps no state per binder. Any whitespace may separate tokens. De Bruijn
+text reads ``Lam (Lam (Var 1))``, parentheses optional. Named text is
 ``('\\' | 'λ') ident '.' term | ident`` with ``ident := [A-Za-z][A-Za-z0-9_]*``.
+A text that does not match raises :class:`ParseError` at a 1-based line and
+column: at the first character that starts no token, anywhere in the text,
+or else at one of the first tokens after the binder run or among the
+closing parentheses.
 """
 
 from __future__ import annotations
@@ -359,12 +364,20 @@ def render_named(t: NamedTerm) -> str:
     return "".join([f"\\ {name}. " for name in t.binders]) + t.occurrence
 
 
-# One token of each syntax. A word ends where no character can continue it:
-# ``Var_`` is ``Var``, then an unexpected ``_``.
-_DB_TOKEN = re.compile(r"[()]|\d+|(?:Lam|Var)(?![^\W_])")
-_NAMED_TOKEN = re.compile(r"[\\λ.]|[A-Za-z][A-Za-z0-9_]*")
-_SPACE = re.compile(r"\s*")
-_UNEXPECTED = re.compile(r"[^\W_]+|.", re.S)
+# Each syntax is one match of possessive repeats, which keep no backtracking
+# state per binder: a run of binders (named) or of ``Lam`` and ``(`` markers
+# (de Bruijn), then optionally the occurrence. The match always succeeds; the
+# text is a term when the occurrence matched and the match reached the end.
+# A word ends where no character can continue it: ``Var_`` is ``Var``, then
+# an unexpected ``_``.
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*+"
+_NAMED = re.compile(rf"((?>\s*+[\\λ]\s*+{_IDENT}\s*+\.)*+)\s*+(?:({_IDENT})\s*+)?")
+_NAME = re.compile(_IDENT)
+_DB = re.compile(r"((?:[\s(]++|Lam(?![^\W_]))*+)(?:Var(?![^\W_])\s*+(\d++)[\s)]*+)?")
+# Every token of each syntax, and whitespace; the error path compiles these.
+_NAMED_LEXICON = rf"(?:[\s\\λ.]++|{_IDENT})*+"
+_DB_LEXICON = r"(?:[\s()]++|\d++|(?:Lam|Var)(?![^\W_]))*+"
+_LISTED_RUN = 4096  # binder-run characters past which parse_named streams the names
 
 
 def _error_at(text: str, pos: int, message: str) -> ParseError:
@@ -372,95 +385,77 @@ def _error_at(text: str, pos: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, pos) + 1, column)
 
 
-def _tokenize(text: str, token: re.Pattern) -> list[str]:
-    """Tokens of ``text``, then ``""`` for its end; a character that starts
-    no token is a ParseError, even after a token the parser would reject."""
-    tokens = token.findall(text)
-    # Tokens hold no whitespace, so they cover every other character
-    # exactly when findall skipped nothing but whitespace. Counting the
-    # ASCII spaces settles that without building anything; when they fall
-    # short, the gaps may still hold only other (e.g. Unicode) whitespace.
-    if sum(map(len, tokens)) + sum(map(text.count, " \n\t\r")) < len(text):
-        # Find the first non-whitespace character between two tokens, or
-        # after the last one, holding one match at a time.
-        end = 0
-        for match in token.finditer(text):
-            if text[end : match.start()].strip():
-                break
-            end = match.end()
-        end = _SPACE.match(text, end).end()
-        if end < len(text):
-            raise _error_at(text, end, f"unexpected {_UNEXPECTED.match(text, end).group()!r}")
-    tokens.append("")
-    return tokens
-
-
-def _token_error(text: str, token: re.Pattern, at: int, message: str) -> ParseError:
-    # Token `at` is the end-of-input sentinel when the text has no more.
-    match = next(islice(token.finditer(text), at, None), None)
-    return _error_at(text, match.start() if match else len(text), message)
+def _syntax_error(text: str, lexicon: str, pos: int, message: str) -> ParseError:
+    """``message`` at ``pos``, unless some character of ``text`` starts no
+    token of ``lexicon``: the first such character outranks any syntax error."""
+    bad = re.compile(lexicon).match(text).end()
+    if bad == len(text):
+        return _error_at(text, pos, message)
+    word = re.compile(r"[^\W_]+|.", re.S).match(text, bad).group()
+    return _error_at(text, bad, f"unexpected {word!r}")
 
 
 def parse_db(text: str) -> DbTerm:
     """Parse the de Bruijn text format; whitespace between tokens is free."""
-    tokens = _tokenize(text, _DB_TOKEN)
+    # Chains only: a run of Lam and ( markers, one Var and its index, then
+    # as many closing parens as the run opened.
+    match = _DB.match(text)
+    markers, end = match.end(1), match.end()
 
-    def fail(at, message):
-        raise _token_error(text, _DB_TOKEN, at, message)
+    def fail(pos, message):
+        raise _syntax_error(text, _DB_LEXICON, pos, message)
 
-    # Chains only: a prefix of Lam and ( markers, one Var, then the
-    # closing parens in reverse marker order.
-    at = 0
-    while tokens[at] in ("Lam", "("):
-        at += 1
-    markers = tokens[:at]
-    if tokens[at] != "Var":
-        fail(at, "expected Lam, Var or (")
-    if not tokens[at + 1][:1].isdigit():
-        fail(at + 1, "expected an index after Var")
+    digits = match.group(2)
+    if digits is None:  # the run stopped at no Var, or at one with no index
+        var = re.compile(r"Var\s*+").match(text, markers)
+        if var is None:
+            fail(markers, "expected Lam, Var or (")
+        fail(var.end(), "expected an index after Var")
     # Leading zeros, in any script, do not count towards int()'s limit on
-    # digits. A token holds decimal digits only, so each reads as one int.
-    digits = tokens[at + 1]
+    # digits. The match holds decimal digits only, so each reads as one int.
     if not digits.isascii():
         digits = digits.translate({ord(ch): str(int(ch)) for ch in set(digits)})
     digits = digits.lstrip("0") or "0"
     try:
         index = int(digits)
     except ValueError:  # more digits than int() converts
-        fail(at + 1, f"index too long: {len(digits)} digits")
-    at += 2
-    for marker in reversed(markers):
-        if marker == "(":
-            if tokens[at] != ")":
-                fail(at, "expected )")
-            at += 1
-    if tokens[at]:
-        fail(at, "trailing input after term")
-    return _chain(markers.count("Lam"), index)
-
-
-_LAMBDAS = ("\\", "λ")
-_NOT_IDENT = (*_LAMBDAS, ".", "")
+        fail(match.start(2), f"index too long: {len(digits)} digits")
+    opens = text.count("(", 0, markers)
+    closers = text.count(")", match.end(2), end)
+    if closers < opens:
+        fail(end, "expected )")
+    if closers > opens:
+        extra = next(islice(re.compile(r"\)").finditer(text, match.end(2)), opens, None))
+        fail(extra.start(), "trailing input after term")
+    if end < len(text):
+        fail(end, "trailing input after term")
+    return _chain(text.count("Lam", 0, markers), index)
 
 
 def parse_named(text: str) -> NamedTerm:
     """Parse named syntax into a named term, or raise ParseError."""
-    tokens = _tokenize(text, _NAMED_TOKEN)
-
-    def fail(at, message):
-        raise _token_error(text, _NAMED_TOKEN, at, message)
-
-    binders = []
-    at = 0
-    while tokens[at] in _LAMBDAS:
-        if tokens[at + 1] in _NOT_IDENT:
-            fail(at + 1, "expected an identifier after the binder")
-        if tokens[at + 2] != ".":
-            fail(at + 2, "expected '.' after the bound name")
-        binders.append(tokens[at + 1])
-        at += 3
-    if tokens[at] in _NOT_IDENT:
-        fail(at, "expected a variable or a binder")
-    if tokens[at + 1]:
-        fail(at + 1, "trailing input after term")
-    return _named(tuple(binders), tokens[at])
+    match = _NAMED.match(text)
+    end = match.end()
+    if match.start(2) < 0 or end < len(text):
+        if match.start(2) >= 0:
+            message = "trailing input after term"
+        else:
+            # The run stopped at a binder it could not take, or at no binder.
+            binder = re.compile(rf"[\\λ]\s*+(?:({_IDENT})\s*+)?").match(text, end)
+            if binder is None:
+                message = "expected a variable or a binder"
+            elif binder.start(1) < 0:
+                end, message = binder.end(), "expected an identifier after the binder"
+            else:
+                end, message = binder.end(), "expected '.' after the bound name"
+        raise _syntax_error(text, _NAMED_LEXICON, end, message)
+    # findall's list costs 8 bytes a name on top of the names, so a long run
+    # streams them into the tuple instead. A short one, the common case, is
+    # copied from the list: twice as fast, and a tuple made at its exact size
+    # is one CPython's per-size free lists recycle.
+    run = match.end(1)
+    if run < _LISTED_RUN:
+        binders = tuple(_NAME.findall(text, 0, run))
+    else:
+        binders = tuple(map(re.Match.group, _NAME.finditer(text, 0, run)))
+    return _named(binders, match.group(2))

@@ -1,12 +1,15 @@
 """Shared builders for the test suite."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from itertools import islice
 from pathlib import Path
 
 from kripkelam import Algebra, Lam, Rename, Term, Var, closed, lam, place
+from kripkelam.debruijn import DbTerm, NamedTerm, ParseError, _chain, _named
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -114,3 +117,117 @@ def run_fresh(script: str) -> str:
     done = run_python("-c", textwrap.dedent(script))
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+# ---------------------------------------------------------------- reference parsers
+
+# The token-walk parsers that ``parse_db`` and ``parse_named`` replaced, kept
+# as they were: each tokenizes the whole text into a list and walks it one
+# token at a time. Differential tests hold the library's parsers to them,
+# term for term and error for error.
+
+# One token of each syntax. A word ends where no character can continue it:
+# ``Var_`` is ``Var``, then an unexpected ``_``.
+_DB_TOKEN = re.compile(r"[()]|\d+|(?:Lam|Var)(?![^\W_])")
+_NAMED_TOKEN = re.compile(r"[\\λ.]|[A-Za-z][A-Za-z0-9_]*")
+_SPACE = re.compile(r"\s*")
+_UNEXPECTED = re.compile(r"[^\W_]+|.", re.S)
+
+
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    column = pos - text.rfind("\n", 0, pos)
+    return ParseError(message, text.count("\n", 0, pos) + 1, column)
+
+
+def _tokenize(text: str, token: re.Pattern) -> list[str]:
+    """Tokens of ``text``, then ``""`` for its end; a character that starts
+    no token is a ParseError, even after a token the parser would reject."""
+    tokens = token.findall(text)
+    # Tokens hold no whitespace, so they cover every other character
+    # exactly when findall skipped nothing but whitespace. Counting the
+    # ASCII spaces settles that without building anything; when they fall
+    # short, the gaps may still hold only other (e.g. Unicode) whitespace.
+    if sum(map(len, tokens)) + sum(map(text.count, " \n\t\r")) < len(text):
+        # Find the first non-whitespace character between two tokens, or
+        # after the last one, holding one match at a time.
+        end = 0
+        for match in token.finditer(text):
+            if text[end : match.start()].strip():
+                break
+            end = match.end()
+        end = _SPACE.match(text, end).end()
+        if end < len(text):
+            raise _error_at(text, end, f"unexpected {_UNEXPECTED.match(text, end).group()!r}")
+    tokens.append("")
+    return tokens
+
+
+def _token_error(text: str, token: re.Pattern, at: int, message: str) -> ParseError:
+    # Token `at` is the end-of-input sentinel when the text has no more.
+    match = next(islice(token.finditer(text), at, None), None)
+    return _error_at(text, match.start() if match else len(text), message)
+
+
+def reference_parse_db(text: str) -> DbTerm:
+    """Parse the de Bruijn text format; whitespace between tokens is free."""
+    tokens = _tokenize(text, _DB_TOKEN)
+
+    def fail(at, message):
+        raise _token_error(text, _DB_TOKEN, at, message)
+
+    # Chains only: a prefix of Lam and ( markers, one Var, then the
+    # closing parens in reverse marker order.
+    at = 0
+    while tokens[at] in ("Lam", "("):
+        at += 1
+    markers = tokens[:at]
+    if tokens[at] != "Var":
+        fail(at, "expected Lam, Var or (")
+    if not tokens[at + 1][:1].isdigit():
+        fail(at + 1, "expected an index after Var")
+    # Leading zeros, in any script, do not count towards int()'s limit on
+    # digits. A token holds decimal digits only, so each reads as one int.
+    digits = tokens[at + 1]
+    if not digits.isascii():
+        digits = digits.translate({ord(ch): str(int(ch)) for ch in set(digits)})
+    digits = digits.lstrip("0") or "0"
+    try:
+        index = int(digits)
+    except ValueError:  # more digits than int() converts
+        fail(at + 1, f"index too long: {len(digits)} digits")
+    at += 2
+    for marker in reversed(markers):
+        if marker == "(":
+            if tokens[at] != ")":
+                fail(at, "expected )")
+            at += 1
+    if tokens[at]:
+        fail(at, "trailing input after term")
+    return _chain(markers.count("Lam"), index)
+
+
+_LAMBDAS = ("\\", "λ")
+_NOT_IDENT = (*_LAMBDAS, ".", "")
+
+
+def reference_parse_named(text: str) -> NamedTerm:
+    """Parse named syntax into a named term, or raise ParseError."""
+    tokens = _tokenize(text, _NAMED_TOKEN)
+
+    def fail(at, message):
+        raise _token_error(text, _NAMED_TOKEN, at, message)
+
+    binders = []
+    at = 0
+    while tokens[at] in _LAMBDAS:
+        if tokens[at + 1] in _NOT_IDENT:
+            fail(at + 1, "expected an identifier after the binder")
+        if tokens[at + 2] != ".":
+            fail(at + 2, "expected '.' after the bound name")
+        binders.append(tokens[at + 1])
+        at += 3
+    if tokens[at] in _NOT_IDENT:
+        fail(at, "expected a variable or a binder")
+    if tokens[at + 1]:
+        fail(at + 1, "trailing input after term")
+    return _named(tuple(binders), tokens[at])

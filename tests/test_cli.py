@@ -3,9 +3,9 @@ import io
 import pytest
 
 import kripkelam.encoding as encoding
-from kripkelam import Abs, ParseError, Ref
+from kripkelam import DEFAULT_MAX_NESTING, Abs, ParseError, Ref
 from kripkelam.cli import main, parse_named, render_named
-from kripkelam.debruijn import db_to_named
+from kripkelam.debruijn import db_to_named, format_db, oracle_print
 
 from helpers import chain, run_python
 
@@ -169,6 +169,29 @@ def test_single_term_commands_read_a_file_like_stdin(
     src.write_text(text, encoding="utf-8")
     assert run_cli(monkeypatch, capsys, [command, str(src)]) == (0, expected, "")
     assert run_cli(monkeypatch, capsys, [command], text) == (0, expected, "")
+
+
+def test_term_commands_read_files_at_the_guard_limit(tmp_path, monkeypatch, capsys):
+    k = DEFAULT_MAX_NESTING
+    d = chain(k, 4_321)
+    spaced = "Lam(\u3000" * k + "Var\u30004321" + "\u3000)" * k
+    files = {"canonical.db": format_db(d), "spaced.db": spaced, "named.lam": oracle_print(d)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    runs = [
+        ("from-db", "canonical.db", oracle_print(d)),
+        ("from-db", "spaced.db", oracle_print(d)),
+        ("print", "named.lam", oracle_print(d)),
+        ("to-db", "named.lam", format_db(d)),
+    ]
+    for command, name, expected in runs:
+        code, out, err = run_cli(monkeypatch, capsys, [command, str(tmp_path / name)])
+        assert (code, out, err) == (0, expected + "\n", ""), (command, name)
+    missing = tmp_path / "missing.db"
+    missing.write_text(spaced[:-1], encoding="utf-8")
+    code, out, err = run_cli(monkeypatch, capsys, ["from-db", str(missing)])
+    assert (code, out) == (1, "")
+    assert err == f"error: syntax: 1:{len(spaced)}: expected )\n"
 
 
 def _imported_modules(importtime_log: str) -> set[str]:

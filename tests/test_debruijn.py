@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,14 @@ from kripkelam import (
 )
 from kripkelam.debruijn import parse_named, render_named
 
-from helpers import RenameCounter, chain, renamed, run_fresh
+from helpers import (
+    RenameCounter,
+    chain,
+    reference_parse_db,
+    reference_parse_named,
+    renamed,
+    run_fresh,
+)
 
 
 chains = st.integers(min_value=1, max_value=64).flatmap(
@@ -305,7 +313,7 @@ def test_format_parse_roundtrip(d):
 
 # ---------------------------------------------------------------- syntax parity
 
-# Both syntaxes go through one tokenizer. Every row is what the earlier
+# Both syntaxes place errors the same way. Every row is what the earlier
 # per-syntax tokenizers gave: the parsed term, or the (line, column) of the
 # ParseError.
 PARSE_TABLE = [
@@ -445,6 +453,72 @@ def test_tokenizing_a_valid_text_builds_no_word_list(parse, text, unparse):
         tracemalloc.stop()
     assert unparse(term) == text
     assert peak < 1_200_000
+
+
+def test_parsing_a_valid_db_text_keeps_nothing_per_binder():
+    # One match of possessive repeats, then three counts over the text: a
+    # greedy repeat kept a backtracking frame per binder and peaked at 4.3 MB.
+    term, peak = _traced(parse_db, DEEP_DB_TEXT)
+    assert term == chain(10_000, 0)
+    assert peak < 64 * 1024
+
+
+def test_parsing_a_valid_named_text_takes_little_beyond_its_names():
+    # The names are the result; building them must not also list them, as
+    # findall followed by tuple() did (85 KB over the names at 10,000).
+    term, peak = _traced(parse_named, DEEP_NAMED_TEXT)
+    assert render_named(term) == DEEP_NAMED_TEXT
+    names = sys.getsizeof(term.binders) + sum(map(sys.getsizeof, term.binders))
+    assert peak - names < 64 * 1024
+
+
+# What both parsers meet in the differential test below: tokens of either
+# syntax, decimal digits of three scripts and one digit that is no decimal,
+# whitespace beyond ASCII, and characters that start no token.
+_GAPS = ["", " ", "\u3000", "\x85", "\xa0", "\x1c", "\u2028", "\r\n"]
+_SOUP = ["\\", "λ", ".", "x", "y1", "a_b", "Lam", "Var", "(", ")", "0", "12", "٣", "٠", "²"]
+_SOUP += [*_GAPS[1:], "_", "é", "?"]
+
+
+@st.composite
+def parser_inputs(draw):
+    """A token soup, or a chain in either syntax with up to two tokens edited."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_SOUP), max_size=16)))
+    k = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        binder = st.tuples(st.sampled_from(["\\", "λ"]), st.sampled_from(["x", "y1", "a_b"]), st.just("."))
+        tokens = [token for _ in range(k) for token in draw(binder)]
+        tokens.append(draw(st.sampled_from(["x", "y1"])))
+    else:
+        parens = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        tokens = [token for paren in parens for token in (("Lam", "(") if paren else ("Lam",))]
+        tokens += ["Var", draw(st.sampled_from(["0", "12", "٣", "٠0"])), *[")"] * sum(parens)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(tokens)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit != "insert":
+            del tokens[at : at + 1]
+        if edit != "delete":
+            tokens.insert(at, draw(st.sampled_from(_SOUP)))
+    return "".join(token + draw(st.sampled_from(_GAPS)) for token in tokens)
+
+
+def _outcome(parse, text):
+    try:
+        term = parse(text)
+    except ParseError as err:
+        return "error", err.line, err.column, err.message
+    return type(term), term
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parser_inputs())
+def test_parsers_agree_with_the_token_walk_reference(text):
+    # The same term, or the same error at the same place, as the parsers
+    # that tokenized the whole text and walked the token list.
+    for parse, reference in ((parse_db, reference_parse_db), (parse_named, reference_parse_named)):
+        assert _outcome(parse, text) == _outcome(reference, text)
 
 
 # ---------------------------------------------------------------- deep terms
