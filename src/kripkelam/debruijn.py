@@ -39,7 +39,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterator
 
-from .encoding import OpenTerm, Rename, Term, TermBody, closed, identity_embed, place
+from .encoding import OpenTerm, Rename, Term, TermBody, identity_embed, place
 
 __all__ = [
     "Abs",
@@ -307,7 +307,8 @@ def db_to_hoas(d: DbTerm) -> Term:
 
     Round-trips: converting the result back to de Bruijn form yields ``d``.
     """
-    return closed(db_to_body(d))
+    # The outermost binder is its own ``lam`` node.
+    return Term(db_to_body(d).interpret)
 
 
 def enumerate_terms(max_depth: int) -> Iterator[DbTerm]:
@@ -366,14 +367,17 @@ def render_named(t: NamedTerm) -> str:
 
 # Each syntax is one match of possessive repeats, which keep no backtracking
 # state per binder: a run of binders (named) or of ``Lam`` and ``(`` markers
-# (de Bruijn), then optionally the occurrence. The match always succeeds; the
-# text is a term when the occurrence matched and the match reached the end.
-# A word ends where no character can continue it: ``Var_`` is ``Var``, then
-# an unexpected ``_``.
+# (de Bruijn), then the occurrence or as much of a binder or ``Var`` as there
+# is. The match always succeeds; the text is a term when the occurrence
+# matched and the match reached the end, and otherwise the error is placed
+# where the match ended. A word ends where no character can continue it:
+# ``Var_`` is ``Var``, then an unexpected ``_``.
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*+"
-_NAMED = re.compile(rf"((?>\s*+[\\λ]\s*+{_IDENT}\s*+\.)*+)\s*+(?:({_IDENT})\s*+)?")
+_NAMED = re.compile(
+    rf"((?>\s*+[\\λ]\s*+{_IDENT}\s*+\.)*+)\s*+(?:({_IDENT})\s*+|([\\λ])\s*+(?:({_IDENT})\s*+)?)?"
+)
 _NAME = re.compile(_IDENT)
-_DB = re.compile(r"((?:[\s(]++|Lam(?![^\W_]))*+)(?:Var(?![^\W_])\s*+(\d++)[\s)]*+)?")
+_DB = re.compile(r"((?:[\s(]++|Lam(?![^\W_]))*+)(?:Var(?![^\W_])\s*+(?:(\d++)[\s)]*+)?)?")
 # Every token of each syntax, and whitespace; the error path compiles these.
 _NAMED_LEXICON = rf"(?:[\s\\λ.]++|{_IDENT})*+"
 _DB_LEXICON = r"(?:[\s()]++|\d++|(?:Lam|Var)(?![^\W_]))*+"
@@ -407,10 +411,7 @@ def parse_db(text: str) -> DbTerm:
 
     digits = match.group(2)
     if digits is None:  # the run stopped at no Var, or at one with no index
-        var = re.compile(r"Var\s*+").match(text, markers)
-        if var is None:
-            fail(markers, "expected Lam, Var or (")
-        fail(var.end(), "expected an index after Var")
+        fail(end, "expected an index after Var" if end > markers else "expected Lam, Var or (")
     # Leading zeros, in any script, do not count towards int()'s limit on
     # digits. The match holds decimal digits only, so each reads as one int.
     if not digits.isascii():
@@ -439,15 +440,12 @@ def parse_named(text: str) -> NamedTerm:
     if match.start(2) < 0 or end < len(text):
         if match.start(2) >= 0:
             message = "trailing input after term"
+        elif match.start(3) < 0:  # no binder after the run
+            message = "expected a variable or a binder"
+        elif match.start(4) < 0:  # a binder with no name
+            message = "expected an identifier after the binder"
         else:
-            # The run stopped at a binder it could not take, or at no binder.
-            binder = re.compile(rf"[\\λ]\s*+(?:({_IDENT})\s*+)?").match(text, end)
-            if binder is None:
-                message = "expected a variable or a binder"
-            elif binder.start(1) < 0:
-                end, message = binder.end(), "expected an identifier after the binder"
-            else:
-                end, message = binder.end(), "expected '.' after the bound name"
+            message = "expected '.' after the bound name"
         raise _syntax_error(text, _NAMED_LEXICON, end, message)
     # findall's list costs 8 bytes a name on top of the names, so a long run
     # streams them into the tuple instead. A short one, the common case, is

@@ -92,19 +92,16 @@ class DepthLimitError(RuntimeError):
 
 
 class Rename:
-    """A world coercion: moves values from one world into a later one."""
+    """A world coercion: ``apply`` moves a value from one world into a later one."""
 
-    __slots__ = ("_apply",)
+    __slots__ = ("apply",)
 
     def __init__(self, apply: Callable[[Any], Any]):
-        self._apply = apply
-
-    def apply(self, value):
-        return self._apply(value)
+        self.apply = apply
 
     def then(self, outer: "Rename") -> "Rename":
         """Left-to-right composition: ``f.then(g).apply(x) == g.apply(f.apply(x))``."""
-        return Rename(lambda value: outer._apply(self._apply(value)))
+        return Rename(lambda value: outer.apply(self.apply(value)))
 
     @staticmethod
     def identity() -> "Rename":
@@ -123,15 +120,10 @@ Embed = Callable[["Algebra"], Any]
 
 
 class OpenTerm:
-    """A term meaning at one carrier: feed it an algebra, get the value."""
+    """A binder (:func:`lam`) or a placed value (:func:`place`); ``interpret(alg)``
+    gives its meaning at the carrier of ``alg``."""
 
-    __slots__ = ("_run",)
-
-    def __init__(self, run: Callable[[Any], Any]):
-        self._run = run
-
-    def interpret(self, alg):
-        return self._run(alg)
+    __slots__ = ()
 
 
 class _Lam(OpenTerm):
@@ -187,15 +179,12 @@ class Algebra:
 
 
 class Term:
-    """A closed term: interpretable by every algebra at every carrier."""
+    """A closed term: ``run(alg)`` interprets it with any algebra at its carrier."""
 
-    __slots__ = ("_run",)
+    __slots__ = ("run",)
 
     def __init__(self, run: Callable[[Algebra], Any]):
-        self._run = run
-
-    def run(self, alg: Algebra):
-        return self._run(alg)
+        self.run = run
 
 
 def _identity(value):

@@ -276,6 +276,8 @@ def enumerate_skeletons(max_binders: int) -> list[BodySkeleton]:
     yields sum over j of (j + 2) skeletons, in (binders, leaf) order with
     slots first.
     """
+    if max_binders < 0:
+        raise ValueError("max_binders must be nonnegative")
     out = []
     for j in range(max_binders + 1):
         out.append(BodySkeleton(j, Slot.ENV))
@@ -303,6 +305,8 @@ def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[_PoolItem]:
     """Every skeleton up to ``max_binders`` tagged None, then ``samples``
     generated ones with up to ``4 * max_binders`` binders, tagged with their
     seeds ``seed``, ``seed + 1``, ..."""
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     pool: list[_PoolItem] = [(None, s) for s in enumerate_skeletons(max_binders)]
     pool.extend((seed + i, gen_skeleton(seed + i, 4 * max_binders)) for i in range(samples))
     return pool
@@ -336,7 +340,8 @@ def standard_contexts() -> list[CarrierContext]:
 
 
 def run_all_laws(max_binders: int = 8, samples: int = 1000, seed: int = 0) -> list[Report]:
-    """Run the identity, composition and fold suites on every standard carrier."""
+    """Run the identity, composition (``fold(lam_alg(), _)`` then
+    ``fold(alg, _)``) and fold suites on every standard carrier ``alg``."""
     reports = []
     for offset, ctx in enumerate(standard_contexts()):
         pool = skeleton_pool(max_binders, samples, seed + offset * max(samples, 1))
@@ -346,10 +351,10 @@ def run_all_laws(max_binders: int = 8, samples: int = 1000, seed: int = 0) -> li
         reports.append(
             check_compose_hom(
                 lam_alg(),
+                lam_alg(),
                 ctx.alg,
-                ctx.alg,
+                lambda t: fold(lam_alg(), t),
                 lambda t, alg=ctx.alg: fold(alg, t),
-                lambda x: x,
                 pool,
                 env_value=identity_term(),
                 observe=ctx.observe,

@@ -350,6 +350,20 @@ def test_cli_rejects_nonpositive_depth_bounds(monkeypatch, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-depth", "-1", "--samples", "0"], "max_binders must be nonnegative"),
+        (["--max-depth", "2", "--samples", "-1"], "samples must be nonnegative"),
+    ],
+)
+def test_cli_check_laws_rejects_negative_bounds(monkeypatch, capsys, argv, message):
+    code, out, err = run_cli(monkeypatch, capsys, ["check-laws", *argv])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_check_laws_failure_exits_two(monkeypatch, capsys):
     from kripkelam.laws import BodySkeleton, Report, Slot, Witness
 

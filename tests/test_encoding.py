@@ -52,17 +52,6 @@ def test_lam_and_place_build_open_terms():
     assert isinstance(place(3), OpenTerm)
 
 
-def test_open_term_of_a_function_calls_it_with_the_algebra():
-    seen = []
-
-    def run(alg):
-        seen.append(alg)
-        return "value"
-
-    assert OpenTerm(run).interpret(size_alg()) == "value"
-    assert seen == [size_alg()]
-
-
 # ---------------------------------------------------------------- lam / fold
 
 
@@ -435,6 +424,30 @@ def test_deep_fold_restores_the_recursion_limit():
         print(sorted(sizes) == [3001, 9001], sys.getrecursionlimit() == before)
     """)
     assert out == "True\nTrue True\n"
+
+
+def _frames_left() -> int:
+    """How many more nested calls fit below the recursion limit than this one."""
+    try:
+        return 1 + _frames_left()
+    except RecursionError:
+        return 0
+
+
+def test_a_short_fold_started_near_the_recursion_limit_completes():
+    # 15 frames below the caller's limit, a 40-binder fold needs more frames
+    # than are left: the guard makes room for it whatever the stack holds
+    # already, and puts the limit back.
+    limit = sys.getrecursionlimit()
+    t = db_to_hoas(chain(40, 3))
+
+    def descend(n):
+        if n:
+            return descend(n - 1)
+        return fold(size_alg(), t)
+
+    assert descend(_frames_left() - 15) == 41
+    assert sys.getrecursionlimit() == limit
 
 
 def test_concurrent_deep_folds_share_the_raised_limit():

@@ -81,6 +81,17 @@ def test_skeleton_pool_mixes_enumerated_and_generated():
     assert [seed for seed, _ in generated] == list(range(7, 17))
 
 
+def test_negative_pool_bounds_are_rejected():
+    with pytest.raises(ValueError, match="max_binders must be nonnegative"):
+        enumerate_skeletons(-1)
+    with pytest.raises(ValueError, match="max_binders must be nonnegative"):
+        skeleton_pool(-1, 0, seed=0)
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        skeleton_pool(2, -1, seed=0)
+    with pytest.raises(ValueError):
+        run_all_laws(max_binders=-1, samples=0)
+
+
 # ------------------------------------------------- skeleton body semantics
 
 
@@ -206,6 +217,37 @@ def test_compose_hom_of_fold_and_identity():
             observe=ctx.observe,
         )
         assert report.ok, render_reports([report])
+
+
+def test_a_wrong_first_leg_is_refuted_by_the_compose_suite():
+    # Sending every term to the identity term agrees with folding only on
+    # the identity body, so the compose suite refutes every other skeleton,
+    # while the fold suite, which has no first leg, passes on the same pool.
+    pool = skeletons_to(8)
+    refutable = [s for _, s in pool if s != BodySkeleton(0, Slot.FRESH)]
+    for ctx in standard_contexts():
+        report = check_compose_hom(
+            lam_alg(),
+            lam_alg(),
+            ctx.alg,
+            lambda t: identity_term(),
+            lambda t, alg=ctx.alg: fold(alg, t),
+            pool,
+            env_value=identity_term(),
+            observe=ctx.observe,
+        )
+        assert report.checked == 54
+        assert [w.skeleton for w in report.failures] == refutable
+        assert check_fold_hom(ctx.alg, pool, observe=ctx.observe).ok
+
+
+def test_run_all_laws_composes_two_folds():
+    suites = [r.suite for r in run_all_laws(max_binders=1, samples=0)]
+    assert suites[1::3] == [
+        "compose_hom[lam_alg->lam_alg->size]",
+        "compose_hom[lam_alg->lam_alg->print]",
+        "compose_hom[lam_alg->lam_alg->debruijn]",
+    ]
 
 
 def test_compose_of_identities_passes():
