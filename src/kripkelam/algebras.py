@@ -55,7 +55,12 @@ class NameStream:
 
     @property
     def rest(self) -> "NameStream":
-        return NameStream(self._start + 1)
+        # Built as a chain binder is, with no class call: ``print_alg``'s
+        # carrier asks for the rest once per binder, and a class call would
+        # enter ``__init__`` from C each time.
+        rest = object.__new__(NameStream)
+        rest._start = self._start + 1
+        return rest
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -171,13 +176,15 @@ def to_debruijn(t: Term, max_depth: int | None = None) -> DbTerm:
     return _chain(k, k - j)
 
 
-class _Level:
-    """The variable of the binder at one level of a walk."""
+class _Level(int):
+    """The variable of the binder at one level of a walk: that level.
 
-    __slots__ = ("level",)
+    An ``int`` subclass with no slots of its own, like ``_Name``, so making
+    one runs in C: the walk makes one per binder and enters no Python
+    ``__init__`` for it. Its type, not its value, tells it from a body.
+    """
 
-    def __init__(self, level: int):
-        self.level = level
+    __slots__ = ()
 
 
 # Interprets a binder as its body, so folding a term with it unfolds the
@@ -195,7 +202,7 @@ def _walk(c, level: int) -> tuple[int, int]:
     level of the last binder walked and the level the occurrence names; a
     marker ``c`` walks no binder.
     """
-    while c.__class__ is not _Level:
+    while type(c) is not _Level:
         try:
             opened = c(_IDENTITY, _Level(level))
         except TypeError as err:
@@ -208,7 +215,7 @@ def _walk(c, level: int) -> tuple[int, int]:
             raise _ill_formed(c)
         c = opened.interpret(_UNFOLD)
         level += 1
-    return level - 1, c.level
+    return level - 1, int(c)
 
 
 def _ill_formed(c) -> TypeError:

@@ -75,7 +75,16 @@ def _cmd_term(args) -> int:
     return 0
 
 
+def _require(args, **least: int) -> None:
+    """Reject the first numeric flag below its least value, naming the flag."""
+    for dest, low in least.items():
+        if getattr(args, dest) < low:
+            bound = f"at least {low}" if low else "nonnegative"
+            raise ValueError(f"--{dest.replace('_', '-')} must be {bound}")
+
+
 def _cmd_roundtrip(args) -> int:
+    _require(args, max_depth=1)
     checked = 0
     mismatches = 0
     for d in enumerate_terms(args.max_depth):
@@ -87,12 +96,14 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _require(args, max_depth=1, count=0)
     for i in range(args.count):
         print(render_named(db_to_named(gen_term(args.seed + i, args.max_depth))))
     return 0
 
 
 def _cmd_check_laws(args) -> int:
+    _require(args, max_depth=0, samples=0)
     from . import laws
 
     reports = laws.run_all_laws(args.max_depth, args.samples, args.seed)

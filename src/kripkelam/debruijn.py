@@ -111,7 +111,10 @@ class Var(DbTerm):
     __slots__ = ()
 
     def __new__(cls, index: int):
-        return _make(Var, 0, index)
+        t = object.__new__(Var)
+        t._binders = 0
+        t._occurrence = index
+        return t
 
 
 class Lam(DbTerm):
@@ -122,7 +125,10 @@ class Lam(DbTerm):
     def __new__(cls, body: DbTerm):
         if not isinstance(body, DbTerm):
             raise TypeError(f"not a de Bruijn term: {body!r}")
-        return _make(Lam, body._binders + 1, body._occurrence)
+        t = object.__new__(Lam)
+        t._binders = body._binders + 1
+        t._occurrence = body._occurrence
+        return t
 
     @property
     def body(self) -> DbTerm:
@@ -250,6 +256,7 @@ def named_to_db(t: NamedTerm) -> DbTerm:
 
 _IDENTITY = Rename.identity()
 _EMBED = identity_embed()
+_new = object.__new__
 
 
 class _ChainBinder(OpenTerm):
@@ -265,14 +272,13 @@ class _ChainBinder(OpenTerm):
     Being its own body, a binder costs a fold one GC-tracked object. Calling
     the body returns the next binder before the fold recurses into it, so
     the fold's own recursion stays in plain Python calls.
+
+    There is no ``__init__``: every binder is made by ``object.__new__`` and
+    three slot stores, as :func:`_binder` does. A class call would enter a
+    Python ``__init__`` from C once per binder, on every fold and walk.
     """
 
     __slots__ = ("below", "index", "target")
-
-    def __init__(self, below: int, index: int, target):
-        self.below = below
-        self.index = index
-        self.target = target
 
     def interpret(self, alg):
         return alg.interpret_lam(self, _EMBED, alg)
@@ -288,7 +294,21 @@ class _ChainBinder(OpenTerm):
             value = mx.apply(self.target)
         if below == 0:
             return place(value)
-        return _ChainBinder(below - 1, index, value)
+        # _binder(below - 1, index, value), inlined: this runs once per binder.
+        b = _new(_ChainBinder)
+        b.below = below - 1
+        b.index = index
+        b.target = value
+        return b
+
+
+def _binder(below: int, index: int, target) -> _ChainBinder:
+    """The chain binder with ``below`` binders under it, naming ``index``."""
+    b = _new(_ChainBinder)
+    b.below = below
+    b.index = index
+    b.target = target
+    return b
 
 
 def db_to_body(d: DbTerm) -> TermBody:
@@ -299,7 +319,7 @@ def db_to_body(d: DbTerm) -> TermBody:
     builds the rest of the chain.
     """
     k, i = _unchain_closed(d)
-    return _ChainBinder(k - 1, i, None)
+    return _binder(k - 1, i, None)
 
 
 def db_to_hoas(d: DbTerm) -> Term:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Union
 
 from .algebras import names, print_alg, size_alg, to_debruijn_alg
-from .debruijn import Var, _ChainBinder, splitmix64
+from .debruijn import Var, _binder, splitmix64
 from .encoding import (
     Algebra,
     Rename,
@@ -121,7 +121,7 @@ def body_of_skeleton(skeleton: BodySkeleton, env_value):
         index = below
     else:
         index = skeleton.leaf
-    return _ChainBinder(below, index, env_value)
+    return _binder(below, index, env_value)
 
 
 def hom_sides(

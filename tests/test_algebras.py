@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,64 @@ def test_a_fold_keeps_few_tracked_objects_alive_per_binder(alg, apply, per_binde
         gc.enable()
     assert binders == k
     assert (counts[k] - counts[1_001]) / (k - 1_001) <= per_binder
+
+
+def _python_calls(run) -> int:
+    """Python function calls entered while ``run()`` runs, with the GC off."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return calls
+
+
+def _walk_of(entry):
+    def make(k):
+        t = db_to_hoas(chain(k, k // 2))
+        return lambda: entry(t)
+
+    return make
+
+
+def _fold_of(alg, apply):
+    def make(k):
+        t = db_to_hoas(chain(k, k // 2))
+        return lambda: run_guarded(lambda: apply(fold(alg, t)))
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, per_binder",
+    [
+        (_walk_of(size), 4),
+        (_walk_of(print_term), 4),
+        (_walk_of(to_debruijn), 4),
+        (_fold_of(size_alg(), lambda v: v), 4),
+        (_fold_of(print_alg(), lambda v: v(names(1))), 7),
+        (_fold_of(to_debruijn_alg(), lambda v: v(1)), 6),
+        (lambda k: lambda: chain(k, 0), 1),
+    ],
+    ids=["walk-size", "walk-print", "walk-debruijn", "fold-size", "fold-print", "fold-debruijn", "Lam"],
+)
+def test_a_binder_costs_few_python_calls(make, per_binder):
+    # Python calls per binder: those of a 200-binder chain less those of a
+    # 100-binder one. A walk step is the body call and the one-step fold of
+    # what it returns. A node built through a Python __init__ would add a
+    # call per binder to each count.
+    calls = {k: _python_calls(make(k)) for k in (100, 200)}
+    assert (calls[200] - calls[100]) / 100 <= per_binder
 
 
 # ------------------------------------------------------- the unfolding walk

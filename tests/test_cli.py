@@ -342,19 +342,23 @@ def test_cli_check_laws_output_one_line_per_suite(monkeypatch, capsys):
 
 
 def test_cli_rejects_nonpositive_depth_bounds(monkeypatch, capsys):
-    code, _, err = run_cli(monkeypatch, capsys, ["roundtrip", "--max-depth", "0"])
-    assert code == 1
-    assert err.startswith("error:")
-    code, _, err = run_cli(monkeypatch, capsys, ["gen", "--max-depth", "-3"])
-    assert code == 1
-    assert err.startswith("error:")
+    # Each message names the flag typed; a negative count is an error too,
+    # not an empty run.
+    for argv, message in [
+        (["roundtrip", "--max-depth", "0"], "--max-depth must be at least 1"),
+        (["gen", "--max-depth", "-3"], "--max-depth must be at least 1"),
+        (["gen", "--count", "0", "--max-depth", "0"], "--max-depth must be at least 1"),
+        (["gen", "--count", "-1"], "--count must be nonnegative"),
+    ]:
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--max-depth", "-1", "--samples", "0"], "max_binders must be nonnegative"),
-        (["--max-depth", "2", "--samples", "-1"], "samples must be nonnegative"),
+        (["--max-depth", "-1", "--samples", "0"], "--max-depth must be nonnegative"),
+        (["--max-depth", "2", "--samples", "-1"], "--samples must be nonnegative"),
     ],
 )
 def test_cli_check_laws_rejects_negative_bounds(monkeypatch, capsys, argv, message):

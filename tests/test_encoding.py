@@ -450,6 +450,23 @@ def test_a_short_fold_started_near_the_recursion_limit_completes():
     assert sys.getrecursionlimit() == limit
 
 
+def test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit():
+    # Each fold through lam_alg wraps the outermost body in one more
+    # ``shifted`` body, so the first step of a walk calls 2,000 nested
+    # bodies: more frames than the default limit allows. The entry points
+    # still agree with the oracles because the guard raises the limit for
+    # the walk, and they put it back.
+    d = chain(10, 3)
+    t = db_to_hoas(d)
+    for _ in range(2_000):
+        t = fold(lam_alg(), t)
+    before = sys.getrecursionlimit()
+    assert size(t) == oracle_size(d)
+    assert print_term(t) == oracle_print(d)
+    assert format_db(to_debruijn(t)) == format_db(d)
+    assert sys.getrecursionlimit() == before
+
+
 def test_concurrent_deep_folds_share_the_raised_limit():
     # Eight threads switching often: a lost update to the count of deep
     # folds in flight would lower the limit under a running fold (a
