@@ -55,12 +55,7 @@ class NameStream:
 
     @property
     def rest(self) -> "NameStream":
-        # Built as a chain binder is, with no class call: ``print_alg``'s
-        # carrier asks for the rest once per binder, and a class call would
-        # enter ``__init__`` from C each time.
-        rest = object.__new__(NameStream)
-        rest._start = self._start + 1
-        return rest
+        return NameStream(self._start + 1)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -111,10 +111,7 @@ class Var(DbTerm):
     __slots__ = ()
 
     def __new__(cls, index: int):
-        t = object.__new__(Var)
-        t._binders = 0
-        t._occurrence = index
-        return t
+        return _make(Var, 0, index)
 
 
 class Lam(DbTerm):
@@ -125,10 +122,7 @@ class Lam(DbTerm):
     def __new__(cls, body: DbTerm):
         if not isinstance(body, DbTerm):
             raise TypeError(f"not a de Bruijn term: {body!r}")
-        t = object.__new__(Lam)
-        t._binders = body._binders + 1
-        t._occurrence = body._occurrence
-        return t
+        return _make(Lam, body._binders + 1, body._occurrence)
 
     @property
     def body(self) -> DbTerm:
