@@ -93,9 +93,9 @@ def size_alg() -> Algebra:
     return _SIZE_ALG
 
 
-def size(t: Term, max_depth: int | None = None) -> int:
+def size(t: Term) -> int:
     """Count binders and the occurrence, as ``fold(size_alg(), t)`` does."""
-    return _unfold(t, max_depth)[0] + 1
+    return _unfold(t)[0] + 1
 
 
 class _Name(str):
@@ -133,9 +133,9 @@ def print_alg() -> Algebra:
     return _PRINT_ALG
 
 
-def print_term(t: Term, max_depth: int | None = None) -> str:
+def print_term(t: Term) -> str:
     """Render a closed term using the name stream starting at x1."""
-    k, j = _unfold(t, max_depth)
+    k, j = _unfold(t)
     return _render(1, k, j)
 
 
@@ -165,9 +165,9 @@ def to_debruijn_alg() -> Algebra:
     return _TO_DEBRUIJN_ALG
 
 
-def to_debruijn(t: Term, max_depth: int | None = None) -> DbTerm:
+def to_debruijn(t: Term) -> DbTerm:
     """Convert a closed term to de Bruijn form, starting at depth 1."""
-    k, j = _unfold(t, max_depth)
+    k, j = _unfold(t)
     return _chain(k, k - j)
 
 
@@ -220,9 +220,9 @@ def _ill_formed(c) -> TypeError:
     )
 
 
-def _unfold(t: Term, max_depth: int | None) -> tuple[int, int]:
+def _unfold(t: Term) -> tuple[int, int]:
     """The binder count of ``t`` and the level its occurrence names."""
-    return run_guarded(lambda: _walk(t.run(_UNFOLD), 1), max_depth)
+    return run_guarded(lambda: _walk(t.run(_UNFOLD), 1))
 
 
 def _render(start: int, last: int, occurrence: int) -> str:

@@ -147,7 +147,7 @@ class Ref(NamedTerm):
     name = property(attrgetter("_occurrence"))
 
     def __new__(cls, name: str):
-        return _make(Ref, (), name)
+        return _make(Ref, (), _checked_name(name))
 
 
 class Abs(NamedTerm):
@@ -158,7 +158,7 @@ class Abs(NamedTerm):
     def __new__(cls, name: str, body: NamedTerm):
         if not isinstance(body, NamedTerm):
             raise TypeError(f"not a named term: {body!r}")
-        return _make(Abs, (name, *body._binders), body._occurrence)
+        return _make(Abs, (_checked_name(name), *body._binders), body._occurrence)
 
     @property
     def name(self) -> str:
@@ -202,6 +202,15 @@ def _chain(k: int, i: int) -> DbTerm:
 
 def _named(binders: tuple[str, ...], occurrence: str) -> NamedTerm:
     return _make(Abs if binders else Ref, binders, occurrence)
+
+
+def _checked_name(name: str) -> str:
+    """``name`` if the named syntax can spell it as an identifier."""
+    if not isinstance(name, str):
+        raise TypeError(f"a variable name must be a str, not {type(name).__name__}")
+    if _NAME.fullmatch(name) is None:
+        raise ValueError(f"not an identifier: {name!r}")
+    return name
 
 
 def db_validate(d: DbTerm, depth: int = 0) -> bool:

@@ -51,6 +51,7 @@ call runs.
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 from contextvars import ContextVar
@@ -74,8 +75,8 @@ __all__ = [
 
 DEFAULT_MAX_NESTING = 10_000
 
-# Python frames allowed per binder while folding: `size` takes 3, and the
-# rest is margin for user algebras.
+# Python frames allowed per binder while folding: `fold(size_alg(), _)`
+# takes 3, and the rest is margin for user algebras.
 _FRAMES_PER_LEVEL = 16
 _FRAME_HEADROOM = 2048
 
@@ -249,18 +250,17 @@ def closed(builder: TermBody) -> Term:
     return Term(_Lam(builder).interpret)
 
 
-def fold(alg: Algebra, t: Term, max_depth: int | None = None):
+def fold(alg: Algebra, t: Term):
     """Interpret a closed term with an algebra.
 
     The fold runs once, on the calling thread, inside :func:`run_guarded`.
-    Pure: same term, same algebra, same result. ``max_depth`` overrides the
-    guard's limit for this fold (default ``DEFAULT_MAX_NESTING``): the most
-    binder interpretations it may make, which also bounds nesting. With a
-    function-typed carrier the carrier value may recurse further when
-    applied; apply it inside :func:`run_guarded` (or use the entry points in
-    :mod:`kripkelam.algebras`) to keep the guard's protection.
+    Pure: same term, same algebra, same result. With a function-typed
+    carrier the carrier value may recurse further when applied. Use
+    ``run_guarded(thunk, max_depth)`` for a tighter or looser budget, or to
+    apply a function carrier under the guard; a nested call keeps the outer
+    budget.
     """
-    return run_guarded(lambda: t.run(alg), max_depth)
+    return run_guarded(lambda: t.run(alg))
 
 
 class _Budget:
@@ -290,12 +290,13 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
 
     The guard counts the binders interpreted while ``thunk`` runs, which
     bounds their nesting too, and raises :class:`DepthLimitError` past
-    ``max_depth`` (default ``DEFAULT_MAX_NESTING``). Inside an
-    already-guarded computation this is a plain call, so nested folds
-    accumulate into the enclosing count. The count lives in a context
-    variable: each thread and each asyncio task has its own, and a thread
-    started inside a guarded call starts unguarded on Python 3.11 to 3.13,
-    so its folds are top-level calls with their own count.
+    ``max_depth``, an integer of at least 1 (default
+    ``DEFAULT_MAX_NESTING``). Inside an already-guarded computation this is
+    a plain call, so nested folds accumulate into the enclosing count and
+    keep its budget, whatever ``max_depth`` they pass. The count lives in a
+    context variable: each thread and each asyncio task has its own, and a
+    thread started inside a guarded call starts unguarded on Python 3.11 to
+    3.13, so its folds are top-level calls with their own count.
 
     At top level the thunk runs once, on the calling thread, with the
     interpreter's recursion limit raised to what ``max_depth`` binders
@@ -306,7 +307,7 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     budget = _budget.get()
     if budget is not None and budget.active:
         return thunk()
-    limit = DEFAULT_MAX_NESTING if max_depth is None else int(max_depth)
+    limit = DEFAULT_MAX_NESTING if max_depth is None else operator.index(max_depth)
     if limit < 1:
         raise ValueError("max_depth must be at least 1")
     # The interpreter stores its recursion limit in a C int.

@@ -408,10 +408,10 @@ def test_a_type_error_raised_inside_a_body_is_its_own(entry):
 # ---------------------------------------------------------------- guard
 
 
-def test_entry_points_accept_max_depth():
+def test_entry_points_keep_the_budget_of_an_enclosing_guarded_call():
     from kripkelam import DepthLimitError
 
     with pytest.raises(DepthLimitError):
-        print_term(db_to_hoas(chain(50, 0)), max_depth=10)
+        run_guarded(lambda: print_term(db_to_hoas(chain(50, 0))), max_depth=10)
     with pytest.raises(DepthLimitError):
-        to_debruijn(db_to_hoas(chain(50, 0)), max_depth=10)
+        run_guarded(lambda: to_debruijn(db_to_hoas(chain(50, 0))), max_depth=10)

@@ -638,6 +638,40 @@ def test_terms_copy_and_pickle_as_values():
             assert twin == t and type(twin) is type(t)
 
 
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("1", ValueError),
+        ("", ValueError),
+        ("_x", ValueError),
+        ("x y", ValueError),
+        ("x.", ValueError),
+        ("λ", ValueError),
+        ("x\n", ValueError),
+        (None, TypeError),
+        (5, TypeError),
+        (b"x", TypeError),
+    ],
+)
+def test_a_name_the_named_syntax_cannot_spell_is_rejected(name, error):
+    with pytest.raises(error):
+        Ref(name)
+    with pytest.raises(error):
+        Abs(name, Ref("x"))
+
+
+identifiers = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True)
+
+
+@settings(max_examples=100)
+@given(st.lists(identifiers, max_size=6), identifiers)
+def test_named_terms_roundtrip_through_their_text(binders, occurrence):
+    t = Ref(occurrence)
+    for name in reversed(binders):
+        t = Abs(name, t)
+    assert parse_named(render_named(t)) == t
+
+
 def test_node_views_of_stored_chains():
     d = parse_db("Lam (Lam (Var 1))")
     assert isinstance(d, Lam) and isinstance(d.body, Lam) and isinstance(d.body.body, Var)

@@ -224,30 +224,32 @@ def test_fold_reaches_default_limit_depth():
 def test_fold_honors_explicit_max_depth():
     t = deep_term(120)
     with pytest.raises(DepthLimitError):
-        fold(size_alg(), t, max_depth=100)
-    assert fold(size_alg(), t, max_depth=120) == 121
+        encoding.run_guarded(lambda: fold(size_alg(), t), max_depth=100)
+    assert encoding.run_guarded(lambda: fold(size_alg(), t), max_depth=120) == 121
 
 
 def test_a_max_depth_beyond_any_recursion_limit_still_folds():
     # 10**9 binders would need more frames than a recursion limit can hold.
     before = sys.getrecursionlimit()
-    assert fold(size_alg(), term_xy_x(), max_depth=10**9) == 3
+    assert encoding.run_guarded(lambda: fold(size_alg(), term_xy_x()), max_depth=10**9) == 3
     assert sys.getrecursionlimit() == before
 
 
 def test_guard_covers_function_carrier_entry_points():
     t = deep_term(120)
     with pytest.raises(DepthLimitError):
-        print_term(t, max_depth=100)
+        encoding.run_guarded(lambda: print_term(t), max_depth=100)
     with pytest.raises(DepthLimitError):
-        to_debruijn(t, max_depth=100)
-    assert format_db(to_debruijn(t, max_depth=200)).startswith("Lam (")
+        encoding.run_guarded(lambda: to_debruijn(t), max_depth=100)
+    assert format_db(
+        encoding.run_guarded(lambda: to_debruijn(t), max_depth=200)
+    ).startswith("Lam (")
 
 
 def test_guard_resets_between_folds():
     t = deep_term(300)
     for _ in range(5):
-        assert fold(size_alg(), t, max_depth=301) == 301
+        assert encoding.run_guarded(lambda: fold(size_alg(), t), max_depth=301) == 301
 
 
 def test_deep_fold_matches_shallow_semantics():
@@ -313,7 +315,11 @@ def test_guard_counts_binder_interpretations_not_nesting():
 
 def test_invalid_max_depth_rejected():
     with pytest.raises(ValueError):
-        fold(size_alg(), term_x_x(), max_depth=0)
+        encoding.run_guarded(lambda: fold(size_alg(), term_x_x()), max_depth=0)
+    # Text and floats are no budget: none is converted or truncated.
+    for bad in ("5", b"9", "  7\n", 2.9, 3.99):
+        with pytest.raises(TypeError):
+            encoding.run_guarded(lambda: fold(size_alg(), term_x_x()), max_depth=bad)
 
 
 # ---------------------------------------------------------------- concurrency
@@ -341,7 +347,7 @@ def test_guard_state_is_thread_local():
 
     def tripping():
         try:
-            fold(size_alg(), t, max_depth=100)
+            encoding.run_guarded(lambda: fold(size_alg(), t), max_depth=100)
         except DepthLimitError:
             errors.append("tripped")
 

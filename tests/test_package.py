@@ -1,5 +1,7 @@
 """The package root: what it exports, and what importing it loads."""
 
+import inspect
+
 import pytest
 
 import kripkelam
@@ -65,3 +67,16 @@ def test_a_plain_import_loads_no_submodule_until_a_name_is_used():
         """
     )
     assert out.splitlines() == ["['kripkelam']", "True True"]
+
+
+def test_run_guarded_is_the_only_public_callable_taking_max_depth():
+    # The binder budget is set in one place. debruijn is left out: there
+    # max_depth is the depth of the terms enumerated or generated.
+    takers = [
+        f"{module.__name__}.{name}"
+        for module in (encoding, algebras)
+        for name in module.__all__
+        if callable(obj := getattr(module, name))
+        and "max_depth" in inspect.signature(obj).parameters
+    ]
+    assert takers == ["kripkelam.encoding.run_guarded"]
