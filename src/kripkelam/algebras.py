@@ -1,9 +1,11 @@
 """Example algebras: size, canonical pretty printing, de Bruijn conversion.
 
 Each algebra interprets one binder node. The size algebra works at an
-integer carrier directly. The other two use function carriers (name stream
-to text, nesting depth to tree), so the interesting recursion happens when
-the folded value is applied.
+integer carrier directly, and its fold recurses once per binder. The other
+two use function carriers (name stream to text, nesting depth to tree)
+whose values are defunctionalized: a binder's value holds its body and
+algebra, and applying it walks the rest of the chain in a loop, one binder
+interpretation per step, so it takes no recursion at any depth.
 
 The entry points ``size``, ``print_term`` and ``to_debruijn`` fold none of
 the three. They fold a one-step unfolding algebra, whose carrier is the
@@ -25,8 +27,8 @@ import reprlib
 from functools import partial
 from operator import attrgetter
 
-from .debruijn import DbTerm, Lam, Var, _chain
-from .encoding import Algebra, OpenTerm, Rename, Term, run_guarded
+from .debruijn import DbTerm, Var, _chain, _ChainBinder
+from .encoding import Algebra, DepthLimitError, OpenTerm, Rename, Term, _budget, run_guarded
 
 __all__ = [
     "NameStream",
@@ -77,6 +79,7 @@ def names(start: int = 1) -> NameStream:
 
 
 _IDENTITY = Rename.identity()
+_new = object.__new__
 
 
 def _size_lam(body, embed, alg):
@@ -107,18 +110,32 @@ class _Name(str):
         return self
 
 
-# The carriers ``render`` and ``at_depth`` below are plain functions that
-# take their body and algebra as defaults rather than closure cells, which
-# saves two GC-tracked cells per binder. They stay plain functions because a
-# fold recurses through them: a call into a ``__call__`` object or a
-# ``functools.partial`` passes through C and takes C stack per binder.
-def _print_lam(body, embed, alg):
-    def render(stream: NameStream, body=body, alg=alg) -> str:
-        x = stream.head
-        rendered = body(_IDENTITY, _Name(x)).interpret(alg)
-        return "\\ " + x + ". " + rendered(stream.rest)
+class _PrintCarrier:
+    """``print_alg``'s value for a binder: its body and the algebra to read it with.
 
-    return render
+    Applied to a stream, it walks the chain in a loop: each binder takes the
+    next name, its body is interpreted at that name's ``_Name``, and the
+    walk goes on while that gives another such value. Whatever ends the
+    chain is applied to the stream that is left, and the text is joined
+    once. Names are counted as ints, so no stream is built per binder.
+    """
+
+    __slots__ = ("body", "alg")
+
+    def __call__(self, stream: NameStream) -> str:
+        start = n = stream.start
+        c = self
+        while type(c) is _PrintCarrier:
+            c = c.body(_IDENTITY, _Name(f"x{n}")).interpret(c.alg)
+            n += 1
+        return _prefixes(start, n - 1) + c(NameStream(n))
+
+
+def _print_lam(body, embed, alg):
+    c = _new(_PrintCarrier)
+    c.body = body
+    c.alg = alg
+    return c
 
 
 _PRINT_ALG = Algebra(_print_lam, name="print")
@@ -143,13 +160,36 @@ def _var_at(bound: int, n: int) -> DbTerm:
     return Var(n - bound)
 
 
-def _debruijn_lam(body, embed, alg):
-    def at_depth(v: int, body=body, alg=alg) -> DbTerm:
-        bound = v + 1
-        inner = body(_IDENTITY, partial(_var_at, bound)).interpret(alg)
-        return Lam(inner(bound))
+class _DepthCarrier:
+    """``to_debruijn_alg``'s value for a binder: its body and the algebra to read it with.
 
-    return at_depth
+    Applied to a depth, it walks the chain in a loop: each binder's body is
+    interpreted one level deeper, its variable denoting
+    ``partial(_var_at, level)``, and the walk goes on while that gives
+    another such value. Whatever ends the chain is applied to the depth
+    reached, and the binders walked are put around its term in one step.
+    """
+
+    __slots__ = ("body", "alg")
+
+    def __call__(self, v: int) -> DbTerm:
+        depth = v
+        c = self
+        while type(c) is _DepthCarrier:
+            v += 1
+            c = c.body(_IDENTITY, partial(_var_at, v)).interpret(c.alg)
+        inner = c(v)
+        # The check ``Lam`` makes on its body.
+        if not isinstance(inner, DbTerm):
+            raise TypeError(f"not a de Bruijn term: {inner!r}")
+        return _chain(v - depth + inner.binders, inner.occurrence)
+
+
+def _debruijn_lam(body, embed, alg):
+    c = _new(_DepthCarrier)
+    c.body = body
+    c.alg = alg
+    return c
 
 
 _TO_DEBRUIJN_ALG = Algebra(_debruijn_lam, name="debruijn")
@@ -196,7 +236,12 @@ def _walk(c, level: int) -> tuple[int, int]:
     ``lam_alg``, goes on with that body at the next level. Returns the
     level of the last binder walked and the level the occurrence names; a
     marker ``c`` walks no binder.
+
+    A chain binder is its own body, so ``_UNFOLD`` interprets it as itself:
+    for one, the step makes ``interpret_lam``'s guard tick here and calls
+    nothing more.
     """
+    budget = _budget.get()
     while type(c) is not _Level:
         try:
             opened = c(_IDENTITY, _Level(level))
@@ -206,9 +251,16 @@ def _walk(c, level: int) -> tuple[int, int]:
             if err.__traceback__.tb_next is None:
                 raise _ill_formed(c) from err
             raise
-        if not isinstance(opened, OpenTerm):
+        if type(opened) is _ChainBinder:
+            if budget is not None:
+                budget.left -= 1
+                if budget.left < 0 and budget.active:
+                    raise DepthLimitError(budget.limit)
+            c = opened
+        elif isinstance(opened, OpenTerm):
+            c = opened.interpret(_UNFOLD)
+        else:
             raise _ill_formed(c)
-        c = opened.interpret(_UNFOLD)
         level += 1
     return level - 1, int(c)
 
@@ -225,7 +277,11 @@ def _unfold(t: Term) -> tuple[int, int]:
     return run_guarded(lambda: _walk(t.run(_UNFOLD), 1))
 
 
+def _prefixes(start: int, last: int) -> str:
+    """The text of binders named x{start} to x{last}, outermost first."""
+    return "".join([f"\\ x{level}. " for level in range(start, last + 1)])
+
+
 def _render(start: int, last: int, occurrence: int) -> str:
     """Binders named x{start} to x{last} around the occurrence x{occurrence}."""
-    prefixes = "".join([f"\\ x{level}. " for level in range(start, last + 1)])
-    return prefixes + f"x{occurrence}"
+    return _prefixes(start, last) + f"x{occurrence}"

@@ -23,23 +23,25 @@ may be folded concurrently; all values here are immutable after
 construction.
 
 Deep terms: a fold recurses once per binder through the algebra it is
-given. The entry points of :mod:`kripkelam.algebras` do not: they walk the
-chain in a loop, one binder interpretation per step. The guard counts the
-binders interpreted in one top-level guarded call; passing the active
-limit (default ``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError`
-instead of exhausting the interpreter stack. A binder is interpreted
-before those inside it, so this bounds nesting too, but an algebra that
-interprets each body twice trips it at 14 binders. Each top-level guarded
-call runs once, on the calling thread, with the recursion limit raised to
-what its limit needs; the limit is process-wide, so it stays raised while
-any guarded call is in flight and is restored when the last one ends. This
-relies on CPython 3.11 and later, where a Python-to-Python call takes no C
-stack, so a 10,000-binder fold fits even a thread started with a 256 KiB
-stack. An algebra whose per-binder recursion passes through a C function
-(a generator inside ``sum``, say, or a function carrier that is a
-``__call__`` object or a ``functools.partial``) takes C stack per binder:
-a deep fold of it raises ``RecursionError`` on 3.12 and later, or can
-overflow a small thread stack and crash the interpreter.
+given, as a ``size_alg`` fold does. The entry points of
+:mod:`kripkelam.algebras`, and the values of its two function carriers
+when applied, do not: they walk the chain in a loop, one binder
+interpretation per step. The guard counts the binders interpreted in one
+top-level guarded call; passing the active limit (default
+``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError` instead of
+exhausting the interpreter stack. A binder is interpreted before those
+inside it, so this bounds nesting too, but an algebra that interprets each
+body twice trips it at 14 binders. Each top-level guarded call runs once,
+on the calling thread, with the recursion limit raised to what its limit
+needs; the limit is process-wide, so it stays raised while any guarded
+call is in flight and is restored when the last one ends, unless it was
+set to another value meanwhile. This relies on CPython 3.11 and later,
+where a Python-to-Python call takes no C stack, so a 10,000-binder fold
+fits even a thread started with a 256 KiB stack. An algebra whose
+per-binder recursion passes through a C function (a generator inside
+``sum``, say) takes C stack per binder: a deep fold of it raises
+``RecursionError`` on 3.12 and later, or can overflow a small thread stack
+and crash the interpreter.
 
 The guard's own state is a context variable, so it is per thread and per
 asyncio task. A new thread starts unguarded on Python 3.11 to 3.13, so its
@@ -279,10 +281,11 @@ class _Budget:
 # call marks it inactive then, and an inactive budget guards nothing.
 _budget: ContextVar[_Budget | None] = ContextVar("kripkelam_guard_budget", default=None)
 _limit_lock = threading.Lock()
-# Top-level guarded calls in flight and the recursion limit before the
-# first of them.
+# Top-level guarded calls in flight, the recursion limit before the first
+# of them, and the limit the guard last left in place.
 _in_flight = 0
 _limit_before = 0
+_limit_set = 0
 
 
 def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
@@ -301,9 +304,11 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     At top level the thunk runs once, on the calling thread, with the
     interpreter's recursion limit raised to what ``max_depth`` binders
     need. The limit is process-wide: it stays raised while any top-level
-    guarded call is in flight and is restored when the last one ends.
+    guarded call is in flight, and when the last one ends it goes back to
+    what it was before the first, unless it was set to another value in
+    the meantime: that setting stays.
     """
-    global _in_flight, _limit_before
+    global _in_flight, _limit_before, _limit_set
     budget = _budget.get()
     if budget is not None and budget.active:
         return thunk()
@@ -314,9 +319,10 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     need = min(limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM, 2**31 - 1)
     with _limit_lock:
         if _in_flight == 0:
-            _limit_before = sys.getrecursionlimit()
+            _limit_before = _limit_set = sys.getrecursionlimit()
         if need > sys.getrecursionlimit():
             sys.setrecursionlimit(need)
+            _limit_set = need
         _in_flight += 1
     budget = _Budget(limit)
     token = _budget.set(budget)
@@ -327,5 +333,6 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
         _budget.reset(token)
         with _limit_lock:
             _in_flight -= 1
-            if _in_flight == 0:
+            # A limit someone else set while the call ran is theirs to keep.
+            if _in_flight == 0 and sys.getrecursionlimit() == _limit_set:
                 sys.setrecursionlimit(_limit_before)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kripkelam import (
     DEFAULT_MAX_NESTING,
     Algebra,
+    DepthLimitError,
     Lam,
     Var,
     closed,
@@ -212,8 +213,8 @@ def test_chains_at_the_guard_limit_agree_with_oracles(index):
     "alg, apply, per_binder",
     [
         (size_alg(), lambda v: v, 1),
-        (print_alg(), lambda v: v(names(1)), 4),
-        (to_debruijn_alg(), lambda v: v(1), 3),
+        (print_alg(), lambda v: v(names(1)), 1),
+        (to_debruijn_alg(), lambda v: v(1), 1),
     ],
     ids=["size", "print", "debruijn"],
 )
@@ -222,7 +223,9 @@ def test_a_fold_keeps_few_tracked_objects_alive_per_binder(alg, apply, per_binde
     # and the cyclic GC rescans every tracked object of it. Counting the
     # live tracked objects at the 1,001st and the 2,000th binder gives the
     # cost of one binder. A lam node around a partial body, and closure
-    # carriers, kept 3, 8 and 7 alive.
+    # carriers, kept 3, 8 and 7 alive; carriers that recursed once per
+    # binder when applied kept 4 and 3 for print and debruijn. A carrier
+    # that walks the chain in a loop keeps none.
     k = 2_000
     binders = 0
     counts = {}
@@ -281,21 +284,33 @@ def _size_fold(k):
     return lambda: fold(size_alg(), t)
 
 
+def _applied_fold(alg, apply):
+    def make(k):
+        t = db_to_hoas(chain(k, k // 2))
+        return lambda: run_guarded(lambda: apply(fold(alg, t)))
+
+    return make
+
+
 @pytest.mark.parametrize(
     "make, per_binder",
     [
-        (_walk_of(size), 4),
-        (_walk_of(print_term), 4),
-        (_walk_of(to_debruijn), 4),
+        (_walk_of(size), 1),
+        (_walk_of(print_term), 1),
+        (_walk_of(to_debruijn), 1),
         (_size_fold, 4),
+        (_applied_fold(print_alg(), lambda render: render(names(1))), 4),
+        (_applied_fold(to_debruijn_alg(), lambda at_depth: at_depth(1)), 4),
     ],
-    ids=["walk-size", "walk-print", "walk-debruijn", "fold-size"],
+    ids=["walk-size", "walk-print", "walk-debruijn", "fold-size", "fold-print", "fold-debruijn"],
 )
 def test_a_binder_costs_few_python_calls(make, per_binder):
     # Python calls per binder: those of a 200-binder chain less those of a
-    # 100-binder one. A walk step is the body call and the one-step fold of
-    # what it returns. A node built through a Python __init__ would add a
-    # call per binder to each count.
+    # 100-binder one. A walk step over a chain binder is the body call
+    # alone, with the guard tick made inline. A fold step, and a step of an
+    # applied carrier's loop, is the body call and interpreting what it
+    # returns: interpret, interpret_lam and the algebra. A node built
+    # through a Python __init__ would add a call per binder to each count.
     calls = {k: _python_calls(make(k)) for k in (100, 200)}
     assert (calls[200] - calls[100]) / 100 <= per_binder
 
@@ -409,9 +424,53 @@ def test_a_type_error_raised_inside_a_body_is_its_own(entry):
 
 
 def test_entry_points_keep_the_budget_of_an_enclosing_guarded_call():
-    from kripkelam import DepthLimitError
-
     with pytest.raises(DepthLimitError):
         run_guarded(lambda: print_term(db_to_hoas(chain(50, 0))), max_depth=10)
     with pytest.raises(DepthLimitError):
         run_guarded(lambda: to_debruijn(db_to_hoas(chain(50, 0))), max_depth=10)
+
+
+def _counted_terms(k):
+    t = db_to_hoas(chain(k, k // 2))
+    return [
+        # Every step after the first on the walk's inline path.
+        t,
+        # The first step through lam_alg's rebuilt body, the rest inline.
+        fold(lam_alg(), t),
+        # lam/place closures: every step through the one-step fold.
+        deep_term(k),
+    ]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        size,
+        print_term,
+        to_debruijn,
+        lambda t: fold(print_alg(), t)(names(1)),
+        lambda t: fold(to_debruijn_alg(), t)(1),
+    ],
+    ids=["size", "print_term", "to_debruijn", "print_alg", "to_debruijn_alg"],
+)
+@pytest.mark.parametrize("kind", range(3), ids=["db_to_hoas", "lam_alg", "closed"])
+def test_the_guard_counts_each_binder_once_on_every_path(run, kind):
+    # A k-binder chain fits a budget of k binder interpretations and not
+    # one of k - 1, whichever path each step of the walk or loop takes.
+    k = 60
+    t = _counted_terms(k)[kind]
+    run_guarded(lambda: run(t), k)
+    with pytest.raises(DepthLimitError) as err:
+        run_guarded(lambda: run(t), k - 1)
+    assert err.value.limit == k - 1
+
+
+def test_carriers_apply_at_depth_outside_the_guard():
+    # Applying a carrier walks the chain in a loop, so it needs neither the
+    # guard nor the recursion limit it raises, however deep the chain.
+    d = chain(DEFAULT_MAX_NESTING, DEFAULT_MAX_NESTING // 2)
+    t = db_to_hoas(d)
+    render = fold(print_alg(), t)
+    at_depth = fold(to_debruijn_alg(), t)
+    assert render(names(1)) == oracle_print(d)
+    assert format_db(at_depth(1)) == format_db(d)

@@ -432,6 +432,44 @@ def test_deep_fold_restores_the_recursion_limit():
     assert out == "True\nTrue True\n"
 
 
+def test_a_limit_set_inside_a_guarded_call_stays():
+    out = run_fresh("""
+        import sys
+        from kripkelam import run_guarded
+
+        run_guarded(lambda: sys.setrecursionlimit(7000))
+        print(sys.getrecursionlimit())
+    """)
+    assert out == "7000\n"
+
+
+def test_a_limit_set_by_another_thread_during_a_guarded_call_stays():
+    out = run_fresh("""
+        import sys, threading
+        from kripkelam import run_guarded
+
+        in_call = threading.Event()
+        set_limit = threading.Event()
+
+        def setter():
+            in_call.wait()
+            sys.setrecursionlimit(5000)
+            set_limit.set()
+
+        thread = threading.Thread(target=setter)
+        thread.start()
+
+        def thunk():
+            in_call.set()
+            set_limit.wait()
+
+        run_guarded(thunk)
+        thread.join()
+        print(sys.getrecursionlimit())
+    """)
+    assert out == "5000\n"
+
+
 def _frames_left() -> int:
     """How many more nested calls fit below the recursion limit than this one."""
     try:
@@ -493,8 +531,9 @@ def test_concurrent_deep_folds_share_the_raised_limit():
 
 def test_deep_fold_keeps_a_limit_the_caller_raised():
     # The caller's own limit is above what 10,000 binders need: the fold
-    # runs under it and leaves it as the caller set it. The algebras'
-    # folds recurse once per binder when applied; the entry points walk.
+    # runs under it and leaves it as the caller set it. The size_alg fold
+    # recurses once per binder; the entry points and the applied carriers
+    # walk the chain in a loop.
     out = run_fresh("""
         import sys
         from kripkelam import (
@@ -522,9 +561,10 @@ def test_deep_fold_keeps_a_limit_the_caller_raised():
 
 def test_deep_fold_runs_on_a_thread_with_a_small_stack():
     # A fold takes no C stack per binder, so a 10,000-binder chain folds
-    # on a thread started with a 256 KiB stack: the entry points, which
-    # walk the chain, and the library's algebras, whose folds and carriers
-    # recurse through plain Python functions once per binder.
+    # on a thread started with a 256 KiB stack: the size_alg fold, which
+    # recurses through plain Python functions once per binder, and the
+    # entry points and the applied carriers, which walk the chain in a loop
+    # and so also apply outside run_guarded.
     out = run_fresh("""
         import sys, threading
         from kripkelam import (
@@ -551,6 +591,8 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
                 run_guarded(lambda: fold(print_alg(), t)(names(1))) == oracle_print(d),
                 run_guarded(lambda: fold(to_debruijn_alg(), t)(1)) == d,
                 fold(size_alg(), fold(lam_alg(), t)) == oracle_size(d),
+                fold(print_alg(), t)(names(1)) == oracle_print(d),
+                format_db(fold(to_debruijn_alg(), t)(1)) == format_db(d),
             ])
 
         threading.stack_size(256 * 1024)
@@ -559,4 +601,4 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
         worker.join(timeout=120)
         print(worker.is_alive(), results, sys.getrecursionlimit() == before)
     """)
-    assert out == "False [True, True, True, True, True, True, True, True] True\n"
+    assert out == "False [True, True, True, True, True, True, True, True, True, True] True\n"
