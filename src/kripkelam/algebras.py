@@ -1,11 +1,18 @@
 """Example algebras: size, canonical pretty printing, de Bruijn conversion.
 
 Each algebra interprets one binder node. The size algebra works at an
-integer carrier directly, and its fold recurses once per binder. The other
-two use function carriers (name stream to text, nesting depth to tree)
-whose values are defunctionalized: a binder's value holds its body and
-algebra, and applying it walks the rest of the chain in a loop, one binder
-interpretation per step, so it takes no recursion at any depth.
+integer carrier directly. The other two use function carriers (name stream
+to text, nesting depth to tree) whose values are defunctionalized: a
+binder's value holds its body and algebra, and applying it walks the rest
+of the chain in a loop, one binder interpretation per step, so it takes no
+recursion at any depth. A ``db_to_hoas`` binder is its own body: when a
+fold of ``size_alg``, or an applied carrier of one of the other two, meets
+one with that algebra, it makes ``interpret_lam``'s guard tick in place and
+calls the binder next, one Python call per binder. So a size fold of such
+a chain counts in a loop and keeps nothing alive per binder. Any other
+algebra, such as one that wraps these, and any other body are interpreted
+as usual, and a size fold of ``lam``/``place`` closures recurses once per
+binder.
 
 The entry points ``size``, ``print_term`` and ``to_debruijn`` fold none of
 the three. They fold a one-step unfolding algebra, whose carrier is the
@@ -80,12 +87,28 @@ def names(start: int = 1) -> NameStream:
 
 _IDENTITY = Rename.identity()
 _new = object.__new__
+# A chain binder's body call as a plain function. Calling the instance goes
+# through the type's ``__call__`` slot and re-enters the interpreter from C;
+# the loops below call this once per binder instead.
+_step = _ChainBinder.__call__
 
 
 def _size_lam(body, embed, alg):
     # One for the binder, one per occurrence of its variable: the variable
-    # denotes 1 and the body is re-interpreted with the same algebra.
-    return 1 + body(_IDENTITY, 1).interpret(alg)
+    # denotes 1 and the body is re-interpreted with the same algebra. With
+    # this algebra, the chain binders that follow are counted in a loop.
+    n = 1
+    opened = body(_IDENTITY, 1)
+    if alg is _SIZE_ALG and type(opened) is _ChainBinder:
+        budget = _budget.get()
+        while type(opened) is _ChainBinder:
+            if budget is not None:
+                budget.left -= 1
+                if budget.left < 0 and budget.active:
+                    raise DepthLimitError(budget.limit)
+            opened = _step(opened, _IDENTITY, 1)
+            n += 1
+    return n + opened.interpret(alg)
 
 
 _SIZE_ALG = Algebra(_size_lam, name="size")
@@ -115,9 +138,12 @@ class _PrintCarrier:
 
     Applied to a stream, it walks the chain in a loop: each binder takes the
     next name, its body is interpreted at that name's ``_Name``, and the
-    walk goes on while that gives another such value. Whatever ends the
-    chain is applied to the stream that is left, and the text is joined
-    once. Names are counted as ints, so no stream is built per binder.
+    walk goes on while that gives another such value. With ``print_alg``
+    itself, a chain binder met on the way is that value's body, so the
+    loop ticks the guard for it and calls it in turn, as ``_walk`` does.
+    Whatever ends the chain is applied to the stream that is left, and the
+    text is joined once. Names are counted as ints, so no stream is built
+    per binder.
     """
 
     __slots__ = ("body", "alg")
@@ -125,10 +151,26 @@ class _PrintCarrier:
     def __call__(self, stream: NameStream) -> str:
         start = n = stream.start
         c = self
+        budget = _budget.get()
         while type(c) is _PrintCarrier:
-            c = c.body(_IDENTITY, _Name(f"x{n}")).interpret(c.alg)
+            opened = c.body(_IDENTITY, _Name(f"x{n}"))
             n += 1
-        return _prefixes(start, n - 1) + c(NameStream(n))
+            alg = c.alg
+            if alg is _PRINT_ALG:
+                while type(opened) is _ChainBinder:
+                    if budget is not None:
+                        budget.left -= 1
+                        if budget.left < 0 and budget.active:
+                            raise DepthLimitError(budget.limit)
+                    opened = _step(opened, _IDENTITY, _Name(f"x{n}"))
+                    n += 1
+            c = opened.interpret(alg)
+        try:
+            text = c(NameStream(n))
+        except TypeError as err:
+            _raise_if_refused(c, err)
+            raise
+        return _prefixes(start, n - 1) + text
 
 
 def _print_lam(body, embed, alg):
@@ -166,8 +208,11 @@ class _DepthCarrier:
     Applied to a depth, it walks the chain in a loop: each binder's body is
     interpreted one level deeper, its variable denoting
     ``partial(_var_at, level)``, and the walk goes on while that gives
-    another such value. Whatever ends the chain is applied to the depth
-    reached, and the binders walked are put around its term in one step.
+    another such value. With ``to_debruijn_alg`` itself, a chain binder met
+    on the way is that value's body, so the loop ticks the guard for it and
+    calls it in turn, as ``_walk`` does. Whatever ends the chain is applied
+    to the depth reached, and the binders walked are put around its term
+    in one step.
     """
 
     __slots__ = ("body", "alg")
@@ -175,10 +220,25 @@ class _DepthCarrier:
     def __call__(self, v: int) -> DbTerm:
         depth = v
         c = self
+        budget = _budget.get()
         while type(c) is _DepthCarrier:
             v += 1
-            c = c.body(_IDENTITY, partial(_var_at, v)).interpret(c.alg)
-        inner = c(v)
+            opened = c.body(_IDENTITY, partial(_var_at, v))
+            alg = c.alg
+            if alg is _TO_DEBRUIJN_ALG:
+                while type(opened) is _ChainBinder:
+                    if budget is not None:
+                        budget.left -= 1
+                        if budget.left < 0 and budget.active:
+                            raise DepthLimitError(budget.limit)
+                    v += 1
+                    opened = _step(opened, _IDENTITY, partial(_var_at, v))
+            c = opened.interpret(alg)
+        try:
+            inner = c(v)
+        except TypeError as err:
+            _raise_if_refused(c, err)
+            raise
         # The check ``Lam`` makes on its body.
         if not isinstance(inner, DbTerm):
             raise TypeError(f"not a de Bruijn term: {inner!r}")
@@ -239,29 +299,26 @@ def _walk(c, level: int) -> tuple[int, int]:
 
     A chain binder is its own body, so ``_UNFOLD`` interprets it as itself:
     for one, the step makes ``interpret_lam``'s guard tick here and calls
-    nothing more.
+    the binder at the next level, nothing more.
     """
     budget = _budget.get()
     while type(c) is not _Level:
         try:
             opened = c(_IDENTITY, _Level(level))
         except TypeError as err:
-            # Raised by the call itself, not from inside a body: ``c`` is
-            # no callable that takes a rename and a variable.
-            if err.__traceback__.tb_next is None:
-                raise _ill_formed(c) from err
+            _raise_if_refused(c, err)
             raise
-        if type(opened) is _ChainBinder:
+        level += 1
+        while type(opened) is _ChainBinder:
             if budget is not None:
                 budget.left -= 1
                 if budget.left < 0 and budget.active:
                     raise DepthLimitError(budget.limit)
-            c = opened
-        elif isinstance(opened, OpenTerm):
-            c = opened.interpret(_UNFOLD)
-        else:
+            opened = _step(opened, _IDENTITY, _Level(level))
+            level += 1
+        if not isinstance(opened, OpenTerm):
             raise _ill_formed(c)
-        level += 1
+        c = opened.interpret(_UNFOLD)
     return level - 1, int(c)
 
 
@@ -270,6 +327,17 @@ def _ill_formed(c) -> TypeError:
         f"ill-formed term: it holds {reprlib.repr(c)}, "
         "which is neither a variable bound by the term nor a binder body"
     )
+
+
+def _raise_if_refused(c, err: TypeError) -> None:
+    """Raise ``_ill_formed(c)`` if calling ``c`` raised ``err`` itself.
+
+    A ``TypeError`` raised by the call, not from inside a Python function
+    it ran, means ``c`` cannot be called with those arguments: it is no
+    binder body, or no value a carrier's chain can end in.
+    """
+    if err.__traceback__.tb_next is None:
+        raise _ill_formed(c) from err
 
 
 def _unfold(t: Term) -> tuple[int, int]:

@@ -23,21 +23,22 @@ may be folded concurrently; all values here are immutable after
 construction.
 
 Deep terms: a fold recurses once per binder through the algebra it is
-given, as a ``size_alg`` fold does. The entry points of
-:mod:`kripkelam.algebras`, and the values of its two function carriers
-when applied, do not: they walk the chain in a loop, one binder
-interpretation per step. The guard counts the binders interpreted in one
-top-level guarded call; passing the active limit (default
-``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError` instead of
-exhausting the interpreter stack. A binder is interpreted before those
-inside it, so this bounds nesting too, but an algebra that interprets each
-body twice trips it at 14 binders. Each top-level guarded call runs once,
-on the calling thread, with the recursion limit raised to what its limit
-needs; the limit is process-wide, so it stays raised while any guarded
-call is in flight and is restored when the last one ends, unless it was
-set to another value meanwhile. This relies on CPython 3.11 and later,
-where a Python-to-Python call takes no C stack, so a 10,000-binder fold
-fits even a thread started with a 256 KiB stack. An algebra whose
+given, as a ``size_alg`` fold of ``lam``/``place`` closures does. On a
+chain from ``db_to_hoas``, the entry points of :mod:`kripkelam.algebras`,
+a ``size_alg`` fold and the values of its two function carriers when
+applied do not: they walk the chain in a loop, one Python call per binder.
+The guard counts the binders interpreted in one top-level guarded call;
+passing the active limit (default ``DEFAULT_MAX_NESTING``) raises
+:class:`DepthLimitError` instead of exhausting the interpreter stack. A
+binder is interpreted before those inside it, so this bounds nesting too,
+but an algebra that interprets each body twice trips it at 14 binders.
+Each top-level guarded call runs once, on the calling thread, with the
+recursion limit raised to what its limit needs; the limit is process-wide,
+so it stays raised while any guarded call is in flight and is restored
+when the last one ends, unless it was set to another value meanwhile.
+This relies on CPython 3.11 and later, where a Python-to-Python call
+takes no C stack, so a 10,000-binder fold fits even a thread started with
+a 256 KiB stack. An algebra whose
 per-binder recursion passes through a C function (a generator inside
 ``sum``, say) takes C stack per binder: a deep fold of it raises
 ``RecursionError`` on 3.12 and later, or can overflow a small thread stack
@@ -77,8 +78,8 @@ __all__ = [
 
 DEFAULT_MAX_NESTING = 10_000
 
-# Python frames allowed per binder while folding: `fold(size_alg(), _)`
-# takes 3, and the rest is margin for user algebras.
+# Python frames allowed per binder while folding: a `size_alg` fold of
+# lam/place closures takes 3, and the rest is margin for user algebras.
 _FRAMES_PER_LEVEL = 16
 _FRAME_HEADROOM = 2048
 

@@ -199,8 +199,6 @@ def test_random_chains_agree_with_oracles(ki):
     "index", [0, DEFAULT_MAX_NESTING // 2, DEFAULT_MAX_NESTING - 1]
 )
 def test_chains_at_the_guard_limit_agree_with_oracles(index):
-    # Compared as ints and strings: == on a Lam chain this deep recurses
-    # once per binder.
     d = chain(DEFAULT_MAX_NESTING, index)
     t = db_to_hoas(d)
     assert size(t) == oracle_size(d)
@@ -298,19 +296,19 @@ def _applied_fold(alg, apply):
         (_walk_of(size), 1),
         (_walk_of(print_term), 1),
         (_walk_of(to_debruijn), 1),
-        (_size_fold, 4),
-        (_applied_fold(print_alg(), lambda render: render(names(1))), 4),
-        (_applied_fold(to_debruijn_alg(), lambda at_depth: at_depth(1)), 4),
+        (_size_fold, 1),
+        (_applied_fold(print_alg(), lambda render: render(names(1))), 1),
+        (_applied_fold(to_debruijn_alg(), lambda at_depth: at_depth(1)), 1),
     ],
     ids=["walk-size", "walk-print", "walk-debruijn", "fold-size", "fold-print", "fold-debruijn"],
 )
 def test_a_binder_costs_few_python_calls(make, per_binder):
     # Python calls per binder: those of a 200-binder chain less those of a
-    # 100-binder one. A walk step over a chain binder is the body call
-    # alone, with the guard tick made inline. A fold step, and a step of an
-    # applied carrier's loop, is the body call and interpreting what it
-    # returns: interpret, interpret_lam and the algebra. A node built
-    # through a Python __init__ would add a call per binder to each count.
+    # 100-binder one. A step of the walk, of the size fold and of an applied
+    # carrier's loop over a chain binder is the body call alone, with the
+    # guard tick made inline; interpreting the binder instead would add
+    # interpret, interpret_lam and the algebra. A node built through a
+    # Python __init__ would add a call per binder to each count.
     calls = {k: _python_calls(make(k)) for k in (100, 200)}
     assert (calls[200] - calls[100]) / 100 <= per_binder
 
@@ -420,6 +418,41 @@ def test_a_type_error_raised_inside_a_body_is_its_own(entry):
     assert err.value.__cause__ is None
 
 
+_APPLIED_CARRIERS = pytest.mark.parametrize(
+    "apply",
+    [lambda t: fold(print_alg(), t)(names(1)), lambda t: fold(to_debruijn_alg(), t)(1)],
+    ids=["print_alg", "to_debruijn_alg"],
+)
+
+
+@_APPLIED_CARRIERS
+@pytest.mark.parametrize(
+    "t, held",
+    [
+        (closed(lambda mo, x: place(42)), "42"),
+        (closed(lambda mo, x: lam(lambda mx, y: place("x1"))), "'x1'"),
+        (closed(lambda mo, x: place(len)), "<built-in function len>"),
+        (closed(lambda mo, x: place(lambda: "x1")), "<function "),
+    ],
+    ids=["outer", "inner", "builtin", "wrong-arity"],
+)
+def test_an_applied_carrier_ending_in_a_value_it_cannot_apply_is_a_type_error(apply, t, held):
+    # Whatever ends a carrier's chain is applied to the stream or depth left.
+    # A value that cannot take it is the ill-formed term the entry points
+    # report, not the error of the call.
+    with pytest.raises(TypeError, match="ill-formed term: it holds ") as err:
+        apply(t)
+    assert str(err.value).startswith(f"ill-formed term: it holds {held}")
+    assert isinstance(err.value.__cause__, TypeError)
+
+
+@_APPLIED_CARRIERS
+def test_a_type_error_raised_inside_a_carriers_last_value_is_its_own(apply):
+    with pytest.raises(TypeError, match="has no len") as err:
+        apply(closed(lambda mo, x: place(lambda arg: len(arg))))
+    assert err.value.__cause__ is None
+
+
 # ---------------------------------------------------------------- guard
 
 
@@ -433,11 +466,11 @@ def test_entry_points_keep_the_budget_of_an_enclosing_guarded_call():
 def _counted_terms(k):
     t = db_to_hoas(chain(k, k // 2))
     return [
-        # Every step after the first on the walk's inline path.
+        # Every step after the first on the inline chain-binder path.
         t,
         # The first step through lam_alg's rebuilt body, the rest inline.
         fold(lam_alg(), t),
-        # lam/place closures: every step through the one-step fold.
+        # lam/place closures: every step through interpret_lam.
         deep_term(k),
     ]
 
@@ -448,15 +481,17 @@ def _counted_terms(k):
         size,
         print_term,
         to_debruijn,
+        lambda t: fold(size_alg(), t),
         lambda t: fold(print_alg(), t)(names(1)),
         lambda t: fold(to_debruijn_alg(), t)(1),
     ],
-    ids=["size", "print_term", "to_debruijn", "print_alg", "to_debruijn_alg"],
+    ids=["size", "print_term", "to_debruijn", "size_alg", "print_alg", "to_debruijn_alg"],
 )
 @pytest.mark.parametrize("kind", range(3), ids=["db_to_hoas", "lam_alg", "closed"])
 def test_the_guard_counts_each_binder_once_on_every_path(run, kind):
     # A k-binder chain fits a budget of k binder interpretations and not
-    # one of k - 1, whichever path each step of the walk or loop takes.
+    # one of k - 1, whichever path each step of the walk, fold or loop
+    # takes.
     k = 60
     t = _counted_terms(k)[kind]
     run_guarded(lambda: run(t), k)

@@ -562,21 +562,21 @@ def _traced(run, t):
 
 def test_folding_a_deep_chain_takes_little_memory_per_binder():
     # The entry points walk a chain in a loop that keeps nothing alive per
-    # binder. size and to_debruijn peak at 864 bytes at 1,000 and at
-    # 10,000 binders alike (872 on CPython 3.12 and 3.13); print_term peaks
-    # at its text plus the binder prefixes it joins, 8.5 times the text,
-    # and format_db at about twice its text. Folding the algebras themselves
-    # keeps what a fold allocates for a binder alive until it returns: a
-    # closure body and an OpenTerm around a closure per binder peaked at
-    # 1.71 MB here for size, and closure carriers and a lam node around a
-    # partial body per binder at 1.99 MB for print_term and 1.54 MB for
-    # to_debruijn. Those folds run at 3,000 binders because tracemalloc
-    # walks the whole stack on every allocation, which made a traced
-    # 10,000-binder fold take 25 s.
+    # binder, and so does a size_alg fold. size and to_debruijn peak at 864
+    # bytes at 1,000 and at 10,000 binders alike (872 on CPython 3.12 and
+    # 3.13), and the size_alg fold at 776; print_term peaks at its text plus
+    # the binder prefixes it joins, 8.5 times the text, and format_db at
+    # about twice its text. A size_alg fold that recursed once per binder
+    # peaked at 872 KB at 10,000 binders, and took 14 s traced, because
+    # tracemalloc walks the whole stack on every allocation. The applied
+    # carriers are also checked at 3,000 binders, where closure carriers
+    # peaked at 1.99 MB for print_term and 1.54 MB for to_debruijn.
+    folded_size = lambda term: fold(size_alg(), term)  # noqa: E731
     for k in (1_000, DEFAULT_MAX_NESTING):
         d = chain(k, k // 2)
         t = db_to_hoas(d)
-        for run, expected in ((size, oracle_size(d)), (to_debruijn, d)):
+        runs = ((size, oracle_size(d)), (folded_size, oracle_size(d)), (to_debruijn, d))
+        for run, expected in runs:
             out, peak = _traced(run, t)
             assert out == expected
             assert peak < 1_500, (run, k, peak)
@@ -589,7 +589,6 @@ def test_folding_a_deep_chain_takes_little_memory_per_binder():
     d = chain(3_000, 1_500)
     t = db_to_hoas(d)
     folds = [
-        (lambda term: fold(size_alg(), term), 3_001, 1_200_000),
         (
             lambda term: run_guarded(lambda: fold(print_alg(), term)(names(1))),
             oracle_print(d),

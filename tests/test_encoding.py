@@ -531,9 +531,8 @@ def test_concurrent_deep_folds_share_the_raised_limit():
 
 def test_deep_fold_keeps_a_limit_the_caller_raised():
     # The caller's own limit is above what 10,000 binders need: the fold
-    # runs under it and leaves it as the caller set it. The size_alg fold
-    # recurses once per binder; the entry points and the applied carriers
-    # walk the chain in a loop.
+    # runs under it and leaves it as the caller set it. The entry points,
+    # the size_alg fold and the applied carriers all loop over the chain.
     out = run_fresh("""
         import sys
         from kripkelam import (
@@ -560,23 +559,29 @@ def test_deep_fold_keeps_a_limit_the_caller_raised():
 
 
 def test_deep_fold_runs_on_a_thread_with_a_small_stack():
-    # A fold takes no C stack per binder, so a 10,000-binder chain folds
-    # on a thread started with a 256 KiB stack: the size_alg fold, which
-    # recurses through plain Python functions once per binder, and the
-    # entry points and the applied carriers, which walk the chain in a loop
-    # and so also apply outside run_guarded.
+    # A fold takes no C stack per binder, so 10,000 binders fold on a
+    # thread started with a 256 KiB stack: a size_alg fold of lam/place
+    # closures, which recurses through plain Python functions once per
+    # binder, and the entry points, the size_alg fold and the applied
+    # carriers over a chain, which loop and so also apply outside
+    # run_guarded.
     out = run_fresh("""
         import sys, threading
         from kripkelam import (
-            db_to_hoas, fold, format_db, lam_alg, names, oracle_print,
-            oracle_size, print_alg, print_term, run_guarded, size, size_alg,
-            to_debruijn, to_debruijn_alg,
+            closed, db_to_hoas, fold, format_db, lam, lam_alg, names,
+            oracle_print, oracle_size, place, print_alg, print_term,
+            run_guarded, size, size_alg, to_debruijn, to_debruijn_alg,
         )
         from kripkelam.debruijn import Lam, Var
 
         d = Var(5000)
         for _ in range(10_000):
             d = Lam(d)
+
+        def level(j):
+            return lambda mx, fresh: place(fresh) if j == 10_000 else lam(level(j + 1))
+
+        closures = closed(level(1))
         before = sys.getrecursionlimit()
         results = []
 
@@ -593,6 +598,7 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
                 fold(size_alg(), fold(lam_alg(), t)) == oracle_size(d),
                 fold(print_alg(), t)(names(1)) == oracle_print(d),
                 format_db(fold(to_debruijn_alg(), t)(1)) == format_db(d),
+                fold(size_alg(), closures) == 10_001,
             ])
 
         threading.stack_size(256 * 1024)
@@ -601,4 +607,4 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
         worker.join(timeout=120)
         print(worker.is_alive(), results, sys.getrecursionlimit() == before)
     """)
-    assert out == "False [True, True, True, True, True, True, True, True, True, True] True\n"
+    assert out == "False [True, True, True, True, True, True, True, True, True, True, True] True\n"
