@@ -5,27 +5,31 @@ integer carrier directly. The other two use function carriers (name stream
 to text, nesting depth to tree) whose values are defunctionalized: a
 binder's value holds its body and algebra, and applying it walks the rest
 of the chain in a loop, one binder interpretation per step, so it takes no
-recursion at any depth. A ``db_to_hoas`` binder is its own body: when a
-fold of ``size_alg``, or an applied carrier of one of the other two, meets
-one with that algebra, it makes ``interpret_lam``'s guard tick in place and
-calls the binder next, one Python call per binder. So a size fold of such
-a chain counts in a loop and keeps nothing alive per binder. Any other
-algebra, such as one that wraps these, and any other body are interpreted
-as usual, and a size fold of ``lam``/``place`` closures recurses once per
-binder.
+recursion at any depth. A ``db_to_hoas`` binder is its own body and records
+the ``B`` binders under it and which one the occurrence names: when a fold
+of ``size_alg``, or an applied carrier of one of the other two, meets one
+with that algebra, it skips the chain in O(1), charging the guard for its
+``B + 1`` binders in one step and reading the occurrence from the binder.
+So a size fold of such a chain takes constant time and keeps nothing alive
+per binder. Any other algebra, such as one that wraps these, and any other
+body are interpreted binder by binder, as the Mendler interface requires,
+and a size fold of ``lam``/``place`` closures recurses once per binder.
 
 The entry points ``size``, ``print_term`` and ``to_debruijn`` fold none of
 the three. They fold a one-step unfolding algebra, whose carrier is the
 binder's own Kripke body, and walk the chain in a loop inside the nesting
 guard: each body is asked at the identity rename for a fresh level marker,
 and what it returns is unfolded again, until the occurrence yields the
-marker of the binder it names. The walk takes no recursion and keeps no
-state per binder, and each entry point builds its result from the binder
-count and that level; a value met on the way that is neither a marker nor
-a binder body is an ill-formed term, one ``TypeError`` from all three.
-Every binder is still interpreted once, so the guard counts as for a
-fold. Tests check that each entry point agrees with its algebra, and that
-the unfolding algebra is linked to each by a homomorphism.
+marker of the binder it names; a ``db_to_hoas`` chain is skipped in O(1)
+as above. The walk takes no recursion and keeps no state per binder, and
+each entry point builds its result from the binder count and that level;
+a value met on the way that is neither a marker nor a binder body is an
+ill-formed term, one ``TypeError`` from all three. The folds of the three
+algebras raise it too for a body that returns no open term or cannot take
+a rename and a variable. The guard counts every binder once, skipped or
+not, as for a fold. Tests check that each entry point agrees with its
+algebra, and that the unfolding algebra is linked to each by a
+homomorphism.
 """
 
 from __future__ import annotations
@@ -87,28 +91,45 @@ def names(start: int = 1) -> NameStream:
 
 _IDENTITY = Rename.identity()
 _new = object.__new__
-# A chain binder's body call as a plain function. Calling the instance goes
-# through the type's ``__call__`` slot and re-enters the interpreter from C;
-# the loops below call this once per binder instead.
-_step = _ChainBinder.__call__
+
+
+def _skip_chain(b: _ChainBinder, budget) -> tuple[int, int]:
+    """Charge the guard for the chain from binder ``b`` in one step.
+
+    Stepping ``b`` at the identity rename, then each binder that returns,
+    takes ``b.below + 1`` steps and ends in ``place(value)``. ``value`` is
+    the fresh variable handed to step ``b.below - b.index`` if that is not
+    negative, and ``b.target`` untouched otherwise: the named binder was
+    entered further out. A loop that steps a chain under the library's own
+    algebra reads its end from these two numbers instead: the steps it
+    skips, which the guard is charged for here, and the step whose
+    variable the occurrence names. The guard raises on the same call as
+    when charged one binder at a time, and leaves ``left`` as that would.
+    """
+    below = b.below
+    if budget is not None:
+        budget.left -= below + 1
+        if budget.left < 0 and budget.active:
+            budget.left = -1
+            raise DepthLimitError(budget.limit)
+    return below + 1, below - b.index
 
 
 def _size_lam(body, embed, alg):
     # One for the binder, one per occurrence of its variable: the variable
     # denotes 1 and the body is re-interpreted with the same algebra. With
-    # this algebra, the chain binders that follow are counted in a loop.
-    n = 1
-    opened = body(_IDENTITY, 1)
+    # this algebra, a chain binder that follows is skipped with its chain.
+    try:
+        opened = body(_IDENTITY, 1)
+    except TypeError as err:
+        _raise_if_refused(body, err)
+        raise
     if alg is _SIZE_ALG and type(opened) is _ChainBinder:
-        budget = _budget.get()
-        while type(opened) is _ChainBinder:
-            if budget is not None:
-                budget.left -= 1
-                if budget.left < 0 and budget.active:
-                    raise DepthLimitError(budget.limit)
-            opened = _step(opened, _IDENTITY, 1)
-            n += 1
-    return n + opened.interpret(alg)
+        steps, named = _skip_chain(opened, _budget.get())
+        return 1 + steps + (1 if named >= 0 else opened.target)
+    if not isinstance(opened, OpenTerm):
+        raise _ill_formed(body)
+    return 1 + opened.interpret(alg)
 
 
 _SIZE_ALG = Algebra(_size_lam, name="size")
@@ -139,11 +160,10 @@ class _PrintCarrier:
     Applied to a stream, it walks the chain in a loop: each binder takes the
     next name, its body is interpreted at that name's ``_Name``, and the
     walk goes on while that gives another such value. With ``print_alg``
-    itself, a chain binder met on the way is that value's body, so the
-    loop ticks the guard for it and calls it in turn, as ``_walk`` does.
-    Whatever ends the chain is applied to the stream that is left, and the
-    text is joined once. Names are counted as ints, so no stream is built
-    per binder.
+    itself, a chain binder met on the way is skipped with its chain, as
+    ``_walk`` does. Whatever ends the chain is applied to the stream that
+    is left, and the text is joined once. Names are counted as ints, so no
+    stream is built per binder.
     """
 
     __slots__ = ("body", "alg")
@@ -153,18 +173,22 @@ class _PrintCarrier:
         c = self
         budget = _budget.get()
         while type(c) is _PrintCarrier:
-            opened = c.body(_IDENTITY, _Name(f"x{n}"))
+            body = c.body
+            try:
+                opened = body(_IDENTITY, _Name(f"x{n}"))
+            except TypeError as err:
+                _raise_if_refused(body, err)
+                raise
             n += 1
             alg = c.alg
-            if alg is _PRINT_ALG:
-                while type(opened) is _ChainBinder:
-                    if budget is not None:
-                        budget.left -= 1
-                        if budget.left < 0 and budget.active:
-                            raise DepthLimitError(budget.limit)
-                    opened = _step(opened, _IDENTITY, _Name(f"x{n}"))
-                    n += 1
-            c = opened.interpret(alg)
+            if alg is _PRINT_ALG and type(opened) is _ChainBinder:
+                steps, named = _skip_chain(opened, budget)
+                c = _Name(f"x{n + named}") if named >= 0 else opened.target
+                n += steps
+            elif isinstance(opened, OpenTerm):
+                c = opened.interpret(alg)
+            else:
+                raise _ill_formed(body)
         try:
             text = c(NameStream(n))
         except TypeError as err:
@@ -209,10 +233,9 @@ class _DepthCarrier:
     interpreted one level deeper, its variable denoting
     ``partial(_var_at, level)``, and the walk goes on while that gives
     another such value. With ``to_debruijn_alg`` itself, a chain binder met
-    on the way is that value's body, so the loop ticks the guard for it and
-    calls it in turn, as ``_walk`` does. Whatever ends the chain is applied
-    to the depth reached, and the binders walked are put around its term
-    in one step.
+    on the way is skipped with its chain, as ``_walk`` does. Whatever ends
+    the chain is applied to the depth reached, and the binders walked are
+    put around its term in one step.
     """
 
     __slots__ = ("body", "alg")
@@ -223,17 +246,21 @@ class _DepthCarrier:
         budget = _budget.get()
         while type(c) is _DepthCarrier:
             v += 1
-            opened = c.body(_IDENTITY, partial(_var_at, v))
+            body = c.body
+            try:
+                opened = body(_IDENTITY, partial(_var_at, v))
+            except TypeError as err:
+                _raise_if_refused(body, err)
+                raise
             alg = c.alg
-            if alg is _TO_DEBRUIJN_ALG:
-                while type(opened) is _ChainBinder:
-                    if budget is not None:
-                        budget.left -= 1
-                        if budget.left < 0 and budget.active:
-                            raise DepthLimitError(budget.limit)
-                    v += 1
-                    opened = _step(opened, _IDENTITY, partial(_var_at, v))
-            c = opened.interpret(alg)
+            if alg is _TO_DEBRUIJN_ALG and type(opened) is _ChainBinder:
+                steps, named = _skip_chain(opened, budget)
+                c = partial(_var_at, v + 1 + named) if named >= 0 else opened.target
+                v += steps
+            elif isinstance(opened, OpenTerm):
+                c = opened.interpret(alg)
+            else:
+                raise _ill_formed(body)
         try:
             inner = c(v)
         except TypeError as err:
@@ -297,9 +324,9 @@ def _walk(c, level: int) -> tuple[int, int]:
     level of the last binder walked and the level the occurrence names; a
     marker ``c`` walks no binder.
 
-    A chain binder is its own body, so ``_UNFOLD`` interprets it as itself:
-    for one, the step makes ``interpret_lam``'s guard tick here and calls
-    the binder at the next level, nothing more.
+    A chain binder is its own body, so the walk would call each binder of
+    its chain in turn. When a body returns one, the walk skips the chain
+    instead, to the marker or value that ends it.
     """
     budget = _budget.get()
     while type(c) is not _Level:
@@ -309,16 +336,14 @@ def _walk(c, level: int) -> tuple[int, int]:
             _raise_if_refused(c, err)
             raise
         level += 1
-        while type(opened) is _ChainBinder:
-            if budget is not None:
-                budget.left -= 1
-                if budget.left < 0 and budget.active:
-                    raise DepthLimitError(budget.limit)
-            opened = _step(opened, _IDENTITY, _Level(level))
-            level += 1
-        if not isinstance(opened, OpenTerm):
+        if type(opened) is _ChainBinder:
+            steps, named = _skip_chain(opened, budget)
+            c = _Level(level + named) if named >= 0 else opened.target
+            level += steps
+        elif isinstance(opened, OpenTerm):
+            c = opened.interpret(_UNFOLD)
+        else:
             raise _ill_formed(c)
-        c = opened.interpret(_UNFOLD)
     return level - 1, int(c)
 
 

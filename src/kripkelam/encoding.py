@@ -26,8 +26,9 @@ Deep terms: a fold recurses once per binder through the algebra it is
 given, as a ``size_alg`` fold of ``lam``/``place`` closures does. On a
 chain from ``db_to_hoas``, the entry points of :mod:`kripkelam.algebras`,
 a ``size_alg`` fold and the values of its two function carriers when
-applied do not: they walk the chain in a loop, one Python call per binder.
-The guard counts the binders interpreted in one top-level guarded call;
+applied do not: they skip the chain in O(1), charged to the guard as its
+``B + 1`` binders. The guard counts the binders interpreted, and those
+skipped, in one top-level guarded call;
 passing the active limit (default ``DEFAULT_MAX_NESTING``) raises
 :class:`DepthLimitError` instead of exhausting the interpreter stack. A
 binder is interpreted before those inside it, so this bounds nesting too,

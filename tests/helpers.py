@@ -8,7 +8,29 @@ import textwrap
 from itertools import islice
 from pathlib import Path
 
-from kripkelam import Algebra, Lam, Rename, Term, Var, closed, lam, place
+from kripkelam import (
+    Algebra,
+    DepthLimitError,
+    Lam,
+    Rename,
+    Term,
+    Var,
+    closed,
+    db_to_hoas,
+    enumerate_terms,
+    fold,
+    lam,
+    lam_alg,
+    names,
+    place,
+    print_alg,
+    print_term,
+    run_guarded,
+    size,
+    size_alg,
+    to_debruijn,
+    to_debruijn_alg,
+)
 from kripkelam.debruijn import DbTerm, NamedTerm, ParseError, _chain, _named
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -53,6 +75,86 @@ def deep_term(depth: int) -> Term:
         return body
 
     return closed(level(1))
+
+
+def closure_chain(k: int, i: int) -> Term:
+    """The chain of ``k`` binders around ``Var(i)``, built from ``lam``/``place`` closures.
+
+    The binder the occurrence names captures its fresh variable, and each
+    binder inside it renames that value into its own world, as a
+    ``db_to_hoas`` term does. No binder is a chain binder, so no fold or
+    walk skips any of them: each is interpreted through its algebra.
+    """
+    named = k - i
+
+    def level(j, target):
+        def body(mx, fresh):
+            if j < named:
+                value = None
+            elif j == named:
+                value = fresh
+            else:
+                value = mx.apply(target)
+            if j == k:
+                return place(value)
+            return lam(level(j + 1, value))
+
+        return body
+
+    return closed(level(1, None))
+
+
+# What a term gives to the three entry points, the size_alg fold and both
+# applied carriers.
+SIX_RUNS = (
+    size,
+    print_term,
+    to_debruijn,
+    lambda t: fold(size_alg(), t),
+    lambda t: fold(print_alg(), t)(names(1)),
+    lambda t: fold(to_debruijn_alg(), t)(1),
+)
+
+
+def _outcome(run, t, budget):
+    try:
+        return run_guarded(lambda: run(t), budget)
+    except DepthLimitError as err:
+        return DepthLimitError, err.limit
+
+
+def six_outcomes(t: Term, budget: int | None = None) -> list:
+    """What each of ``SIX_RUNS`` gives for ``t`` under ``budget``, or the
+    limit of the ``DepthLimitError`` it raises."""
+    return [_outcome(run, t, budget) for run in SIX_RUNS]
+
+
+def check_chains_agree_with_closures(max_depth: int) -> None:
+    """Assert that ``db_to_hoas`` chains and their ``closure_chain`` twins agree.
+
+    For every chain of ``enumerate_terms(max_depth)``, directly and folded
+    through ``lam_alg``, the six runs must give the same values, and with a
+    budget one binder short the same ``DepthLimitError``: the skip of a
+    chain binder against the path that interprets every binder.
+    """
+    for d in enumerate_terms(max_depth):
+        k, i = d.binders, d.index
+        skipped, walked = db_to_hoas(d), closure_chain(k, i)
+        for fast, slow in ((skipped, walked), (fold(lam_alg(), skipped), fold(lam_alg(), walked))):
+            budgets = (None, k - 1) if k > 1 else (None,)
+            for budget in budgets:
+                assert six_outcomes(fast, budget) == six_outcomes(slow, budget), (d, budget)
+
+
+def check_guard_charges_k_binders(run, t: Term, k: int) -> None:
+    """Assert that ``run(t)`` fits a budget of ``k`` binders and not ``k - 1``."""
+    run_guarded(lambda: run(t), k)
+    try:
+        run_guarded(lambda: run(t), k - 1)
+    except DepthLimitError as err:
+        assert err.limit == k - 1
+    else:
+        raise AssertionError(f"a budget of {k - 1} binders ran {run!r} to the end")
 
 
 class Poison:

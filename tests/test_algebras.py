@@ -35,7 +35,19 @@ from kripkelam import (
 from kripkelam.algebras import _UNFOLD, NameStream, _Level, _render, _walk, names
 from kripkelam.laws import check_hom, enumerate_skeletons, identity_term
 
-from helpers import Poison, chain, deep_term, term_x_x, term_xy_x, term_xy_y
+from helpers import (
+    SIX_RUNS,
+    Poison,
+    chain,
+    check_chains_agree_with_closures,
+    check_guard_charges_k_binders,
+    closure_chain,
+    deep_term,
+    six_outcomes,
+    term_x_x,
+    term_xy_x,
+    term_xy_y,
+)
 
 
 # ---------------------------------------------------------------- names
@@ -199,12 +211,21 @@ def test_random_chains_agree_with_oracles(ki):
     "index", [0, DEFAULT_MAX_NESTING // 2, DEFAULT_MAX_NESTING - 1]
 )
 def test_chains_at_the_guard_limit_agree_with_oracles(index):
+    # A db_to_hoas chain, skipped in one step, and the same chain of
+    # lam/place closures, interpreted binder by binder.
     d = chain(DEFAULT_MAX_NESTING, index)
-    t = db_to_hoas(d)
-    assert size(t) == oracle_size(d)
-    assert print_term(t) == oracle_print(d)
-    assert format_db(to_debruijn(t)) == format_db(d)
-    assert size(fold(lam_alg(), t)) == oracle_size(d)
+    for t in (db_to_hoas(d), closure_chain(DEFAULT_MAX_NESTING, index)):
+        for u in (t, fold(lam_alg(), t)):
+            n, text, db, folded_n, folded_text, folded_db = six_outcomes(u)
+            assert n == folded_n == oracle_size(d)
+            assert text == folded_text == oracle_print(d)
+            assert format_db(db) == format_db(folded_db) == format_db(d)
+
+
+def test_skipped_chains_agree_with_chains_of_closures():
+    # A db_to_hoas chain is skipped in one step on every library path; the
+    # same chain built from lam/place closures has every binder interpreted.
+    check_chains_agree_with_closures(40)
 
 
 @pytest.mark.parametrize(
@@ -293,22 +314,22 @@ def _applied_fold(alg, apply):
 @pytest.mark.parametrize(
     "make, per_binder",
     [
-        (_walk_of(size), 1),
-        (_walk_of(print_term), 1),
-        (_walk_of(to_debruijn), 1),
-        (_size_fold, 1),
-        (_applied_fold(print_alg(), lambda render: render(names(1))), 1),
-        (_applied_fold(to_debruijn_alg(), lambda at_depth: at_depth(1)), 1),
+        (_walk_of(size), 0),
+        (_walk_of(print_term), 0),
+        (_walk_of(to_debruijn), 0),
+        (_size_fold, 0),
+        (_applied_fold(print_alg(), lambda render: render(names(1))), 0),
+        (_applied_fold(to_debruijn_alg(), lambda at_depth: at_depth(1)), 0),
     ],
     ids=["walk-size", "walk-print", "walk-debruijn", "fold-size", "fold-print", "fold-debruijn"],
 )
 def test_a_binder_costs_few_python_calls(make, per_binder):
     # Python calls per binder: those of a 200-binder chain less those of a
-    # 100-binder one. A step of the walk, of the size fold and of an applied
-    # carrier's loop over a chain binder is the body call alone, with the
-    # guard tick made inline; interpreting the binder instead would add
-    # interpret, interpret_lam and the algebra. A node built through a
-    # Python __init__ would add a call per binder to each count.
+    # 100-binder one. The walk, the size fold and an applied carrier's loop
+    # skip a chain of chain binders in one step, whatever its length, and
+    # charge the guard for it at once; calling each binder would add a call
+    # per binder, and interpreting it interpret, interpret_lam and the
+    # algebra too.
     calls = {k: _python_calls(make(k)) for k in (100, 200)}
     assert (calls[200] - calls[100]) / 100 <= per_binder
 
@@ -446,6 +467,28 @@ def test_an_applied_carrier_ending_in_a_value_it_cannot_apply_is_a_type_error(ap
     assert isinstance(err.value.__cause__, TypeError)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t: fold(size_alg(), t),
+        lambda t: fold(print_alg(), t)(names(1)),
+        lambda t: fold(to_debruijn_alg(), t)(1),
+    ],
+    ids=["size_alg", "print_alg", "to_debruijn_alg"],
+)
+@pytest.mark.parametrize(
+    "t",
+    [closed(lambda mo, x: 5), closed(lambda mo, x: lam(lambda my: place(my)))],
+    ids=["not-an-open-term", "wrong-arity-body"],
+)
+def test_a_fold_of_a_body_that_is_no_binder_body_is_a_type_error(run, t):
+    # The entry points' error, holding the body: a body that returns no open
+    # term, or one the call itself refuses.
+    with pytest.raises(TypeError, match="ill-formed term: it holds <function ") as err:
+        run(t)
+    assert str(err.value).endswith("neither a variable bound by the term nor a binder body")
+
+
 @_APPLIED_CARRIERS
 def test_a_type_error_raised_inside_a_carriers_last_value_is_its_own(apply):
     with pytest.raises(TypeError, match="has no len") as err:
@@ -466,9 +509,9 @@ def test_entry_points_keep_the_budget_of_an_enclosing_guarded_call():
 def _counted_terms(k):
     t = db_to_hoas(chain(k, k // 2))
     return [
-        # Every step after the first on the inline chain-binder path.
+        # Every binder after the first skipped in one step.
         t,
-        # The first step through lam_alg's rebuilt body, the rest inline.
+        # The first step through lam_alg's rebuilt body, the rest skipped.
         fold(lam_alg(), t),
         # lam/place closures: every step through interpret_lam.
         deep_term(k),
@@ -477,14 +520,7 @@ def _counted_terms(k):
 
 @pytest.mark.parametrize(
     "run",
-    [
-        size,
-        print_term,
-        to_debruijn,
-        lambda t: fold(size_alg(), t),
-        lambda t: fold(print_alg(), t)(names(1)),
-        lambda t: fold(to_debruijn_alg(), t)(1),
-    ],
+    SIX_RUNS,
     ids=["size", "print_term", "to_debruijn", "size_alg", "print_alg", "to_debruijn_alg"],
 )
 @pytest.mark.parametrize("kind", range(3), ids=["db_to_hoas", "lam_alg", "closed"])
@@ -493,11 +529,22 @@ def test_the_guard_counts_each_binder_once_on_every_path(run, kind):
     # one of k - 1, whichever path each step of the walk, fold or loop
     # takes.
     k = 60
-    t = _counted_terms(k)[kind]
-    run_guarded(lambda: run(t), k)
+    check_guard_charges_k_binders(run, _counted_terms(k)[kind], k)
+
+
+def test_budgets_charged_in_one_step_accumulate_across_nested_calls():
+    # Each nested call skips the chain and charges its k binders at once;
+    # the enclosing budget sees all three charges.
+    k = 60
+    t = db_to_hoas(chain(k, k // 2))
+
+    def three():
+        return size(t), print_term(t), fold(to_debruijn_alg(), t)(1)
+
+    assert run_guarded(three, 3 * k)[0] == k + 1
     with pytest.raises(DepthLimitError) as err:
-        run_guarded(lambda: run(t), k - 1)
-    assert err.value.limit == k - 1
+        run_guarded(three, 3 * k - 1)
+    assert err.value.limit == 3 * k - 1
 
 
 def test_carriers_apply_at_depth_outside_the_guard():

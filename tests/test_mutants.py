@@ -1,0 +1,62 @@
+"""Mutant table: plausible slips in the optimized core, and the check that catches each.
+
+Each row patches one private function with a wrong variant and names the
+check that must fail under it; the unpatched row asserts that the same
+checks pass.
+"""
+
+from functools import partial
+
+import pytest
+
+from kripkelam import DepthLimitError, algebras, db_to_hoas, fold, lam_alg
+
+from helpers import SIX_RUNS, chain, check_chains_agree_with_closures, check_guard_charges_k_binders
+
+_skip_chain = algebras._skip_chain
+
+
+def _step_off_by_one(b, budget):
+    # Reads the occurrence from the step after the one that captures it.
+    steps, named = _skip_chain(b, budget)
+    return steps, named + 1
+
+
+def _charges_below(b, budget):
+    # Charges the binders under b but not b itself.
+    below = b.below
+    if budget is not None:
+        budget.left -= below
+        if budget.left < 0 and budget.active:
+            budget.left = -1
+            raise DepthLimitError(budget.limit)
+    return below + 1, below - b.index
+
+
+def _guard_checks():
+    # The k / k - 1 budget check of test_the_guard_counts_each_binder_once_on_
+    # every_path, on the two kinds of term that take the skip.
+    k = 60
+    t = db_to_hoas(chain(k, k // 2))
+    for u in (t, fold(lam_alg(), t)):
+        for run in SIX_RUNS:
+            yield partial(check_guard_charges_k_binders, run, u, k)
+
+
+def _fails(check) -> bool:
+    try:
+        check()
+    except AssertionError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "skip, differential_fails, guard_fails",
+    [(_skip_chain, False, False), (_step_off_by_one, True, False), (_charges_below, True, True)],
+    ids=["unpatched", "step-off-by-one", "charges-below"],
+)
+def test_the_chain_skip(monkeypatch, skip, differential_fails, guard_fails):
+    monkeypatch.setattr(algebras, "_skip_chain", skip)
+    assert _fails(lambda: check_chains_agree_with_closures(40)) is differential_fails
+    assert [_fails(check) for check in _guard_checks()] == [guard_fails] * 2 * len(SIX_RUNS)
