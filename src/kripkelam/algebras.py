@@ -4,38 +4,34 @@ Each algebra interprets one binder node. The size algebra works at an
 integer carrier directly. The other two use function carriers (name stream
 to text, nesting depth to tree) whose values are defunctionalized: a
 binder's value holds its body and algebra, and applying it walks the rest
-of the chain in a loop, one binder interpretation per step, so it takes no
-recursion at any depth. A ``db_to_hoas`` binder is its own body and records
-the ``B`` binders under it and which one the occurrence names: when a fold
-of ``size_alg``, or an applied carrier of one of the other two, meets one
-with that algebra, it skips the chain in O(1), charging the guard for its
-``B + 1`` binders in one step and reading the occurrence from the binder.
-So a size fold of such a chain takes constant time and keeps nothing alive
-per binder. Any other algebra, such as one that wraps these, and any other
-body are interpreted binder by binder, as the Mendler interface requires,
-and a size fold of ``lam``/``place`` closures recurses once per binder.
+of the chain in one loop that both share, one binder interpretation per
+step, so it takes no recursion at any depth. A ``db_to_hoas`` binder is
+its own body and records the ``B`` binders under it and which one the
+occurrence names: when a fold of ``size_alg``, or the loop under one of
+the other two, meets one with that algebra, it skips the chain in O(1),
+charging the guard for its ``B + 1`` binders in one step and reading the
+occurrence from the binder. So a size fold of such a chain takes constant
+time and keeps nothing alive per binder. Any other algebra, such as one
+that wraps these, and any other body are interpreted binder by binder, as
+the Mendler interface requires, and a size fold of ``lam``/``place``
+closures recurses once per binder.
 
-The entry points ``size``, ``print_term`` and ``to_debruijn`` fold none of
-the three. They fold a one-step unfolding algebra, whose carrier is the
-binder's own Kripke body, and walk the chain in a loop inside the nesting
-guard: each body is asked at the identity rename for a fresh level marker,
-and what it returns is unfolded again, until the occurrence yields the
-marker of the binder it names; a ``db_to_hoas`` chain is skipped in O(1)
-as above. The walk takes no recursion and keeps no state per binder, and
-each entry point builds its result from the binder count and that level;
-a value met on the way that is neither a marker nor a binder body is an
-ill-formed term, one ``TypeError`` from all three. The folds of the three
-algebras raise it too for a body that returns no open term or cannot take
-a rename and a variable. The guard counts every binder once, skipped or
-not, as for a fold. Tests check that each entry point agrees with its
-algebra, and that the unfolding algebra is linked to each by a
-homomorphism.
+The entry points ``size``, ``print_term`` and ``to_debruijn`` fold
+``to_debruijn_alg`` and run the same loop over its value inside the
+nesting guard, but apply nothing: the chain must end in the variable of a
+binder the loop walked, which is that binder's level, and each entry point
+builds its result from the binder count and that level. A chain that ends
+in anything else is an ill-formed term, and so is one whose end, applied
+by a carrier, gives no text or de Bruijn term: one ``TypeError`` from the
+three entry points and the two applied carriers. The folds of the three algebras raise
+it too for a body that returns no open term or cannot take a rename and a
+variable. The guard counts every binder once, skipped or not, as for a
+fold. Tests check that each entry point agrees with its algebra's fold.
 """
 
 from __future__ import annotations
 
 import reprlib
-from functools import partial
 from operator import attrgetter
 
 from .debruijn import DbTerm, Var, _chain, _ChainBinder
@@ -145,56 +141,17 @@ def size(t: Term) -> int:
     return _unfold(t)[0] + 1
 
 
-class _Name(str):
-    """A bound variable's denotation in ``print_alg``: its name, whatever the stream."""
+class _Name(int):
+    """A bound variable's denotation in ``print_alg``: the number n of its name x{n}.
+
+    Called with any stream, it gives that name. An ``int`` subclass with no
+    slots of its own, so making one runs in C.
+    """
 
     __slots__ = ()
 
     def __call__(self, _stream: NameStream) -> str:
-        return self
-
-
-class _PrintCarrier:
-    """``print_alg``'s value for a binder: its body and the algebra to read it with.
-
-    Applied to a stream, it walks the chain in a loop: each binder takes the
-    next name, its body is interpreted at that name's ``_Name``, and the
-    walk goes on while that gives another such value. With ``print_alg``
-    itself, a chain binder met on the way is skipped with its chain, as
-    ``_walk`` does. Whatever ends the chain is applied to the stream that
-    is left, and the text is joined once. Names are counted as ints, so no
-    stream is built per binder.
-    """
-
-    __slots__ = ("body", "alg")
-
-    def __call__(self, stream: NameStream) -> str:
-        start = n = stream.start
-        c = self
-        budget = _budget.get()
-        while type(c) is _PrintCarrier:
-            body = c.body
-            try:
-                opened = body(_IDENTITY, _Name(f"x{n}"))
-            except TypeError as err:
-                _raise_if_refused(body, err)
-                raise
-            n += 1
-            alg = c.alg
-            if alg is _PRINT_ALG and type(opened) is _ChainBinder:
-                steps, named = _skip_chain(opened, budget)
-                c = _Name(f"x{n + named}") if named >= 0 else opened.target
-                n += steps
-            elif isinstance(opened, OpenTerm):
-                c = opened.interpret(alg)
-            else:
-                raise _ill_formed(body)
-        try:
-            text = c(NameStream(n))
-        except TypeError as err:
-            _raise_if_refused(c, err)
-            raise
-        return _prefixes(start, n - 1) + text
+        return f"x{self}"
 
 
 def _print_lam(body, embed, alg):
@@ -205,6 +162,25 @@ def _print_lam(body, embed, alg):
 
 
 _PRINT_ALG = Algebra(_print_lam, name="print")
+
+
+class _PrintCarrier:
+    """``print_alg``'s value for a binder: its body and the algebra to read it with.
+
+    Applied to a stream, it walks the chain with :func:`_chain_end`, each
+    binder taking the next name. Whatever ends the chain is applied to the
+    stream that is left, and the text is joined once. Names are counted as
+    ints, so no stream is built per binder.
+    """
+
+    __slots__ = ("body", "alg")
+    var = _Name
+    own = _PRINT_ALG
+
+    def __call__(self, stream: NameStream) -> str:
+        start = stream.start
+        n, c = _chain_end(self, start, _PrintCarrier)
+        return _prefixes(start, n - 1) + _applied(c, NameStream(n), str)
 
 
 def print_alg() -> Algebra:
@@ -219,57 +195,21 @@ def print_alg() -> Algebra:
 def print_term(t: Term) -> str:
     """Render a closed term using the name stream starting at x1."""
     k, j = _unfold(t)
-    return _render(1, k, j)
+    return _prefixes(1, k) + f"x{j}"
 
 
-def _var_at(bound: int, n: int) -> DbTerm:
-    return Var(n - bound)
+class _Level(int):
+    """A bound variable's denotation in ``to_debruijn_alg``: the depth of its binder.
 
-
-class _DepthCarrier:
-    """``to_debruijn_alg``'s value for a binder: its body and the algebra to read it with.
-
-    Applied to a depth, it walks the chain in a loop: each binder's body is
-    interpreted one level deeper, its variable denoting
-    ``partial(_var_at, level)``, and the walk goes on while that gives
-    another such value. With ``to_debruijn_alg`` itself, a chain binder met
-    on the way is skipped with its chain, as ``_walk`` does. Whatever ends
-    the chain is applied to the depth reached, and the binders walked are
-    put around its term in one step.
+    Called with the depth ``n`` of an occurrence, it gives the index of
+    the binder, ``Var(n - self)``. An ``int`` subclass with no slots of its
+    own, so making one runs in C.
     """
 
-    __slots__ = ("body", "alg")
+    __slots__ = ()
 
-    def __call__(self, v: int) -> DbTerm:
-        depth = v
-        c = self
-        budget = _budget.get()
-        while type(c) is _DepthCarrier:
-            v += 1
-            body = c.body
-            try:
-                opened = body(_IDENTITY, partial(_var_at, v))
-            except TypeError as err:
-                _raise_if_refused(body, err)
-                raise
-            alg = c.alg
-            if alg is _TO_DEBRUIJN_ALG and type(opened) is _ChainBinder:
-                steps, named = _skip_chain(opened, budget)
-                c = partial(_var_at, v + 1 + named) if named >= 0 else opened.target
-                v += steps
-            elif isinstance(opened, OpenTerm):
-                c = opened.interpret(alg)
-            else:
-                raise _ill_formed(body)
-        try:
-            inner = c(v)
-        except TypeError as err:
-            _raise_if_refused(c, err)
-            raise
-        # The check ``Lam`` makes on its body.
-        if not isinstance(inner, DbTerm):
-            raise TypeError(f"not a de Bruijn term: {inner!r}")
-        return _chain(v - depth + inner.binders, inner.occurrence)
+    def __call__(self, n: int) -> DbTerm:
+        return Var(n - self)
 
 
 def _debruijn_lam(body, embed, alg):
@@ -280,6 +220,25 @@ def _debruijn_lam(body, embed, alg):
 
 
 _TO_DEBRUIJN_ALG = Algebra(_debruijn_lam, name="debruijn")
+
+
+class _DepthCarrier:
+    """``to_debruijn_alg``'s value for a binder: its body and the algebra to read it with.
+
+    Applied to a depth ``v``, it walks the chain with :func:`_chain_end`
+    from level ``v + 1``, one level deeper per binder. Whatever ends the
+    chain is applied to the depth reached, and the binders walked are put
+    around its term in one step.
+    """
+
+    __slots__ = ("body", "alg")
+    var = _Level
+    own = _TO_DEBRUIJN_ALG
+
+    def __call__(self, v: int) -> DbTerm:
+        level, c = _chain_end(self, v + 1, _DepthCarrier)
+        inner = _applied(c, level - 1, DbTerm)
+        return _chain(level - 1 - v + inner.binders, inner.occurrence)
 
 
 def to_debruijn_alg() -> Algebra:
@@ -298,53 +257,51 @@ def to_debruijn(t: Term) -> DbTerm:
     return _chain(k, k - j)
 
 
-class _Level(int):
-    """The variable of the binder at one level of a walk: that level.
+def _chain_end(c, level: int, cls) -> tuple:
+    """Walk the chain from ``c``, a value of the carrier class ``cls``.
 
-    An ``int`` subclass with no slots of its own, like ``_Name``, so making
-    one runs in C: the walk makes one per binder and enters no Python
-    ``__init__`` for it. Its type, not its value, tells it from a body.
+    The binder ``c`` is at ``level``: its body is asked at the identity
+    rename for the variable ``cls.var(level)``, and what it returns is
+    interpreted with the binder's algebra. The walk goes on one level
+    deeper while that gives another value of ``cls``, as an occurrence
+    that denotes a term renamed in through ``lam_alg`` does. With the
+    algebra ``cls.own``, a chain binder met on the way is skipped with its
+    chain. Returns the level past the last binder walked and the value
+    that ends the chain.
     """
-
-    __slots__ = ()
-
-
-# Interprets a binder as its body, so folding a term with it unfolds the
-# outermost binder only.
-_UNFOLD = Algebra(lambda body, embed, candidate: body, name="unfold")
-
-
-def _walk(c, level: int) -> tuple[int, int]:
-    """Walk a chain from ``c``, a value at the carrier of ``_UNFOLD``.
-
-    A body ``c`` is the binder at ``level``: it is asked at the identity
-    rename for that level's marker, and what it returns is unfolded. An
-    occurrence that denotes a body, such as a term renamed in through
-    ``lam_alg``, goes on with that body at the next level. Returns the
-    level of the last binder walked and the level the occurrence names; a
-    marker ``c`` walks no binder.
-
-    A chain binder is its own body, so the walk would call each binder of
-    its chain in turn. When a body returns one, the walk skips the chain
-    instead, to the marker or value that ends it.
-    """
+    var = cls.var
+    own = cls.own
     budget = _budget.get()
-    while type(c) is not _Level:
+    while type(c) is cls:
+        body = c.body
         try:
-            opened = c(_IDENTITY, _Level(level))
+            opened = body(_IDENTITY, var(level))
         except TypeError as err:
-            _raise_if_refused(c, err)
+            _raise_if_refused(body, err)
             raise
         level += 1
-        if type(opened) is _ChainBinder:
+        alg = c.alg
+        if alg is own and type(opened) is _ChainBinder:
             steps, named = _skip_chain(opened, budget)
-            c = _Level(level + named) if named >= 0 else opened.target
+            c = var(level + named) if named >= 0 else opened.target
             level += steps
         elif isinstance(opened, OpenTerm):
-            c = opened.interpret(_UNFOLD)
+            c = opened.interpret(alg)
         else:
-            raise _ill_formed(c)
-    return level - 1, int(c)
+            raise _ill_formed(body)
+    return level, c
+
+
+def _applied(c, arg, kind):
+    """``c(arg)``, which ends a carrier's chain and must give a ``kind``."""
+    try:
+        out = c(arg)
+    except TypeError as err:
+        _raise_if_refused(c, err)
+        raise
+    if not isinstance(out, kind):
+        raise _ill_formed(c)
+    return out
 
 
 def _ill_formed(c) -> TypeError:
@@ -366,15 +323,18 @@ def _raise_if_refused(c, err: TypeError) -> None:
 
 
 def _unfold(t: Term) -> tuple[int, int]:
-    """The binder count of ``t`` and the level its occurrence names."""
-    return run_guarded(lambda: _walk(t.run(_UNFOLD), 1))
+    """The binder count of ``t`` and the level its occurrence names.
+
+    It walks the ``to_debruijn_alg`` value of ``t`` from level 1 and
+    applies nothing: the chain must end in the variable of a binder it
+    walked.
+    """
+    level, end = run_guarded(lambda: _chain_end(t.run(_TO_DEBRUIJN_ALG), 1, _DepthCarrier))
+    if type(end) is not _Level:
+        raise _ill_formed(end)
+    return level - 1, end
 
 
 def _prefixes(start: int, last: int) -> str:
     """The text of binders named x{start} to x{last}, outermost first."""
     return "".join([f"\\ x{level}. " for level in range(start, last + 1)])
-
-
-def _render(start: int, last: int, occurrence: int) -> str:
-    """Binders named x{start} to x{last} around the occurrence x{occurrence}."""
-    return _prefixes(start, last) + f"x{occurrence}"

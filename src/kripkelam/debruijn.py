@@ -16,7 +16,7 @@ It is captured when that binder is entered and renamed once by each binder
 inside it, so folding a converted term takes time and memory linear in its
 depth. Each binder of a converted term is one small object that is both the
 ``lam`` node and its own body, so a fold keeps one GC-tracked object alive
-per binder. The library's own folds and walk skip such a chain in O(1).
+per binder. The library's own folds and chain loop skip such a chain in O(1).
 
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
@@ -279,10 +279,10 @@ class _ChainBinder(OpenTerm):
     The fields say what calling the chain at the identity rename gives:
     ``below + 1`` binders, ending in the fresh variable handed to step
     ``below - index``, or in ``target`` if that step is negative. So the
-    walk, the ``size_alg`` fold and the applied carriers of
-    :mod:`kripkelam.algebras` skip the chain in O(1) from them, charged to
-    the guard as its ``below + 1`` binders; any other algebra calls each
-    binder in turn.
+    ``size_alg`` fold and the chain loop of :mod:`kripkelam.algebras`,
+    which the entry points and the applied carriers share, skip the chain
+    in O(1) from them, charged to the guard as its ``below + 1`` binders;
+    any other algebra calls each binder in turn.
 
     There is no ``__init__``: every binder is made by ``object.__new__`` and
     three slot stores, as :func:`_binder` does. A class call would enter a

@@ -23,13 +23,13 @@ may be folded concurrently; all values here are immutable after
 construction.
 
 Deep terms: a fold recurses once per binder through the algebra it is
-given, as a ``size_alg`` fold of ``lam``/``place`` closures does. On a
-chain from ``db_to_hoas``, the entry points of :mod:`kripkelam.algebras`,
-a ``size_alg`` fold and the values of its two function carriers when
-applied do not: they skip the chain in O(1), charged to the guard as its
-``B + 1`` binders. The guard counts the binders interpreted, and those
-skipped, in one top-level guarded call;
-passing the active limit (default ``DEFAULT_MAX_NESTING``) raises
+given, as a ``size_alg`` fold of ``lam``/``place`` closures does. The
+entry points of :mod:`kripkelam.algebras` and the values of its two
+function carriers when applied do not: they walk the chain in one loop.
+On a chain from ``db_to_hoas``, that loop and a ``size_alg`` fold skip
+the chain in O(1), charged to the guard as its ``B + 1`` binders. The
+guard counts the binders interpreted, and those skipped, in one
+top-level guarded call; passing the active limit (default ``DEFAULT_MAX_NESTING``) raises
 :class:`DepthLimitError` instead of exhausting the interpreter stack. A
 binder is interpreted before those inside it, so this bounds nesting too,
 but an algebra that interprets each body twice trips it at 14 binders.

@@ -83,7 +83,7 @@ def closure_chain(k: int, i: int) -> Term:
     The binder the occurrence names captures its fresh variable, and each
     binder inside it renames that value into its own world, as a
     ``db_to_hoas`` term does. No binder is a chain binder, so no fold or
-    walk skips any of them: each is interpreted through its algebra.
+    chain loop skips any of them: each is interpreted through its algebra.
     """
     named = k - i
 

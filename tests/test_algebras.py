@@ -32,8 +32,8 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
-from kripkelam.algebras import _UNFOLD, NameStream, _Level, _render, _walk, names
-from kripkelam.laws import check_hom, enumerate_skeletons, identity_term
+from kripkelam.algebras import NameStream, names
+from kripkelam.laws import body_of_skeleton, enumerate_skeletons
 
 from helpers import (
     SIX_RUNS,
@@ -325,8 +325,9 @@ def _applied_fold(alg, apply):
 )
 def test_a_binder_costs_few_python_calls(make, per_binder):
     # Python calls per binder: those of a 200-binder chain less those of a
-    # 100-binder one. The walk, the size fold and an applied carrier's loop
-    # skip a chain of chain binders in one step, whatever its length, and
+    # 100-binder one. The chain loop, which the entry points and the applied
+    # carriers share, and the size fold skip a chain of chain binders in one
+    # step, whatever its length, and
     # charge the guard for it at once; calling each binder would add a call
     # per binder, and interpreting it interpret, interpret_lam and the
     # algebra too.
@@ -334,50 +335,7 @@ def test_a_binder_costs_few_python_calls(make, per_binder):
     assert (calls[200] - calls[100]) / 100 <= per_binder
 
 
-# ------------------------------------------------------- the unfolding walk
-
-
-def _size_from(c):
-    return _walk(c, 1)[0] + 1
-
-
-def _print_from(c):
-    return lambda stream: _render(stream.start, *_walk(c, stream.start))
-
-
-def _debruijn_from(c):
-    def at_depth(v):
-        last, occurrence = _walk(c, v)
-        return chain(last - v + 1, last - occurrence)
-
-    return at_depth
-
-
-@pytest.mark.parametrize(
-    "alg, h, observe",
-    [
-        (size_alg(), _size_from, lambda n: n),
-        (print_alg(), _print_from, lambda render: render(names(1))),
-        (to_debruijn_alg(), _debruijn_from, lambda f: f(1)),
-    ],
-    ids=["size", "print", "debruijn"],
-)
-@pytest.mark.parametrize(
-    "env_value",
-    [_Level(0), identity_term().run(_UNFOLD)],
-    ids=["level", "body"],
-)
-def test_walking_then_rendering_is_a_homomorphism_from_the_unfolding_algebra(
-    alg, h, observe, env_value
-):
-    # The entry points fold the unfolding algebra and walk its value: that
-    # agrees with folding the public algebra when walking from a carrier
-    # value, then rendering, is a homomorphism into it. The environment is
-    # an outer binder's level or a body renamed in, as through lam_alg.
-    pool = [(None, s) for s in enumerate_skeletons(32)]
-    report = check_hom(_UNFOLD, alg, h, pool, env_value=env_value, observe=observe)
-    assert report.checked == len(pool)
-    assert report.ok, report.failures[:3]
+# ----------------------------------------- entry points and their folds
 
 
 def _hand_built_terms():
@@ -401,6 +359,10 @@ def test_entry_points_equal_their_folds_at_the_canonical_argument():
     terms = [db_to_hoas(d) for d in enumerate_terms(40)]
     terms += [fold(lam_alg(), t) for t in terms]
     terms += _hand_built_terms()
+    # Every skeleton's body under one outer binder: its leaf names that
+    # binder, the body's own binder or a local one.
+    skeletons = [closed(lambda mo, x, s=s: lam(body_of_skeleton(s, x))) for s in enumerate_skeletons(32)]
+    terms += skeletons + [fold(lam_alg(), t) for t in skeletons]
     for t in terms:
         assert size(t) == fold(size_alg(), t)
         assert print_term(t) == fold(print_alg(), t)(names(1))
@@ -416,13 +378,17 @@ def test_entry_points_equal_their_folds_at_the_canonical_argument():
         (closed(lambda mo, x: place(len)), "<built-in function len>"),
         (closed(lambda mo, x: place(lambda *a: 5)), "<function "),
         (closed(lambda mo, x: lam(lambda my: place(my))), "<function "),
+        (closed(lambda mo, x: place(lambda mx, y: place(y))), "<function "),
     ],
-    ids=["outer", "inner", "builtin", "not-an-open-term", "wrong-arity-body"],
+    ids=["outer", "inner", "builtin", "not-an-open-term", "wrong-arity-body", "placed-body"],
 )
 def test_an_occurrence_no_binder_bound_is_a_type_error(entry, t, held):
     # size once counted the 42 as the occurrence's size, and print_term
     # and to_debruijn called it. A callable is no binder body unless it
-    # takes a rename and a variable and returns an open term.
+    # takes a rename and a variable and returns an open term, and a placed
+    # value is no binder at all, even one that is a binder body: the entry
+    # points once walked a placed function as a further binder, so size
+    # gave 3 where the folds raise.
     with pytest.raises(TypeError, match="ill-formed term: it holds ") as err:
         entry(t)
     assert str(err.value).startswith(f"ill-formed term: it holds {held}")
@@ -465,6 +431,17 @@ def test_an_applied_carrier_ending_in_a_value_it_cannot_apply_is_a_type_error(ap
         apply(t)
     assert str(err.value).startswith(f"ill-formed term: it holds {held}")
     assert isinstance(err.value.__cause__, TypeError)
+
+
+@_APPLIED_CARRIERS
+def test_an_applied_carrier_ending_in_a_value_that_gives_no_text_or_term_is_a_type_error(apply):
+    # The value takes the stream or depth but gives neither a text nor a de
+    # Bruijn term: the print carrier once failed joining it to the binder
+    # prefixes, and the de Bruijn carrier said it was no de Bruijn term.
+    with pytest.raises(TypeError, match="ill-formed term: it holds <function ") as err:
+        apply(closed(lambda mo, x: place(lambda *a: 5)))
+    assert str(err.value).endswith("neither a variable bound by the term nor a binder body")
+    assert err.value.__cause__ is None
 
 
 @pytest.mark.parametrize(
@@ -526,7 +503,7 @@ def _counted_terms(k):
 @pytest.mark.parametrize("kind", range(3), ids=["db_to_hoas", "lam_alg", "closed"])
 def test_the_guard_counts_each_binder_once_on_every_path(run, kind):
     # A k-binder chain fits a budget of k binder interpretations and not
-    # one of k - 1, whichever path each step of the walk, fold or loop
+    # one of k - 1, whichever path each step of the fold or the chain loop
     # takes.
     k = 60
     check_guard_charges_k_binders(run, _counted_terms(k)[kind], k)

@@ -561,10 +561,10 @@ def _traced(run, t):
 
 
 def test_folding_a_deep_chain_takes_little_memory_per_binder():
-    # The entry points walk a chain in a loop that keeps nothing alive per
-    # binder, and so does a size_alg fold. size and to_debruijn peak at 864
-    # bytes at 1,000 and at 10,000 binders alike (872 on CPython 3.12 and
-    # 3.13), and the size_alg fold at 776; print_term peaks at its text plus
+    # The entry points run the applied carriers' chain loop, which keeps
+    # nothing alive per binder, and so does a size_alg fold. size and
+    # to_debruijn peak at under 1 KB at 1,000 and at 10,000 binders alike,
+    # and the size_alg fold at 776 bytes; print_term peaks at its text plus
     # the binder prefixes it joins, 8.5 times the text, and format_db at
     # about twice its text. A size_alg fold that recursed once per binder
     # peaked at 872 KB at 10,000 binders, and took 14 s traced, because

@@ -1,10 +1,11 @@
 """Mutant table: plausible slips in the optimized core, and the check that catches each.
 
 Each row patches one private function with a wrong variant and names the
-check that must fail under it; the unpatched row asserts that the same
-checks pass.
+check that must fail under it; an unpatched row, or the row itself before
+it patches, asserts that the same checks pass.
 """
 
+import inspect
 from functools import partial
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from kripkelam import DepthLimitError, algebras, db_to_hoas, fold, lam_alg
 
 from helpers import SIX_RUNS, chain, check_chains_agree_with_closures, check_guard_charges_k_binders
+from test_algebras import test_a_fold_keeps_few_tracked_objects_alive_per_binder as _keeps_few_alive
 
 _skip_chain = algebras._skip_chain
 
@@ -60,3 +62,30 @@ def test_the_chain_skip(monkeypatch, skip, differential_fails, guard_fails):
     monkeypatch.setattr(algebras, "_skip_chain", skip)
     assert _fails(lambda: check_chains_agree_with_closures(40)) is differential_fails
     assert [_fails(check) for check in _guard_checks()] == [guard_fails] * 2 * len(SIX_RUNS)
+
+
+def _chain_end_with(old: str, new: str):
+    """``algebras._chain_end`` with the one line ``old`` of its source read as ``new``."""
+    source = inspect.getsource(algebras._chain_end)
+    assert source.count(old) == 1
+    scope = {}
+    exec(source.replace(old, new), vars(algebras), scope)
+    return scope["_chain_end"]
+
+
+# A wrapped print_alg: a skip of its chain binders hides them from the wrapper.
+_wrapped_print_check = partial(_keeps_few_alive, algebras.print_alg(), lambda v: v(algebras.names(1)), 1)
+
+
+@pytest.mark.parametrize(
+    "old, new, check",
+    [
+        ("if alg is own and type(opened)", "if type(opened)", _wrapped_print_check),
+        ("var(level + named)", "var(level + named + 1)", partial(check_chains_agree_with_closures, 40)),
+    ],
+    ids=["skip-any-algebra", "skip-level-off-by-one"],
+)
+def test_the_shared_chain_loop(monkeypatch, old, new, check):
+    assert not _fails(check)
+    monkeypatch.setattr(algebras, "_chain_end", _chain_end_with(old, new))
+    assert _fails(check)
