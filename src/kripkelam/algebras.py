@@ -25,7 +25,8 @@ in anything else is an ill-formed term, and so is one whose end, applied
 by a carrier, gives no text or de Bruijn term: one ``TypeError`` from the
 three entry points and the two applied carriers. The folds of the three algebras raise
 it too for a body that returns no open term or cannot take a rename and a
-variable. The guard counts every binder once, skipped or not, as for a
+variable, and a ``size_alg`` fold for an occurrence that denotes no ``int``.
+The guard counts every binder once, skipped or not, as for a
 fold. Tests check that each entry point agrees with its algebra's fold.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 import reprlib
 from operator import attrgetter
 
-from .debruijn import DbTerm, Var, _chain, _ChainBinder
+from .debruijn import DbTerm, Var, _binder_text, _canonical, _chain, _ChainBinder
 from .encoding import Algebra, DepthLimitError, OpenTerm, Rename, Term, _budget, run_guarded
 
 __all__ = [
@@ -115,6 +116,8 @@ def _size_lam(body, embed, alg):
     # One for the binder, one per occurrence of its variable: the variable
     # denotes 1 and the body is re-interpreted with the same algebra. With
     # this algebra, a chain binder that follows is skipped with its chain.
+    # What the occurrence denotes must be a size: a held value that is no
+    # int is no variable the term binds.
     try:
         opened = body(_IDENTITY, 1)
     except TypeError as err:
@@ -122,10 +125,14 @@ def _size_lam(body, embed, alg):
         raise
     if alg is _SIZE_ALG and type(opened) is _ChainBinder:
         steps, named = _skip_chain(opened, _budget.get())
-        return 1 + steps + (1 if named >= 0 else opened.target)
-    if not isinstance(opened, OpenTerm):
+        value = 1 if named >= 0 else opened.target
+    elif isinstance(opened, OpenTerm):
+        steps, value = 0, opened.interpret(alg)
+    else:
         raise _ill_formed(body)
-    return 1 + opened.interpret(alg)
+    if not isinstance(value, int):
+        raise _ill_formed(value)
+    return 1 + steps + value
 
 
 _SIZE_ALG = Algebra(_size_lam, name="size")
@@ -337,4 +344,4 @@ def _unfold(t: Term) -> tuple[int, int]:
 
 def _prefixes(start: int, last: int) -> str:
     """The text of binders named x{start} to x{last}, outermost first."""
-    return "".join([f"\\ x{level}. " for level in range(start, last + 1)])
+    return _binder_text(_canonical(start, last))

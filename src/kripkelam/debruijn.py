@@ -29,17 +29,27 @@ text reads ``Lam (Lam (Var 1))``, parentheses optional. Named text is
 A text that does not match raises :class:`ParseError` at a 1-based line and
 column: at the first character that starts no token, anywhere in the text,
 or else at one of the first tokens after the binder run or among the
-closing parentheses.
+closing parentheses. The names of a named binder run are then listed by one
+``findall`` scan; a run of 4,096 characters or more is scanned a chunk of
+about that many characters at a time, each ending just after a binder's
+``.``, and the names are streamed into the term, so no list of every name
+is held beside them.
+
+The canonical names ``x1``, ``x2``, ... come from one table that grows on
+demand to at most ``DEFAULT_MAX_NESTING`` names (about 0.6 MB).
+:func:`db_to_named` slices its binder names from it, and binder text is
+joined from such names in one ``str.join``; a name past the table is
+formatted per call. The oracles do not use the table.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
 
-from .encoding import OpenTerm, Rename, Term, TermBody, identity_embed, place
+from .encoding import DEFAULT_MAX_NESTING, OpenTerm, Rename, Term, TermBody, identity_embed, place
 
 __all__ = [
     "Abs",
@@ -244,7 +254,33 @@ def oracle_print(d: DbTerm) -> str:
 def db_to_named(d: DbTerm) -> NamedTerm:
     """Closed term to named form, binder at nesting level k named ``x{k}``."""
     k, i = _unchain_closed(d)
-    return _named(tuple([f"x{level}" for level in range(1, k + 1)]), f"x{k - i}")
+    return _named(_canonical(1, k), f"x{k - i}")
+
+
+# The canonical names: entry n is x{n + 1}. The table grows by doubling up
+# to DEFAULT_MAX_NESTING names, and growing rebinds it whole, so a thread
+# that reads it during another's growth still reads a correct table.
+_CANONICAL: tuple[str, ...] = ()
+
+
+def _canonical(start: int, last: int) -> tuple[str, ...]:
+    """The names x{start} to x{last}: a slice of the table where it holds them."""
+    global _CANONICAL
+    if 1 <= start and last <= DEFAULT_MAX_NESTING:
+        table = _CANONICAL
+        if len(table) < last:
+            size = min(max(2 * len(table), last), DEFAULT_MAX_NESTING)
+            table += tuple([f"x{n}" for n in range(len(table) + 1, size + 1)])
+            _CANONICAL = table
+        return table[start - 1 : last]
+    return tuple([f"x{n}" for n in range(start, last + 1)])
+
+
+def _binder_text(binders: tuple[str, ...]) -> str:
+    """The binder prefixes ``\\ name. `` of ``binders``, outermost first."""
+    if not binders:
+        return ""
+    return "\\ " + ". \\ ".join(binders) + ". "
 
 
 def named_to_db(t: NamedTerm) -> DbTerm:
@@ -393,26 +429,29 @@ def format_db(d: DbTerm) -> str:
 
 def render_named(t: NamedTerm) -> str:
     """Named term back to source syntax, one space after each backslash."""
-    return "".join([f"\\ {name}. " for name in t.binders]) + t.occurrence
+    return _binder_text(t.binders) + t.occurrence
 
 
 # Each syntax is one match of possessive repeats, which keep no backtracking
-# state per binder: a run of binders (named) or of ``Lam`` and ``(`` markers
-# (de Bruijn), then the occurrence or as much of a binder or ``Var`` as there
-# is. The match always succeeds; the text is a term when the occurrence
-# matched and the match reached the end, and otherwise the error is placed
-# where the match ended. A word ends where no character can continue it:
-# ``Var_`` is ``Var``, then an unexpected ``_``.
+# state per binder: a run of binders (named) or of ``Lam`` markers, each
+# with the whitespace and ``(`` after it (de Bruijn), then the occurrence or
+# as much of a binder or ``Var`` as there is. The match always succeeds;
+# the text is a term when the occurrence matched and the match reached the
+# end, and otherwise the error is placed where the match ended. A word ends
+# where no character can continue it: ``Var_`` is ``Var``, then an
+# unexpected ``_``.
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*+"
 _NAMED = re.compile(
     rf"((?>\s*+[\\λ]\s*+{_IDENT}\s*+\.)*+)\s*+(?:({_IDENT})\s*+|([\\λ])\s*+(?:({_IDENT})\s*+)?)?"
 )
 _NAME = re.compile(_IDENT)
-_DB = re.compile(r"((?:[\s(]++|Lam(?![^\W_]))*+)(?:Var(?![^\W_])\s*+(?:(\d++)[\s)]*+)?)?")
+_DB = re.compile(r"([\s(]*+(?:Lam(?![^\W_])[\s(]*+)*+)(?:Var(?![^\W_])\s*+(?:(\d++)[\s)]*+)?)?")
 # Every token of each syntax, and whitespace; the error path compiles these.
 _NAMED_LEXICON = rf"(?:[\s\\λ.]++|{_IDENT})*+"
 _DB_LEXICON = r"(?:[\s()]++|\d++|(?:Lam|Var)(?![^\W_]))*+"
-_LISTED_RUN = 4096  # binder-run characters past which parse_named streams the names
+# Binder-run characters past which parse_named lists the names a chunk of
+# about this many characters at a time, instead of all at once.
+_LISTED_RUN = 4096
 
 
 def _error_at(text: str, pos: int, message: str) -> ParseError:
@@ -479,12 +518,25 @@ def parse_named(text: str) -> NamedTerm:
             message = "expected '.' after the bound name"
         raise _syntax_error(text, _NAMED_LEXICON, end, message)
     # findall's list costs 8 bytes a name on top of the names, so a long run
-    # streams them into the tuple instead. A short one, the common case, is
-    # copied from the list: twice as fast, and a tuple made at its exact size
-    # is one CPython's per-size free lists recycle.
+    # is listed a chunk at a time and streamed into the tuple. A short one,
+    # the common case, is copied from one list: a tuple made at its exact
+    # size is one CPython's per-size free lists recycle.
     run = match.end(1)
     if run < _LISTED_RUN:
         binders = tuple(_NAME.findall(text, 0, run))
     else:
-        binders = tuple(map(re.Match.group, _NAME.finditer(text, 0, run)))
+        binders = tuple(chain.from_iterable(_chunked_names(text, run)))
     return _named(binders, match.group(2))
+
+
+def _chunked_names(text: str, run: int) -> Iterator[list[str]]:
+    """The names of the binder run ``text[:run]``, listed a chunk at a time.
+
+    A chunk is about ``_LISTED_RUN`` characters and ends just after a
+    binder's ``.``, so no name is split between two chunks.
+    """
+    pos = 0
+    while pos < run:
+        end = text.find(".", pos + _LISTED_RUN, run) + 1 or run
+        yield _NAME.findall(text, pos, end)
+        pos = end

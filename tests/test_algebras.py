@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import reprlib
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from kripkelam import (
     Lam,
     Var,
     closed,
+    db_to_body,
     db_to_hoas,
     enumerate_terms,
     fold,
@@ -32,6 +34,7 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
+from kripkelam import debruijn
 from kripkelam.algebras import NameStream, names
 from kripkelam.laws import body_of_skeleton, enumerate_skeletons
 
@@ -77,6 +80,26 @@ def test_name_streams_are_immutable_values():
     with pytest.raises(AttributeError):
         del s.start
     assert s.start == 1
+
+
+def _printed_from(start, k, i):
+    """The text of the chain of ``k`` binders around ``Var(i)``, names from x{start}."""
+    return "".join([f"\\ x{start + j}. " for j in range(k)]) + f"x{start + k - 1 - i}"
+
+
+@pytest.mark.parametrize("table", ["empty", "full"])
+@pytest.mark.parametrize("start", [-2, 0, 1, 2, 9_995, DEFAULT_MAX_NESTING, DEFAULT_MAX_NESTING + 1])
+def test_the_print_carrier_names_binders_from_any_start(monkeypatch, table, start):
+    # Names x1 to x{DEFAULT_MAX_NESTING} come from the canonical-name table,
+    # which grows on demand; any other name is formatted per call.
+    monkeypatch.setattr(debruijn, "_CANONICAL", ())
+    if table == "full":
+        debruijn._canonical(1, DEFAULT_MAX_NESTING)
+    for k in (1, 7, 20):
+        for i in sorted({0, k // 2, k - 1}):
+            for t in (db_to_hoas(chain(k, i)), closure_chain(k, i)):
+                assert fold(print_alg(), t)(names(start)) == _printed_from(start, k, i)
+    assert len(debruijn._CANONICAL) <= DEFAULT_MAX_NESTING
 
 
 # ---------------------------------------------------------------- size
@@ -464,6 +487,34 @@ def test_a_fold_of_a_body_that_is_no_binder_body_is_a_type_error(run, t):
     with pytest.raises(TypeError, match="ill-formed term: it holds <function ") as err:
         run(t)
     assert str(err.value).endswith("neither a variable bound by the term nor a binder body")
+
+
+def _no_size(*_args):
+    return 5
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        closed(lambda mo, x: place(_no_size)),
+        # A chain binder with none under it, naming the binder outside it:
+        # the size fold skips it and reads the value that binder held.
+        closed(lambda mo, x: db_to_body(chain(2, 1))(mo, _no_size)),
+    ],
+    ids=["interpreted", "skipped"],
+)
+def test_a_size_fold_of_a_held_value_that_is_no_size_is_a_type_error(t):
+    # The fold once added the held function to the binder count and raised
+    # "unsupported operand type(s) for +"; now it names the value as the
+    # entry point does.
+    for run in (lambda: fold(size_alg(), t), lambda: size(t)):
+        with pytest.raises(TypeError, match="ill-formed term: it holds ") as err:
+            run()
+        assert str(err.value).startswith(f"ill-formed term: it holds {reprlib.repr(_no_size)}")
+    # A held int still reads as a size: a term renamed in through lam_alg
+    # reaches the body as one. The fold counts it; size finds no binder.
+    assert fold(size_alg(), closed(lambda mo, x: place(42))) == 43
+    assert fold(size_alg(), closed(lambda mo, x: db_to_body(chain(2, 1))(mo, 42))) == 44
 
 
 @_APPLIED_CARRIERS

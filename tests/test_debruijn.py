@@ -1,6 +1,7 @@
 import copy
 import pickle
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
+from kripkelam import debruijn
 from kripkelam.debruijn import parse_named, render_named
 
 from helpers import (
@@ -521,6 +523,41 @@ def test_parsers_agree_with_the_token_walk_reference(text):
         assert _outcome(parse, text) == _outcome(reference, text)
 
 
+def _binder_run(length, width):
+    """Binder text of exactly ``length`` characters, and the names it binds.
+
+    Names are ``width`` characters long. Binders alternate ``\\`` and
+    ``λ``, with the whitespace of ``_GAPS`` before each binder and before
+    each ``.``; the last binder is padded with spaces to the length.
+    """
+    parts, bound, size = [], [], 0
+    for j in range(length):
+        name = (chr(ord("a") + j % 26) + str(j) + "_" * width)[:width]
+        marker = "\\λ"[j % 2]
+        binder = f"{_GAPS[j % len(_GAPS)]}{marker}{name}{_GAPS[(j + 3) % len(_GAPS)]}."
+        if length - size - len(binder) < width + 2:  # too little left for the last binder
+            binder = " " * (length - size - width - 2) + f"{marker}{name}."
+        parts.append(binder)
+        bound.append(name)
+        size += len(binder)
+        if size == length:
+            break
+    return "".join(parts), bound
+
+
+@pytest.mark.parametrize("width", [1, 300])
+@pytest.mark.parametrize("length", [4_095, 4_096, 4_097, 3 * 4_096 - 3, 3 * 4_096, 3 * 4_096 + 3])
+def test_a_long_binder_run_is_read_in_chunks_that_split_no_name(length, width):
+    # Past 4,096 characters the names of a binder run are listed a chunk at
+    # a time, each chunk ending just after a binder's '.': a chunk cut at a
+    # fixed width would split a name in two.
+    run, bound = _binder_run(length, width)
+    assert len(run) == length
+    for gap in _GAPS:
+        term = parse_named(run + gap + bound[0])
+        assert term.binders == tuple(bound) and term.occurrence == bound[0]
+
+
 # ---------------------------------------------------------------- deep terms
 
 
@@ -564,9 +601,10 @@ def test_folding_a_deep_chain_takes_little_memory_per_binder():
     # The entry points run the applied carriers' chain loop, which keeps
     # nothing alive per binder, and so does a size_alg fold. size and
     # to_debruijn peak at under 1 KB at 1,000 and at 10,000 binders alike,
-    # and the size_alg fold at 776 bytes; print_term peaks at its text plus
-    # the binder prefixes it joins, 8.5 times the text, and format_db at
-    # about twice its text. A size_alg fold that recursed once per binder
+    # and the size_alg fold at 776 bytes; print_term, which joins a slice of
+    # the canonical-name table, and format_db both peak at about twice their
+    # text (print_term took 8.5 times its text when it joined one prefix
+    # string per binder). A size_alg fold that recursed once per binder
     # peaked at 872 KB at 10,000 binders, and took 14 s traced, because
     # tracemalloc walks the whole stack on every allocation. The applied
     # carriers are also checked at 3,000 binders, where closure carriers
@@ -608,10 +646,10 @@ def test_folding_a_deep_chain_takes_little_memory_per_binder():
 
 def test_applying_a_carrier_at_depth_takes_little_memory():
     # An applied carrier walks the chain in a loop, so tracemalloc runs at
-    # 10,000 binders. The print carrier peaks at its text plus the binder
-    # prefixes it joins, 0.75 MB; the de Bruijn carrier keeps nothing per
-    # binder. Carriers that recursed once per binder peaked at 4.67 and
-    # 3.15 MB.
+    # 10,000 binders. The print carrier peaks at about twice its text,
+    # 0.18 MB (0.75 MB when it joined one prefix string per binder); the de
+    # Bruijn carrier keeps nothing per binder. Carriers that recursed once
+    # per binder peaked at 4.67 and 3.15 MB.
     d = chain(DEFAULT_MAX_NESTING, DEFAULT_MAX_NESTING // 2)
     t = db_to_hoas(d)
     text, peak = _traced(lambda term: run_guarded(lambda: fold(print_alg(), term)(names(1))), t)
@@ -632,6 +670,46 @@ deep_chains = st.integers(min_value=1, max_value=DEFAULT_MAX_NESTING).flatmap(
 def test_text_roundtrips_up_to_the_guard_limit(d):
     assert parse_db(format_db(d)) == d
     assert named_to_db(parse_named(render_named(db_to_named(d)))) == d
+
+
+@pytest.mark.parametrize("k", [DEFAULT_MAX_NESTING - 1, DEFAULT_MAX_NESTING, DEFAULT_MAX_NESTING + 1, 20_000])
+def test_canonical_names_agree_with_the_oracle_past_the_name_table(k):
+    # db_to_named slices its names from a table of at most
+    # DEFAULT_MAX_NESTING names and formats any further ones per call.
+    d = chain(k, k // 3)
+    assert render_named(db_to_named(d)) == oracle_print(d)
+
+
+def test_the_name_table_stays_correct_when_threads_grow_it_at_once(monkeypatch):
+    # Each thread that grows the table rebinds it whole, so however the
+    # threads interleave, every entry n is x{n + 1}.
+    depths = [1, 3, 40, 300, 2_000, 5_000, DEFAULT_MAX_NESTING, DEFAULT_MAX_NESTING + 5]
+    chains = [chain(k, k - 1) for k in depths]
+    expected = [oracle_print(d) for d in chains]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(debruijn, "_CANONICAL", ())
+            start = threading.Barrier(len(chains), timeout=60)
+            texts = [None] * len(chains)
+
+            def name(slot):
+                start.wait()
+                texts[slot] = render_named(db_to_named(chains[slot]))
+
+            threads = [threading.Thread(target=name, args=(slot,)) for slot in range(len(chains))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert texts == expected
+            table = debruijn._CANONICAL
+            assert len(table) <= DEFAULT_MAX_NESTING
+            assert all(entry == f"x{n + 1}" for n, entry in enumerate(table))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_terms_are_immutable():

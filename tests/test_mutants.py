@@ -10,10 +10,12 @@ from functools import partial
 
 import pytest
 
-from kripkelam import DepthLimitError, algebras, db_to_hoas, fold, lam_alg
+from kripkelam import DepthLimitError, algebras, db_to_hoas, debruijn, fold, lam_alg
 
 from helpers import SIX_RUNS, chain, check_chains_agree_with_closures, check_guard_charges_k_binders
 from test_algebras import test_a_fold_keeps_few_tracked_objects_alive_per_binder as _keeps_few_alive
+from test_algebras import test_the_print_carrier_names_binders_from_any_start as _names_from_any_start
+from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
 
 _skip_chain = algebras._skip_chain
 
@@ -64,13 +66,13 @@ def test_the_chain_skip(monkeypatch, skip, differential_fails, guard_fails):
     assert [_fails(check) for check in _guard_checks()] == [guard_fails] * 2 * len(SIX_RUNS)
 
 
-def _chain_end_with(old: str, new: str):
-    """``algebras._chain_end`` with the one line ``old`` of its source read as ``new``."""
-    source = inspect.getsource(algebras._chain_end)
+def _with_line(module, name: str, old: str, new: str):
+    """``module.name`` with the one line ``old`` of its source read as ``new``."""
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
     scope = {}
-    exec(source.replace(old, new), vars(algebras), scope)
-    return scope["_chain_end"]
+    exec(source.replace(old, new), vars(module), scope)
+    return scope[name]
 
 
 # A wrapped print_alg: a skip of its chain binders hides them from the wrapper.
@@ -87,5 +89,37 @@ _wrapped_print_check = partial(_keeps_few_alive, algebras.print_alg(), lambda v:
 )
 def test_the_shared_chain_loop(monkeypatch, old, new, check):
     assert not _fails(check)
-    monkeypatch.setattr(algebras, "_chain_end", _chain_end_with(old, new))
+    monkeypatch.setattr(algebras, "_chain_end", _with_line(algebras, "_chain_end", old, new))
     assert _fails(check)
+
+
+# The long binder-run scan with its chunks cut at a fixed width: on a run of
+# three chunks or more, one of the cuts falls inside a 300-character name.
+_chunk_checks = [partial(_chunks_split_no_name, 3 * 4_096 + d, 300) for d in (-3, 0, 3)]
+
+
+def test_the_chunked_name_scan(monkeypatch):
+    assert not any(_fails(check) for check in _chunk_checks)
+    cut = 'text.find(".", pos + _LISTED_RUN, run) + 1 or run'
+    mutant = _with_line(debruijn, "_chunked_names", cut, "min(pos + _LISTED_RUN, run)")
+    monkeypatch.setattr(debruijn, "_chunked_names", mutant)
+    assert all(_fails(check) for check in _chunk_checks)
+
+
+@pytest.mark.parametrize(
+    "old, new, starts",
+    [
+        ("table[start - 1 : last]", "table[start : last]", [1, 2, 9_995]),
+        ("if 1 <= start and last", "if last", [-2, 0]),
+    ],
+    ids=["slice-off-by-one", "no-start-check"],
+)
+def test_the_name_table(monkeypatch, old, new, starts):
+    # The print carrier's differential over names(start), with the table
+    # empty and full; algebras holds its own reference to _canonical.
+    checks = [partial(_names_from_any_start, monkeypatch, table, s) for table in ("empty", "full") for s in starts]
+    assert not any(_fails(check) for check in checks)
+    mutant = _with_line(debruijn, "_canonical", old, new)
+    monkeypatch.setattr(debruijn, "_canonical", mutant)
+    monkeypatch.setattr(algebras, "_canonical", mutant)
+    assert all(_fails(check) for check in checks)
