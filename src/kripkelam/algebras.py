@@ -32,6 +32,7 @@ fold. Tests check that each entry point agrees with its algebra's fold.
 
 from __future__ import annotations
 
+import operator
 import reprlib
 from operator import attrgetter
 
@@ -51,13 +52,21 @@ __all__ = [
 
 
 class NameStream:
-    """Infinite supply of canonical names x{n}, x{n+1}, ... by index."""
+    """Infinite supply of canonical names x{n}, x{n+1}, ... by index.
+
+    ``start`` is read with ``operator.index``, as ``run_guarded`` reads
+    ``max_depth``: any integer, zero and negative ones too, and a ``bool``
+    as its ``int``. Anything else raises ``TypeError`` naming it.
+    """
 
     __slots__ = ("_start",)
     start = property(attrgetter("_start"))
 
     def __init__(self, start: int = 1):
-        self._start = start
+        try:
+            self._start = operator.index(start)
+        except TypeError:
+            raise TypeError(f"a name stream starts at an integer, not {reprlib.repr(start)}") from None
 
     @property
     def head(self) -> str:

@@ -29,11 +29,14 @@ text reads ``Lam (Lam (Var 1))``, parentheses optional. Named text is
 A text that does not match raises :class:`ParseError` at a 1-based line and
 column: at the first character that starts no token, anywhere in the text,
 or else at one of the first tokens after the binder run or among the
-closing parentheses. The names of a named binder run are then listed by one
-``findall`` scan; a run of 4,096 characters or more is scanned a chunk of
-about that many characters at a time, each ending just after a binder's
-``.``, and the names are streamed into the term, so no list of every name
-is held beside them.
+closing parentheses. The names of a named binder run are then listed by
+``str.split``, once ``\\``, ``λ`` and ``.`` are read as spaces; a run of
+4,096 characters or more is listed a chunk of about that many characters at
+a time, each ending just after a binder's ``.``, and the names are streamed
+into the term, so no list of every name is held beside them.
+:func:`format_db`'s own spelling, with an index of at most 18 ASCII digits,
+skips the match: ``str.count``, ``startswith``, ``isascii`` and ``isdigit``
+recognise it. Any other de Bruijn text takes the match.
 
 The canonical names ``x1``, ``x2``, ... come from one table that grows on
 demand to at most ``DEFAULT_MAX_NESTING`` names (about 0.6 MB).
@@ -471,6 +474,17 @@ def _syntax_error(text: str, lexicon: str, pos: int, message: str) -> ParseError
 
 def parse_db(text: str) -> DbTerm:
     """Parse the de Bruijn text format; whitespace between tokens is free."""
+    # format_db's spelling, "Lam (" * k + "Var " + digits + ")" * k, by str
+    # methods. "Lam (" cannot overlap itself, so k of them in the first
+    # 5 * k characters are the whole prefix; then the text's k closing
+    # parens are its last k characters. At most 18 digits: a longer index
+    # takes the match, which reports one too long for int().
+    k = text.count(")")
+    start, stop = 5 * k + 4, len(text) - k
+    if stop - start <= 18 and text.startswith("Var ", 5 * k) and text.count("Lam (", 0, 5 * k) == k:
+        digits = text[start:stop]
+        if digits.isascii() and digits.isdigit():
+            return _chain(k, int(digits))
     # Chains only: a run of Lam and ( markers, one Var and its index, then
     # as many closing parens as the run opened.
     match = _DB.match(text)
@@ -517,16 +531,25 @@ def parse_named(text: str) -> NamedTerm:
         else:
             message = "expected '.' after the bound name"
         raise _syntax_error(text, _NAMED_LEXICON, end, message)
-    # findall's list costs 8 bytes a name on top of the names, so a long run
+    # A name list costs 8 bytes a name on top of the names, so a long run
     # is listed a chunk at a time and streamed into the tuple. A short one,
     # the common case, is copied from one list: a tuple made at its exact
     # size is one CPython's per-size free lists recycle.
     run = match.end(1)
     if run < _LISTED_RUN:
-        binders = tuple(_NAME.findall(text, 0, run))
+        binders = tuple(_names(text, 0, run))
     else:
         binders = tuple(chain.from_iterable(_chunked_names(text, run)))
     return _named(binders, match.group(2))
+
+
+def _names(text: str, start: int, end: int) -> list[str]:
+    """The names of the binders in ``text[start:end]``, which ``_NAMED`` matched.
+
+    Matched binder text holds only binder symbols, ``.``, names and what
+    ``\\s`` matches, which is what ``str.split`` splits at.
+    """
+    return text[start:end].replace("\\", " ").replace("λ", " ").replace(".", " ").split()
 
 
 def _chunked_names(text: str, run: int) -> Iterator[list[str]]:
@@ -538,5 +561,5 @@ def _chunked_names(text: str, run: int) -> Iterator[list[str]]:
     pos = 0
     while pos < run:
         end = text.find(".", pos + _LISTED_RUN, run) + 1 or run
-        yield _NAME.findall(text, pos, end)
+        yield _names(text, pos, end)
         pos = end

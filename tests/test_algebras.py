@@ -82,6 +82,26 @@ def test_name_streams_are_immutable_values():
     assert s.start == 1
 
 
+@pytest.mark.parametrize("start", [1.5, "3", None, 2.0])
+def test_a_name_stream_rejects_a_start_that_is_no_integer(start):
+    # Read with operator.index when the stream is made, not when a carrier
+    # first formats a name from it.
+    with pytest.raises(TypeError) as err:
+        names(start)
+    assert repr(start) in str(err.value)
+    with pytest.raises(TypeError):
+        NameStream(start)
+
+
+def test_a_name_stream_reads_a_bool_start_as_its_int():
+    # As run_guarded(max_depth=True) reads its bound.
+    for flag in (True, False):
+        s = names(flag)
+        assert type(s.start) is int and s == NameStream(int(flag))
+        assert repr(s) == f"NameStream(start={int(flag)})"
+    assert fold(print_alg(), db_to_hoas(chain(2, 1)))(names(True)) == "\\ x1. \\ x2. x1"
+
+
 def _printed_from(start, k, i):
     """The text of the chain of ``k`` binders around ``Var(i)``, names from x{start}."""
     return "".join([f"\\ x{start + j}. " for j in range(k)]) + f"x{start + k - 1 - i}"

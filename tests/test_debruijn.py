@@ -1,8 +1,10 @@
 import copy
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,6 +372,23 @@ PARSE_TABLE = [
     # Zeros of every script are leading zeros.
     pytest.param(parse_db, "Lam (Var " + "٠" * 5000 + ")", Lam(Var(0)), id="db-5000-arabic-indic-zeros"),
     pytest.param(parse_db, "Var " + "٠0" * 2500 + "٣", Var(3), id="db-5000-mixed-script-zeros"),
+    # format_db's spelling, and texts one edit away from it: the str-method
+    # path takes the first kind, the match the rest.
+    (parse_db, "Lam (Lam (Var 007))", Lam(Lam(Var(7)))),
+    pytest.param(parse_db, "Lam (Var " + "9" * 18 + ")", Lam(Var(10**18 - 1)), id="db-18-digit-index"),
+    pytest.param(parse_db, "Lam (Var " + "1" * 19 + ")", Lam(Var(int("1" * 19))), id="db-19-digit-index"),
+    pytest.param(parse_db, "Lam (Var " + "0" * 18 + "1)", Lam(Var(1)), id="db-19-digits-leading-zeros"),
+    (parse_db, "Lam (Var ٣)", Lam(Var(3))),
+    (parse_db, "Lam (Var 0١)", Lam(Var(1))),
+    (parse_db, " Lam (Var 0)", Lam(Var(0))),
+    (parse_db, "Lam (Var 0)\n", Lam(Var(0))),
+    (parse_db, "Lam (Var 0 )", Lam(Var(0))),
+    (parse_db, "Lam (Lam(Var 1))", Lam(Lam(Var(1)))),
+    (parse_db, "(Lam Var 0)", Lam(Var(0))),
+    (parse_db, "Lam(xVar 0)", (1, 5)),
+    (parse_db, "Lam((Lam (Var 0))", (1, 18)),
+    (parse_db, "Lam (Var 0))", (1, 12)),
+    (parse_db, "Lam (Var )", (1, 10)),
 ]
 
 
@@ -506,6 +525,63 @@ def parser_inputs(draw):
     return "".join(token + draw(st.sampled_from(_GAPS)) for token in tokens)
 
 
+# The two spellings the fast paths are for: format_db's, and the named one
+# the deep benchmark workload writes.
+def _db_spelling(k, index):
+    return "Lam (" * k + "Var " + index + ")" * k
+
+
+def _named_spelling(k, index):
+    return "".join(f"{'λ' if j % 2 else chr(92)}v{j}. " for j in range(1, k + 1)) + f"v{index}"
+
+
+_INDICES = ["0", "7", "12", "0" * 3 + "1", "9" * 18, "1" * 19, "1" * 5_000, "0" * 5_000 + "2"]
+
+
+def _last_digits(text):
+    """The span of the last run of ASCII digits in ``text``, or None."""
+    match = re.search(r"[0-9]++(?=[^0-9]*+$)", text)
+    return match and match.span()
+
+
+@st.composite
+def fast_path_inputs(draw):
+    """Either spelling of a chain, with one or two character edits."""
+    k = draw(st.integers(min_value=0, max_value=8))
+    spell = draw(st.sampled_from([_db_spelling, _named_spelling]))
+    text = spell(k, draw(st.sampled_from(_INDICES)))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        edit = draw(st.sampled_from(["drop", "double", "unspace", "swap", "zeros", "index", "digit", "pad"]))
+        if edit in ("drop", "double", "unspace"):
+            # A paren, '.' or space dropped or doubled, or the space after a
+            # Lam or a binder's '.' dropped: Lam( and v1.λv2.
+            if edit == "unspace":
+                spots = [p + 1 for p in range(len(text) - 1) if text[p] in "m." and text[p + 1] == " "]
+            else:
+                char = draw(st.sampled_from([")", "(", ".", " "]))
+                spots = [p for p, ch in enumerate(text) if ch == char]
+            if spots:
+                p = draw(st.sampled_from(spots))
+                text = text[:p] + text[p] * (2 if edit == "double" else 0) + text[p + 1 :]
+        elif edit == "swap":  # two neighbours swapped: the text keeps its length
+            p = draw(st.integers(min_value=0, max_value=max(len(text) - 2, 0)))
+            text = text[:p] + text[p + 1 : p + 2] + text[p : p + 1] + text[p + 2 :]
+        elif edit == "pad":
+            gap = draw(st.sampled_from(_GAPS[1:]))
+            text = gap + text if draw(st.booleans()) else text + gap
+        elif span := _last_digits(text):
+            start, end = span
+            if edit == "zeros":
+                new = "0" * draw(st.sampled_from([1, 3, 17, 18])) + text[start:end]
+            elif edit == "index":
+                new = draw(st.sampled_from(_INDICES))
+            else:  # one digit of another script, or no decimal digit at all
+                at = draw(st.integers(min_value=start, max_value=end - 1))
+                new = text[start:at] + draw(st.sampled_from(["٣", "٠", "߀", "²"])) + text[at + 1 : end]
+            text = text[:start] + new + text[end:]
+    return text
+
+
 def _outcome(parse, text):
     try:
         term = parse(text)
@@ -514,13 +590,38 @@ def _outcome(parse, text):
     return type(term), term
 
 
-@settings(max_examples=1000, deadline=None)
-@given(parser_inputs())
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(parser_inputs(), fast_path_inputs()))
 def test_parsers_agree_with_the_token_walk_reference(text):
     # The same term, or the same error at the same place, as the parsers
-    # that tokenized the whole text and walked the token list.
+    # that tokenized the whole text and walked the token list. parser_inputs
+    # edits whole tokens, so it rarely spells a chain exactly the way the
+    # str-method paths read it, or misses that by one character, as
+    # fast_path_inputs does.
     for parse, reference in ((parse_db, reference_parse_db), (parse_named, reference_parse_named)):
         assert _outcome(parse, text) == _outcome(reference, text)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 4_097, DEFAULT_MAX_NESTING])
+def test_format_db_text_is_read_without_the_match(monkeypatch, k):
+    # Every index format_db writes in at most 18 digits takes the str-method
+    # path, open terms' too.
+    def no_match(text):
+        raise AssertionError(f"the regular-expression path read {text[:40]!r}")
+
+    monkeypatch.setattr(debruijn, "_DB", SimpleNamespace(match=no_match))
+    for i in sorted({0, 1, k // 2, k, 10**17, 10**18 - 1}):
+        d = chain(k, i)
+        assert debruijn.parse_db(format_db(d)) == d
+
+
+def test_str_split_and_the_pattern_whitespace_agree_on_every_code_point():
+    # _names lists binder names with str.split(), on binder text that _NAMED
+    # separated with \s: they must read the same characters as whitespace.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(re.findall(r"\s", every))
+    assert spaces == "".join(filter(str.isspace, every))
+    assert ("x" + "x".join(spaces) + "x").split() == ["x"] * (len(spaces) + 1)
 
 
 def _binder_run(length, width):

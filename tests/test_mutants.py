@@ -12,10 +12,18 @@ import pytest
 
 from kripkelam import DepthLimitError, algebras, db_to_hoas, debruijn, fold, lam_alg
 
-from helpers import SIX_RUNS, chain, check_chains_agree_with_closures, check_guard_charges_k_binders
+from helpers import (
+    SIX_RUNS,
+    chain,
+    check_chains_agree_with_closures,
+    check_guard_charges_k_binders,
+    reference_parse_db,
+)
 from test_algebras import test_a_fold_keeps_few_tracked_objects_alive_per_binder as _keeps_few_alive
 from test_algebras import test_the_print_carrier_names_binders_from_any_start as _names_from_any_start
+from test_debruijn import _outcome
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
+from test_debruijn import test_format_db_text_is_read_without_the_match as _read_without_the_match
 
 _skip_chain = algebras._skip_chain
 
@@ -122,4 +130,53 @@ def test_the_name_table(monkeypatch, old, new, starts):
     mutant = _with_line(debruijn, "_canonical", old, new)
     monkeypatch.setattr(debruijn, "_canonical", mutant)
     monkeypatch.setattr(algebras, "_canonical", mutant)
+    assert all(_fails(check) for check in checks)
+
+
+# Both branches of the name listing: a run under 4,096 characters is split
+# in one go, a longer one a chunk at a time.
+_split_checks = [partial(_chunks_split_no_name, length, 1) for length in (4_095, 4_097)]
+
+
+@pytest.mark.parametrize(
+    "old",
+    ['.replace("\\\\", " ")', '.replace("λ", " ")', '.replace(".", " ")'],
+    ids=["backslash-kept", "lambda-kept", "dot-kept"],
+)
+def test_the_name_split(monkeypatch, old):
+    assert not any(_fails(check) for check in _split_checks)
+    monkeypatch.setattr(debruijn, "_names", _with_line(debruijn, "_names", old, ""))
+    assert all(_fails(check) for check in _split_checks)
+
+
+def _db_agrees_with_the_reference(text):
+    assert _outcome(debruijn.parse_db, text) == _outcome(reference_parse_db, text)
+
+
+def _db_text_is_read_without_the_match(k):
+    with pytest.MonkeyPatch.context() as patch:
+        _read_without_the_match(patch, k)
+
+
+@pytest.mark.parametrize(
+    "old, new, checks",
+    [
+        # The prefix then only has to be five characters a binder long.
+        (
+            ' and text.count("Lam (", 0, 5 * k) == k',
+            "",
+            [partial(_db_agrees_with_the_reference, t) for t in ("Lam(xVar 0)", "Lam((Lam (Var 0))")],
+        ),
+        # The digits run into a closing paren: format_db text takes the match.
+        ("len(text) - k", "len(text) - k + 1", [partial(_db_text_is_read_without_the_match, k) for k in (0, 7)]),
+        # The last digit is read as a closing paren.
+        ("len(text) - k", "len(text) - k - 1", [partial(_db_agrees_with_the_reference, "Lam (Var 12)")]),
+        # 5,000 leading zeros are more digits than int() converts.
+        ('digits.lstrip("0") or "0"', "digits", [partial(_db_agrees_with_the_reference, f"Lam (Var {'0' * 5_000})")]),
+    ],
+    ids=["no-prefix-check", "closers-one-short", "closers-one-over", "no-lstrip"],
+)
+def test_the_de_bruijn_parser(monkeypatch, old, new, checks):
+    assert not any(_fails(check) for check in checks)
+    monkeypatch.setattr(debruijn, "parse_db", _with_line(debruijn, "parse_db", old, new))
     assert all(_fails(check) for check in checks)
