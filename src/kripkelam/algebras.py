@@ -4,17 +4,18 @@ Each algebra interprets one binder node. The size algebra works at an
 integer carrier directly. The other two use function carriers (name stream
 to text, nesting depth to tree) whose values are defunctionalized: a
 binder's value holds its body and algebra, and applying it walks the rest
-of the chain in one loop that both share, one binder interpretation per
-step, so it takes no recursion at any depth. A ``db_to_hoas`` binder is
-its own body and records the ``B`` binders under it and which one the
-occurrence names: when a fold of ``size_alg``, or the loop under one of
-the other two, meets one with that algebra, it skips the chain in O(1),
-charging the guard for its ``B + 1`` binders in one step and reading the
-occurrence from the binder. So a size fold of such a chain takes constant
-time and keeps nothing alive per binder. Any other algebra, such as one
-that wraps these, and any other body are interpreted binder by binder, as
-the Mendler interface requires, and a size fold of ``lam``/``place``
-closures recurses once per binder.
+of the chain. A size fold and an applied carrier walk it in one loop that
+all three share, so none recurses at any depth. While a binder's algebra
+is the library's own, the loop steps a ``lam`` node its body returns in
+place: it charges the guard for one binder and calls that node's body
+next. A ``db_to_hoas`` binder is its own body and records the ``B``
+binders under it and which one the occurrence names: the loop skips its
+chain in O(1), charging the guard for its ``B + 1`` binders in one step
+and reading the occurrence from the binder. So a size fold of such a
+chain takes constant time, and of any chain keeps nothing alive per
+binder. Any other algebra, such as one that wraps these, is handed each
+binder through ``interpret`` and ``interpret_lam``, as the Mendler
+interface requires, and recurses once per binder if it does.
 
 The entry points ``size``, ``print_term`` and ``to_debruijn`` fold
 ``to_debruijn_alg`` and run the same loop over its value inside the
@@ -26,8 +27,8 @@ by a carrier, gives no text or de Bruijn term: one ``TypeError`` from the
 three entry points and the two applied carriers. The folds of the three algebras raise
 it too for a body that returns no open term or cannot take a rename and a
 variable, and a ``size_alg`` fold for an occurrence that denotes no ``int``.
-The guard counts every binder once, skipped or not, as for a
-fold. Tests check that each entry point agrees with its algebra's fold.
+The guard counts every binder once, however the loop takes it, as for
+a fold. Tests check that each entry point agrees with its algebra's fold.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import reprlib
 from operator import attrgetter
 
 from .debruijn import DbTerm, Var, _binder_text, _canonical, _chain, _ChainBinder
-from .encoding import Algebra, DepthLimitError, OpenTerm, Rename, Term, _budget, run_guarded
+from .encoding import Algebra, OpenTerm, Rename, Term, _budget, _charge, _Lam, run_guarded
 
 __all__ = [
     "NameStream",
@@ -99,49 +100,18 @@ _IDENTITY = Rename.identity()
 _new = object.__new__
 
 
-def _skip_chain(b: _ChainBinder, budget) -> tuple[int, int]:
-    """Charge the guard for the chain from binder ``b`` in one step.
-
-    Stepping ``b`` at the identity rename, then each binder that returns,
-    takes ``b.below + 1`` steps and ends in ``place(value)``. ``value`` is
-    the fresh variable handed to step ``b.below - b.index`` if that is not
-    negative, and ``b.target`` untouched otherwise: the named binder was
-    entered further out. A loop that steps a chain under the library's own
-    algebra reads its end from these two numbers instead: the steps it
-    skips, which the guard is charged for here, and the step whose
-    variable the occurrence names. The guard raises on the same call as
-    when charged one binder at a time, and leaves ``left`` as that would.
-    """
-    below = b.below
-    if budget is not None:
-        budget.left -= below + 1
-        if budget.left < 0 and budget.active:
-            budget.left = -1
-            raise DepthLimitError(budget.limit)
-    return below + 1, below - b.index
+# The size fold's variable at every level: level ** 0, which is 1.
+_ONE = (0).__rpow__
 
 
 def _size_lam(body, embed, alg):
-    # One for the binder, one per occurrence of its variable: the variable
-    # denotes 1 and the body is re-interpreted with the same algebra. With
-    # this algebra, a chain binder that follows is skipped with its chain.
-    # What the occurrence denotes must be a size: a held value that is no
+    # One per binder the chain loop walks, and what the occurrence denotes:
+    # the variable denotes 1. That must be a size: a held value that is no
     # int is no variable the term binds.
-    try:
-        opened = body(_IDENTITY, 1)
-    except TypeError as err:
-        _raise_if_refused(body, err)
-        raise
-    if alg is _SIZE_ALG and type(opened) is _ChainBinder:
-        steps, named = _skip_chain(opened, _budget.get())
-        value = 1 if named >= 0 else opened.target
-    elif isinstance(opened, OpenTerm):
-        steps, value = 0, opened.interpret(alg)
-    else:
-        raise _ill_formed(body)
+    n, value = _chain_end(body, alg, 0, _ONE, _SIZE_ALG)
     if not isinstance(value, int):
         raise _ill_formed(value)
-    return 1 + steps + value
+    return n + value
 
 
 _SIZE_ALG = Algebra(_size_lam, name="size")
@@ -190,12 +160,10 @@ class _PrintCarrier:
     """
 
     __slots__ = ("body", "alg")
-    var = _Name
-    own = _PRINT_ALG
 
     def __call__(self, stream: NameStream) -> str:
         start = stream.start
-        n, c = _chain_end(self, start, _PrintCarrier)
+        n, c = _chain_end(self.body, self.alg, start, _Name, _PRINT_ALG, _PrintCarrier)
         return _prefixes(start, n - 1) + _applied(c, NameStream(n), str)
 
 
@@ -248,11 +216,9 @@ class _DepthCarrier:
     """
 
     __slots__ = ("body", "alg")
-    var = _Level
-    own = _TO_DEBRUIJN_ALG
 
     def __call__(self, v: int) -> DbTerm:
-        level, c = _chain_end(self, v + 1, _DepthCarrier)
+        level, c = _chain_end(self.body, self.alg, v + 1, _Level, _TO_DEBRUIJN_ALG, _DepthCarrier)
         inner = _applied(c, level - 1, DbTerm)
         return _chain(level - 1 - v + inner.binders, inner.occurrence)
 
@@ -273,39 +239,49 @@ def to_debruijn(t: Term) -> DbTerm:
     return _chain(k, k - j)
 
 
-def _chain_end(c, level: int, cls) -> tuple:
-    """Walk the chain from ``c``, a value of the carrier class ``cls``.
+def _chain_end(body, alg, level: int, var, own, cls=None) -> tuple:
+    """Walk the chain from a binder with ``body``, read with the algebra ``alg``.
 
-    The binder ``c`` is at ``level``: its body is asked at the identity
-    rename for the variable ``cls.var(level)``, and what it returns is
-    interpreted with the binder's algebra. The walk goes on one level
-    deeper while that gives another value of ``cls``, as an occurrence
-    that denotes a term renamed in through ``lam_alg`` does. With the
-    algebra ``cls.own``, a chain binder met on the way is skipped with its
-    chain. Returns the level past the last binder walked and the value
-    that ends the chain.
+    The binder is at ``level``: its body is asked at the identity rename
+    for the variable ``var(level)``, and what it returns is interpreted
+    with the binder's algebra. With the library's algebra ``own``, a
+    ``lam`` node is instead stepped in place, charged to the guard as one
+    binder, and a chain binder is skipped with its chain. The walk goes on
+    one level deeper while that gives a value of the carrier class ``cls``
+    (the size fold has none), as an occurrence that denotes a term renamed
+    in through ``lam_alg`` does. Returns the level past the last binder
+    walked and the value that ends the chain.
     """
-    var = cls.var
-    own = cls.own
     budget = _budget.get()
-    while type(c) is cls:
-        body = c.body
+    while True:
         try:
             opened = body(_IDENTITY, var(level))
         except TypeError as err:
             _raise_if_refused(body, err)
             raise
         level += 1
-        alg = c.alg
         if alg is own and type(opened) is _ChainBinder:
-            steps, named = _skip_chain(opened, budget)
+            # Stepping this binder, then each binder that returns, takes
+            # below + 1 steps and ends in place(value): value is the variable
+            # handed to step below - index if that is not negative, and the
+            # target untouched otherwise, since the named binder was entered
+            # further out. The guard is charged for those steps at once.
+            below = opened.below
+            _charge(budget, below + 1)
+            named = below - opened.index
             c = var(level + named) if named >= 0 else opened.target
-            level += steps
+            level += below + 1
+        elif alg is own and type(opened) is _Lam:
+            _charge(budget, 1)
+            body = opened._body
+            continue
         elif isinstance(opened, OpenTerm):
             c = opened.interpret(alg)
         else:
             raise _ill_formed(body)
-    return level, c
+        if type(c) is not cls:
+            return level, c
+        body, alg = c.body, c.alg
 
 
 def _applied(c, arg, kind):
@@ -345,7 +321,14 @@ def _unfold(t: Term) -> tuple[int, int]:
     applies nothing: the chain must end in the variable of a binder it
     walked.
     """
-    level, end = run_guarded(lambda: _chain_end(t.run(_TO_DEBRUIJN_ALG), 1, _DepthCarrier))
+
+    def walk():
+        c = t.run(_TO_DEBRUIJN_ALG)
+        if type(c) is not _DepthCarrier:
+            raise _ill_formed(c)
+        return _chain_end(c.body, c.alg, 1, _Level, _TO_DEBRUIJN_ALG, _DepthCarrier)
+
+    level, end = run_guarded(walk)
     if type(end) is not _Level:
         raise _ill_formed(end)
     return level - 1, end

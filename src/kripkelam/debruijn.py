@@ -475,14 +475,16 @@ def _syntax_error(text: str, lexicon: str, pos: int, message: str) -> ParseError
 def parse_db(text: str) -> DbTerm:
     """Parse the de Bruijn text format; whitespace between tokens is free."""
     # format_db's spelling, "Lam (" * k + "Var " + digits + ")" * k, by str
-    # methods. "Lam (" cannot overlap itself, so k of them in the first
-    # 5 * k characters are the whole prefix; then the text's k closing
-    # parens are its last k characters. At most 18 digits: a longer index
-    # takes the match, which reports one too long for int().
-    k = text.count(")")
-    start, stop = 5 * k + 4, len(text) - k
-    if stop - start <= 18 and text.startswith("Var ", 5 * k) and text.count("Lam (", 0, 5 * k) == k:
-        digits = text[start:stop]
+    # methods, with any whitespace around it, as a saved line has. "Lam ("
+    # cannot overlap itself, so k of them in the first 5 * k characters are
+    # the whole prefix; then the line's k closing parens are its last k
+    # characters. At most 18 digits: a longer index takes the match, which
+    # reports one too long for int().
+    line = text.strip()
+    k = line.count(")")
+    start, stop = 5 * k + 4, len(line) - k
+    if stop - start <= 18 and line.startswith("Var ", 5 * k) and line.count("Lam (", 0, 5 * k) == k:
+        digits = line[start:stop]
         if digits.isascii() and digits.isdigit():
             return _chain(k, int(digits))
     # Chains only: a run of Lam and ( markers, one Var and its index, then

@@ -22,17 +22,21 @@ it only through ``place`` and through renames. Algebras that respect purity
 may be folded concurrently; all values here are immutable after
 construction.
 
-Deep terms: a fold recurses once per binder through the algebra it is
-given, as a ``size_alg`` fold of ``lam``/``place`` closures does. The
-entry points of :mod:`kripkelam.algebras` and the values of its two
-function carriers when applied do not: they walk the chain in one loop.
-On a chain from ``db_to_hoas``, that loop and a ``size_alg`` fold skip
-the chain in O(1), charged to the guard as its ``B + 1`` binders. The
-guard counts the binders interpreted, and those skipped, in one
-top-level guarded call; passing the active limit (default ``DEFAULT_MAX_NESTING``) raises
-:class:`DepthLimitError` instead of exhausting the interpreter stack. A
-binder is interpreted before those inside it, so this bounds nesting too,
-but an algebra that interprets each body twice trips it at 14 binders.
+Deep terms: no fold of a library algebra recurses per binder. A
+``size_alg`` fold, the entry points of :mod:`kripkelam.algebras` and the
+values of its two function carriers when applied walk the chain in one
+loop, which steps a ``lam`` node in place and skips a chain from
+``db_to_hoas`` in O(1), charged to the guard as its ``B + 1`` binders.
+Only two things still recurse: a fold with a foreign algebra (a wrapper
+or subclass of a library algebra too), which goes through ``interpret``,
+``interpret_lam`` and the algebra once per binder, and a term folded
+through ``lam_alg`` many times, whose first body calls one body per layer.
+The guard counts every binder interpreted, stepped or skipped in one
+top-level guarded call; passing the active limit
+(default ``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError` instead
+of exhausting the interpreter stack. A binder is interpreted before those
+inside it, so this bounds nesting too, but an algebra that interprets
+each body twice trips it at 14 binders.
 Each top-level guarded call runs once, on the calling thread, with the
 recursion limit raised to what its limit needs; the limit is process-wide,
 so it stays raised while any guarded call is in flight and is restored
@@ -79,8 +83,10 @@ __all__ = [
 
 DEFAULT_MAX_NESTING = 10_000
 
-# Python frames allowed per binder while folding: a `size_alg` fold of
-# lam/place closures takes 3, and the rest is margin for user algebras.
+# Python frames allowed per binder while folding. The library's folds loop;
+# a foreign algebra recursing per binder takes 3 or more (interpret,
+# interpret_lam and the algebra), and a lam_alg tower 1 per layer. The rest
+# is margin for user algebras.
 _FRAMES_PER_LEVEL = 16
 _FRAME_HEADROOM = 2048
 
@@ -172,6 +178,8 @@ class Algebra:
         self.name = name
 
     def interpret_lam(self, body: TermBody, embed: Embed, candidate):
+        # The hot tick: _charge(budget, 1) written out, which saves a call
+        # per interpreted binder.
         budget = _budget.get()
         if budget is not None:
             budget.left -= 1
@@ -288,6 +296,22 @@ _limit_lock = threading.Lock()
 _in_flight = 0
 _limit_before = 0
 _limit_set = 0
+
+
+def _charge(budget: _Budget | None, n: int) -> None:
+    """Charge ``budget`` for ``n`` binders as ``n`` charges of one would.
+
+    An active budget raises :class:`DepthLimitError` on the charge that
+    takes it past its limit, and keeps ``left`` where the charge of the
+    binder that crossed it left it. The chain loop of
+    :mod:`kripkelam.algebras` charges here every binder it steps in place
+    or skips; ``Algebra.interpret_lam`` charges the same way for one.
+    """
+    if budget is not None:
+        budget.left -= n
+        if budget.left < 0 and budget.active:
+            budget.left = min(budget.left + n, 0) - 1
+            raise DepthLimitError(budget.limit)
 
 
 def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):

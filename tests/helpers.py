@@ -83,7 +83,9 @@ def closure_chain(k: int, i: int) -> Term:
     The binder the occurrence names captures its fresh variable, and each
     binder inside it renames that value into its own world, as a
     ``db_to_hoas`` term does. No binder is a chain binder, so no fold or
-    chain loop skips any of them: each is interpreted through its algebra.
+    chain loop skips any of them: each binder's body is called, under the
+    library's algebras by the chain loop's in-place step and under any
+    other through ``interpret_lam``.
     """
     named = k - i
 

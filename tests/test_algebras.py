@@ -13,6 +13,7 @@ from kripkelam import (
     Algebra,
     DepthLimitError,
     Lam,
+    Rename,
     Var,
     closed,
     db_to_body,
@@ -36,6 +37,7 @@ from kripkelam import (
 )
 from kripkelam import debruijn
 from kripkelam.algebras import NameStream, names
+from kripkelam.encoding import _Lam
 from kripkelam.laws import body_of_skeleton, enumerate_skeletons
 
 from helpers import (
@@ -313,14 +315,22 @@ def test_a_fold_keeps_few_tracked_objects_alive_per_binder(alg, apply, per_binde
     assert (counts[k] - counts[1_001]) / (k - 1_001) <= per_binder
 
 
-def _python_calls(run) -> int:
-    """Python function calls entered while ``run()`` runs, with the GC off."""
-    calls = 0
+_SIX_IDS = ["size", "print_term", "to_debruijn", "size_alg", "print_alg", "to_debruijn_alg"]
+
+
+def _profiled(run) -> tuple[int, int]:
+    """Python function calls entered while ``run()`` runs, and the most of
+    them on the stack at once, with the GC off."""
+    calls = depth = deepest = 0
 
     def profile(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, depth, deepest
         if event == "call":
             calls += 1
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
 
     previous = sys.getprofile()
     gc.disable()
@@ -330,7 +340,13 @@ def _python_calls(run) -> int:
     finally:
         sys.setprofile(previous)
         gc.enable()
-    return calls
+    return calls, deepest
+
+
+def _calls_per_binder(make) -> float:
+    """Python calls per binder: those of a 200-binder chain less those of a 100-binder one."""
+    calls = {k: _profiled(make(k))[0] for k in (100, 200)}
+    return (calls[200] - calls[100]) / 100
 
 
 def _walk_of(entry):
@@ -354,6 +370,28 @@ def _applied_fold(alg, apply):
     return make
 
 
+def _on_closures(run):
+    def make(k):
+        t = closure_chain(k, k // 2)
+        return lambda: run_guarded(lambda: run(t))
+
+    return make
+
+
+def _closure_bodies(k):
+    # The bodies of closure_chain(k, k // 2) alone, each asked at the
+    # identity rename as the chain loop asks it.
+    top = fold(Algebra(lambda body, embed, candidate: body, name="body"), closure_chain(k, k // 2))
+    identity = Rename.identity()
+
+    def walk():
+        opened = top(identity, 1)
+        while type(opened) is _Lam:
+            opened = opened._body(identity, 1)
+
+    return walk
+
+
 @pytest.mark.parametrize(
     "make, per_binder",
     [
@@ -363,19 +401,37 @@ def _applied_fold(alg, apply):
         (_size_fold, 0),
         (_applied_fold(print_alg(), lambda render: render(names(1))), 0),
         (_applied_fold(to_debruijn_alg(), lambda at_depth: at_depth(1)), 0),
+        *[(_on_closures(run), _closure_bodies) for run in SIX_RUNS],
     ],
-    ids=["walk-size", "walk-print", "walk-debruijn", "fold-size", "fold-print", "fold-debruijn"],
+    ids=[
+        "walk-size",
+        "walk-print",
+        "walk-debruijn",
+        "fold-size",
+        "fold-print",
+        "fold-debruijn",
+        *[f"closures-{name}" for name in _SIX_IDS],
+    ],
 )
 def test_a_binder_costs_few_python_calls(make, per_binder):
-    # Python calls per binder: those of a 200-binder chain less those of a
-    # 100-binder one. The chain loop, which the entry points and the applied
-    # carriers share, and the size fold skip a chain of chain binders in one
-    # step, whatever its length, and
-    # charge the guard for it at once; calling each binder would add a call
-    # per binder, and interpreting it interpret, interpret_lam and the
-    # algebra too.
-    calls = {k: _python_calls(make(k)) for k in (100, 200)}
-    assert (calls[200] - calls[100]) / 100 <= per_binder
+    # The chain loop, which the entry points and the applied carriers share,
+    # and the size fold skip a chain of chain binders in one step, whatever
+    # its length, and charge the guard for it at once; calling each binder
+    # would add a call per binder, and interpreting it interpret,
+    # interpret_lam and the algebra too. A lam/place binder is stepped in
+    # place: it costs the calls its body makes, and the guard's charge.
+    if callable(per_binder):
+        per_binder = _calls_per_binder(per_binder) + 1
+    assert _calls_per_binder(make) <= per_binder
+
+
+@pytest.mark.parametrize("run", SIX_RUNS, ids=_SIX_IDS)
+def test_a_closure_chain_takes_the_same_stack_at_any_depth(run):
+    # Every library path steps lam/place closures in a loop, so the deepest
+    # stack a fold or walk reaches does not grow with the chain.
+    terms = {k: closure_chain(k, k // 2) for k in (100, 2_000)}
+    depths = {k: _profiled(lambda: run(t))[1] for k, t in terms.items()}
+    assert depths[100] == depths[2_000]
 
 
 # ----------------------------------------- entry points and their folds
@@ -561,7 +617,7 @@ def _counted_terms(k):
         t,
         # The first step through lam_alg's rebuilt body, the rest skipped.
         fold(lam_alg(), t),
-        # lam/place closures: every step through interpret_lam.
+        # lam/place closures: every step after the first taken in place.
         deep_term(k),
     ]
 

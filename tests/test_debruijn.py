@@ -389,6 +389,14 @@ PARSE_TABLE = [
     (parse_db, "Lam((Lam (Var 0))", (1, 18)),
     (parse_db, "Lam (Var 0))", (1, 12)),
     (parse_db, "Lam (Var )", (1, 10)),
+    # format_db's spelling with whitespace around it, as a saved line has,
+    # and one edit away from it.
+    (parse_db, " Var 5\n", Var(5)),
+    (parse_db, "\u3000Lam (Var 0)\x85", Lam(Var(0))),
+    (parse_db, "\x85\tLam (Lam (Var 1))\r\n", Lam(Lam(Var(1)))),
+    (parse_db, "\nLam (Var 0)\u3000\u3000", Lam(Var(0))),
+    (parse_db, "\u3000Lam (Var 0))\x85", (1, 13)),
+    (parse_db, "\u3000Lam (Var 0\x85", (1, 13)),
 ]
 
 
@@ -605,14 +613,17 @@ def test_parsers_agree_with_the_token_walk_reference(text):
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 4_097, DEFAULT_MAX_NESTING])
 def test_format_db_text_is_read_without_the_match(monkeypatch, k):
     # Every index format_db writes in at most 18 digits takes the str-method
-    # path, open terms' too.
+    # path, open terms' too, and so does the text with whitespace around
+    # it: `kripkelam to-db` ends its line with a newline.
     def no_match(text):
         raise AssertionError(f"the regular-expression path read {text[:40]!r}")
 
     monkeypatch.setattr(debruijn, "_DB", SimpleNamespace(match=no_match))
     for i in sorted({0, 1, k // 2, k, 10**17, 10**18 - 1}):
         d = chain(k, i)
-        assert debruijn.parse_db(format_db(d)) == d
+        text = format_db(d)
+        for line in (text, text + "\n", "\u3000" + text + "\x85"):
+            assert debruijn.parse_db(line) == d
 
 
 def test_str_split_and_the_pattern_whitespace_agree_on_every_code_point():

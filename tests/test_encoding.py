@@ -512,16 +512,17 @@ def test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_l
 
 
 def test_concurrent_deep_folds_share_the_raised_limit():
-    # Eight threads switching often: a lost update to the count of deep
-    # folds in flight would lower the limit under a running fold (a
-    # RecursionError here) or leave it raised afterwards.
+    # Eight threads switching often, each folding with an algebra that
+    # recurses once per binder: a lost update to the count of deep folds in
+    # flight would lower the limit under a running fold (a RecursionError
+    # here) or leave it raised afterwards.
     before = sys.getrecursionlimit()
     depths = [1000 + 100 * n for n in range(32)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(fold, size_alg(), deep_term(d)) for d in depths]
+            futures = [pool.submit(fold, Counting().alg, deep_term(d)) for d in depths]
             sizes = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -560,16 +561,16 @@ def test_deep_fold_keeps_a_limit_the_caller_raised():
 
 def test_deep_fold_runs_on_a_thread_with_a_small_stack():
     # A fold takes no C stack per binder, so 10,000 binders fold on a
-    # thread started with a 256 KiB stack: a size_alg fold of lam/place
-    # closures, which recurses through plain Python functions once per
-    # binder, and the entry points, the size_alg fold and the applied
-    # carriers over a chain, which loop and so also apply outside
-    # run_guarded.
+    # thread started with a 256 KiB stack. An algebra of the user's own
+    # recurses through plain Python functions once per binder of lam/place
+    # closures. The size_alg fold of the closures, and the entry points, the
+    # size_alg fold and the applied carriers over a chain, loop instead, so
+    # the carriers also apply outside run_guarded.
     out = run_fresh("""
         import sys, threading
         from kripkelam import (
-            closed, db_to_hoas, fold, format_db, lam, lam_alg, names,
-            oracle_print, oracle_size, place, print_alg, print_term,
+            Algebra, Rename, closed, db_to_hoas, fold, format_db, lam, lam_alg,
+            names, oracle_print, oracle_size, place, print_alg, print_term,
             run_guarded, size, size_alg, to_debruijn, to_debruijn_alg,
         )
         from kripkelam.debruijn import Lam, Var
@@ -582,6 +583,7 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
             return lambda mx, fresh: place(fresh) if j == 10_000 else lam(level(j + 1))
 
         closures = closed(level(1))
+        recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
         before = sys.getrecursionlimit()
         results = []
 
@@ -598,6 +600,7 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
                 fold(size_alg(), fold(lam_alg(), t)) == oracle_size(d),
                 fold(print_alg(), t)(names(1)) == oracle_print(d),
                 format_db(fold(to_debruijn_alg(), t)(1)) == format_db(d),
+                fold(recursing, closures) == 10_001,
                 fold(size_alg(), closures) == 10_001,
             ])
 
@@ -607,4 +610,4 @@ def test_deep_fold_runs_on_a_thread_with_a_small_stack():
         worker.join(timeout=120)
         print(worker.is_alive(), results, sys.getrecursionlimit() == before)
     """)
-    assert out == "False [True, True, True, True, True, True, True, True, True, True, True] True\n"
+    assert out == "False [True, True, True, True, True, True, True, True, True, True, True, True] True\n"

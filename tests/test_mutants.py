@@ -10,13 +10,14 @@ from functools import partial
 
 import pytest
 
-from kripkelam import DepthLimitError, algebras, db_to_hoas, debruijn, fold, lam_alg
+from kripkelam import Algebra, algebras, db_to_hoas, debruijn, fold, lam_alg, names, run_guarded
 
 from helpers import (
     SIX_RUNS,
     chain,
     check_chains_agree_with_closures,
     check_guard_charges_k_binders,
+    closure_chain,
     reference_parse_db,
 )
 from test_algebras import test_a_fold_keeps_few_tracked_objects_alive_per_binder as _keeps_few_alive
@@ -24,25 +25,6 @@ from test_algebras import test_the_print_carrier_names_binders_from_any_start as
 from test_debruijn import _outcome
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
 from test_debruijn import test_format_db_text_is_read_without_the_match as _read_without_the_match
-
-_skip_chain = algebras._skip_chain
-
-
-def _step_off_by_one(b, budget):
-    # Reads the occurrence from the step after the one that captures it.
-    steps, named = _skip_chain(b, budget)
-    return steps, named + 1
-
-
-def _charges_below(b, budget):
-    # Charges the binders under b but not b itself.
-    below = b.below
-    if budget is not None:
-        budget.left -= below
-        if budget.left < 0 and budget.active:
-            budget.left = -1
-            raise DepthLimitError(budget.limit)
-    return below + 1, below - b.index
 
 
 def _guard_checks():
@@ -63,17 +45,6 @@ def _fails(check) -> bool:
     return False
 
 
-@pytest.mark.parametrize(
-    "skip, differential_fails, guard_fails",
-    [(_skip_chain, False, False), (_step_off_by_one, True, False), (_charges_below, True, True)],
-    ids=["unpatched", "step-off-by-one", "charges-below"],
-)
-def test_the_chain_skip(monkeypatch, skip, differential_fails, guard_fails):
-    monkeypatch.setattr(algebras, "_skip_chain", skip)
-    assert _fails(lambda: check_chains_agree_with_closures(40)) is differential_fails
-    assert [_fails(check) for check in _guard_checks()] == [guard_fails] * 2 * len(SIX_RUNS)
-
-
 def _with_line(module, name: str, old: str, new: str):
     """``module.name`` with the one line ``old`` of its source read as ``new``."""
     source = inspect.getsource(getattr(module, name))
@@ -83,22 +54,73 @@ def _with_line(module, name: str, old: str, new: str):
     return scope[name]
 
 
+@pytest.mark.parametrize(
+    "old, new, differential_fails, guard_fails",
+    [
+        (None, None, False, False),
+        # Reads the occurrence from the step after the one that captures it.
+        ("named = below - opened.index", "named = below - opened.index + 1", True, False),
+        # Charges the binders under the chain binder but not the binder itself.
+        ("_charge(budget, below + 1)", "_charge(budget, below)", True, True),
+    ],
+    ids=["unpatched", "step-off-by-one", "charges-below"],
+)
+def test_the_chain_skip(monkeypatch, old, new, differential_fails, guard_fails):
+    if old is not None:
+        monkeypatch.setattr(algebras, "_chain_end", _with_line(algebras, "_chain_end", old, new))
+    assert _fails(lambda: check_chains_agree_with_closures(40)) is differential_fails
+    assert [_fails(check) for check in _guard_checks()] == [guard_fails] * 2 * len(SIX_RUNS)
+
+
 # A wrapped print_alg: a skip of its chain binders hides them from the wrapper.
 _wrapped_print_check = partial(_keeps_few_alive, algebras.print_alg(), lambda v: v(algebras.names(1)), 1)
 
+_APPLIED = [
+    (algebras.size_alg(), lambda v: v),
+    (algebras.print_alg(), lambda v: v(names(1))),
+    (algebras.to_debruijn_alg(), lambda v: v(1)),
+]
+
+
+def _wrapper_sees_every_closure_binder(alg, apply):
+    # A wrapper of a library algebra is no algebra of the library's own, so
+    # each lam/place binder of the chain goes through it.
+    k = 50
+    binders = 0
+
+    def counting(body, embed, candidate):
+        nonlocal binders
+        binders += 1
+        return alg.interpret_lam(body, embed, candidate)
+
+    wrapper = Algebra(counting, name="counting")
+    run_guarded(lambda: apply(fold(wrapper, closure_chain(k, k // 2))), 2 * k)
+    assert binders == k
+
+
+# The k / k - 1 budget check on a chain of lam/place closures, which the
+# loop steps in place under the library's own algebras.
+_closure_guard_checks = [partial(check_guard_charges_k_binders, run, closure_chain(60, 30), 60) for run in SIX_RUNS]
+
 
 @pytest.mark.parametrize(
-    "old, new, check",
+    "old, new, checks",
     [
-        ("if alg is own and type(opened)", "if type(opened)", _wrapped_print_check),
-        ("var(level + named)", "var(level + named + 1)", partial(check_chains_agree_with_closures, 40)),
+        ("if alg is own and type(opened) is _ChainBinder", "if type(opened) is _ChainBinder", [_wrapped_print_check]),
+        ("var(level + named)", "var(level + named + 1)", [partial(check_chains_agree_with_closures, 40)]),
+        (
+            "elif alg is own and type(opened) is _Lam",
+            "elif type(opened) is _Lam",
+            [partial(_wrapper_sees_every_closure_binder, alg, apply) for alg, apply in _APPLIED],
+        ),
+        ("_charge(budget, 1)", "pass", _closure_guard_checks),
     ],
-    ids=["skip-any-algebra", "skip-level-off-by-one"],
+    ids=["skip-any-algebra", "skip-level-off-by-one", "step-any-algebra", "step-uncharged"],
 )
-def test_the_shared_chain_loop(monkeypatch, old, new, check):
-    assert not _fails(check)
+def test_the_shared_chain_loop(monkeypatch, old, new, checks):
+    assert not any(_fails(check) for check in checks)
     monkeypatch.setattr(algebras, "_chain_end", _with_line(algebras, "_chain_end", old, new))
-    assert _fails(check)
+    assert all(_fails(check) for check in checks)
 
 
 # The long binder-run scan with its chunks cut at a fixed width: on a run of
@@ -163,14 +185,14 @@ def _db_text_is_read_without_the_match(k):
     [
         # The prefix then only has to be five characters a binder long.
         (
-            ' and text.count("Lam (", 0, 5 * k) == k',
+            ' and line.count("Lam (", 0, 5 * k) == k',
             "",
             [partial(_db_agrees_with_the_reference, t) for t in ("Lam(xVar 0)", "Lam((Lam (Var 0))")],
         ),
         # The digits run into a closing paren: format_db text takes the match.
-        ("len(text) - k", "len(text) - k + 1", [partial(_db_text_is_read_without_the_match, k) for k in (0, 7)]),
+        ("len(line) - k", "len(line) - k + 1", [partial(_db_text_is_read_without_the_match, k) for k in (0, 7)]),
         # The last digit is read as a closing paren.
-        ("len(text) - k", "len(text) - k - 1", [partial(_db_agrees_with_the_reference, "Lam (Var 12)")]),
+        ("len(line) - k", "len(line) - k - 1", [partial(_db_agrees_with_the_reference, "Lam (Var 12)")]),
         # 5,000 leading zeros are more digits than int() converts.
         ('digits.lstrip("0") or "0"', "digits", [partial(_db_agrees_with_the_reference, f"Lam (Var {'0' * 5_000})")]),
     ],
