@@ -37,10 +37,21 @@ top-level guarded call; passing the active limit
 of exhausting the interpreter stack. A binder is interpreted before those
 inside it, so this bounds nesting too, but an algebra that interprets
 each body twice trips it at 14 binders.
-Each top-level guarded call runs once, on the calling thread, with the
-recursion limit raised to what its limit needs; the limit is process-wide,
-so it stays raised while any guarded call is in flight and is restored
-when the last one ends, unless it was set to another value meanwhile.
+
+Each top-level guarded call runs once, on the calling thread, and leaves
+the recursion limit alone until its tripwire fires: after about 40
+interpretations or ``lam_alg`` layers, which may nest. A binder skipped or
+stepped in place nests nothing and never fires it. Only then does the call
+raise the limit to what its budget needs; the limit is process-wide, so it
+stays raised while any such call is in flight and is restored when the
+last one ends, unless it was set to another value meanwhile. On CPython
+3.11 a raised limit lets another thread's deep C recursion (``repr`` of a
+deeply nested list) overflow the C stack and crash the process, so that
+window stays open while a call whose tripwire fired is in flight. A call
+started near the caller's limit must fire the tripwire before it runs out
+of frames: a 100-binder fold of an algebra that recurses once per binder
+needs 130 frames below that limit, where 5 were enough when every call
+raised it on entry.
 This relies on CPython 3.11 and later, where a Python-to-Python call
 takes no C stack, so a 10,000-binder fold fits even a thread started with
 a 256 KiB stack. An algebra whose
@@ -178,13 +189,13 @@ class Algebra:
         self.name = name
 
     def interpret_lam(self, body: TermBody, embed: Embed, candidate):
-        # The hot tick: _charge(budget, 1) written out, which saves a call
-        # per interpreted binder.
+        # The hot tick: a charge of one that may nest, so the trip point
+        # stays where it is.
         budget = _budget.get()
         if budget is not None:
             budget.left -= 1
-            if budget.left < 0 and budget.active:
-                raise DepthLimitError(budget.limit)
+            if budget.left < budget.trip:
+                _trip(budget, 1)
         return self._interpret(body, embed, candidate)
 
     def __repr__(self):
@@ -229,6 +240,13 @@ def _rebuild_lam(body: TermBody, embed: Embed, _construction_alg) -> Term:
     # defers to whichever algebra it is eventually folded with.
     def run(alg):
         def shifted(mx: Rename, fresh):
+            # One frame per layer of a term folded through lam_alg many
+            # times, and no binder: the trip point moves, the count does not.
+            budget = _budget.get()
+            if budget is not None:
+                budget.trip += 1
+                if budget.left < budget.trip:
+                    _trip(budget, 0)
             return body(Rename(lambda t: mx.apply(t.run(alg))), fresh)
 
         return alg.interpret_lam(shifted, embed, embed(alg))
@@ -276,42 +294,104 @@ def fold(alg: Algebra, t: Term):
 
 
 class _Budget:
-    """Binder interpretations left to one top-level guarded call, and its limit."""
+    """One top-level guarded call's count of binders, and its tripwire.
 
-    __slots__ = ("left", "limit", "active")
+    ``left`` is what is left of ``limit``. The trip point ``trip`` starts
+    ``_TRIP`` below ``limit`` and moves down with every charge that nests
+    nothing and up with every ``lam_alg`` layer, so ``left`` falls below
+    it once the call has made more than ``_TRIP`` interpretations and
+    layers, which may nest. The tripwire then fires: the call raises the
+    recursion limit (``raised``).
+    """
 
-    def __init__(self, limit: int):
-        self.left = limit
-        self.limit = limit
-        self.active = True
+    __slots__ = ("left", "limit", "trip", "active", "raised")
 
+
+# Charges that may nest before a top-level guarded call raises the recursion
+# limit. Each costs a foreign algebra 3 or more frames and a lam_alg layer 1,
+# so a call whose tripwire has not fired is within about 130 frames of where
+# it started. A guarded call of the law suites makes at most 8.
+_TRIP = 40
 
 # The budget of the top-level guarded call this context runs in, or None. A
 # context copied inside the call keeps the budget after the call ends; the
 # call marks it inactive then, and an inactive budget guards nothing.
 _budget: ContextVar[_Budget | None] = ContextVar("kripkelam_guard_budget", default=None)
+_new = object.__new__
 _limit_lock = threading.Lock()
-# Top-level guarded calls in flight, the recursion limit before the first
-# of them, and the limit the guard last left in place.
+# Top-level guarded calls in flight whose tripwire fired, the recursion limit
+# before the first of them, and the limit the guard last left in place.
 _in_flight = 0
 _limit_before = 0
 _limit_set = 0
 
 
 def _charge(budget: _Budget | None, n: int) -> None:
-    """Charge ``budget`` for ``n`` binders as ``n`` charges of one would.
+    """Charge ``budget`` for ``n`` binders that nest nothing, as ``n`` charges of one would.
 
-    An active budget raises :class:`DepthLimitError` on the charge that
-    takes it past its limit, and keeps ``left`` where the charge of the
-    binder that crossed it left it. The chain loop of
-    :mod:`kripkelam.algebras` charges here every binder it steps in place
-    or skips; ``Algebra.interpret_lam`` charges the same way for one.
+    The trip point moves down with ``left``, floored at 0, so only a charge
+    past the limit takes ``left`` below it. An active budget raises
+    :class:`DepthLimitError` on the charge that takes it past its limit,
+    and keeps ``left`` where the charge of the binder that crossed it left
+    it. The chain loop of :mod:`kripkelam.algebras` charges here every
+    binder it skips, and the same way, written out, every binder it steps
+    in place; ``Algebra.interpret_lam`` charges one that may nest.
     """
     if budget is not None:
         budget.left -= n
-        if budget.left < 0 and budget.active:
-            budget.left = min(budget.left + n, 0) - 1
-            raise DepthLimitError(budget.limit)
+        budget.trip = budget.trip - n if budget.trip > n else 0
+        if budget.left < budget.trip:
+            _trip(budget, n)
+
+
+def _trip(budget: _Budget, n: int) -> None:
+    """The slow path of a charge of ``n`` that took ``left`` below the trip point.
+
+    Past the limit, an active budget raises :class:`DepthLimitError` (a
+    ``lam_alg`` layer, ``n == 0``, charges nothing and raises nothing).
+    Otherwise the tripwire fires: the trip point drops to 0, where only the
+    limit check is left, and the recursion limit is raised for the call.
+    """
+    if not budget.active:
+        return
+    if budget.left < 0 and n:
+        budget.left = min(budget.left + n, 0) - 1
+        raise DepthLimitError(budget.limit)
+    budget.trip = 0
+    if not budget.raised:
+        _raise_limit(budget)
+
+
+def _raise_limit(budget: _Budget) -> None:
+    """Raise the recursion limit to what ``budget.limit`` binders need, until the call ends."""
+    global _in_flight, _limit_before, _limit_set
+    # The interpreter stores its recursion limit in a C int.
+    need = min(budget.limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM, 2**31 - 1)
+    with _limit_lock:
+        if not budget.raised:
+            if _in_flight == 0:
+                _limit_before = _limit_set = sys.getrecursionlimit()
+            if need > sys.getrecursionlimit():
+                sys.setrecursionlimit(need)
+                _limit_set = need
+            _in_flight += 1
+            budget.raised = True
+    # A copied context can fire the tripwire on another thread while the
+    # call ends; then the call's exit may have missed the raise.
+    if not budget.active:
+        _restore_limit(budget)
+
+
+def _restore_limit(budget: _Budget) -> None:
+    """Undo ``_raise_limit(budget)`` once; the last such call in flight puts the limit back."""
+    global _in_flight
+    with _limit_lock:
+        if budget.raised:
+            budget.raised = False
+            _in_flight -= 1
+            # A limit someone else set while the call ran is theirs to keep.
+            if _in_flight == 0 and sys.getrecursionlimit() == _limit_set:
+                sys.setrecursionlimit(_limit_before)
 
 
 def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
@@ -327,38 +407,39 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     thread started inside a guarded call starts unguarded on Python 3.11 to
     3.13, so its folds are top-level calls with their own count.
 
-    At top level the thunk runs once, on the calling thread, with the
-    interpreter's recursion limit raised to what ``max_depth`` binders
-    need. The limit is process-wide: it stays raised while any top-level
-    guarded call is in flight, and when the last one ends it goes back to
-    what it was before the first, unless it was set to another value in
-    the meantime: that setting stays.
+    At top level the thunk runs once, on the calling thread, and leaves
+    the interpreter's recursion limit alone until the call's tripwire
+    fires: after about 40 binder interpretations or ``lam_alg`` layers,
+    which may nest. Binders skipped or stepped in place by the library's
+    folds nest nothing and never fire it. Then the call raises the limit
+    to what ``max_depth`` binders need. The limit is process-wide: it stays
+    raised while any such call is in flight, and when the last one ends it
+    goes back to what it was before the first, unless it was set to
+    another value in the meantime: that setting stays. On CPython 3.11 a
+    raised limit also lets another thread's deep C recursion (``repr`` of
+    a deeply nested list, say) overflow the C stack and crash the process,
+    so that window stays open while a call whose tripwire fired is in
+    flight. A call started near the caller's limit must fire its tripwire
+    before it runs out of frames: a 100-binder fold of an algebra that
+    recurses once per binder needs 130 frames below that limit, where 5
+    were enough when every call raised the limit on entry.
     """
-    global _in_flight, _limit_before, _limit_set
     budget = _budget.get()
     if budget is not None and budget.active:
         return thunk()
     limit = DEFAULT_MAX_NESTING if max_depth is None else operator.index(max_depth)
     if limit < 1:
         raise ValueError("max_depth must be at least 1")
-    # The interpreter stores its recursion limit in a C int.
-    need = min(limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM, 2**31 - 1)
-    with _limit_lock:
-        if _in_flight == 0:
-            _limit_before = _limit_set = sys.getrecursionlimit()
-        if need > sys.getrecursionlimit():
-            sys.setrecursionlimit(need)
-            _limit_set = need
-        _in_flight += 1
-    budget = _Budget(limit)
+    budget = _new(_Budget)
+    budget.left = budget.limit = limit
+    budget.trip = limit - _TRIP if limit > _TRIP else 0
+    budget.active = True
+    budget.raised = False
     token = _budget.set(budget)
     try:
         return thunk()
     finally:
         budget.active = False
         _budget.reset(token)
-        with _limit_lock:
-            _in_flight -= 1
-            # A limit someone else set while the call ran is theirs to keep.
-            if _in_flight == 0 and sys.getrecursionlimit() == _limit_set:
-                sys.setrecursionlimit(_limit_before)
+        if budget.raised:
+            _restore_limit(budget)

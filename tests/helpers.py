@@ -136,8 +136,9 @@ def check_chains_agree_with_closures(max_depth: int) -> None:
 
     For every chain of ``enumerate_terms(max_depth)``, directly and folded
     through ``lam_alg``, the six runs must give the same values, and with a
-    budget one binder short the same ``DepthLimitError``: the skip of a
-    chain binder against the path that interprets every binder.
+    budget one binder short the same ``DepthLimitError``: the chain loop's
+    skip of a chain binder against its in-place step of each closure
+    binder, one at a time.
     """
     for d in enumerate_terms(max_depth):
         k, i = d.binders, d.index
@@ -157,6 +158,58 @@ def check_guard_charges_k_binders(run, t: Term, k: int) -> None:
         assert err.limit == k - 1
     else:
         raise AssertionError(f"a budget of {k - 1} binders ran {run!r} to the end")
+
+
+def _limit_inside(thunk):
+    """``thunk()`` run as a top-level guarded call, and the recursion limit
+    read inside that call after it."""
+    return run_guarded(lambda: (thunk(), sys.getrecursionlimit()))
+
+
+def check_calls_that_nest_nothing_leave_the_limit_alone() -> None:
+    """Assert that guarded calls which nest nothing read the caller's recursion limit inside.
+
+    The six runs of a 10,000-binder ``db_to_hoas`` chain, which the chain
+    loop skips, and of its ``closure_chain`` twin, which it steps in place,
+    and a call that folds nothing: none trips the guard.
+    """
+    before = sys.getrecursionlimit()
+    d = chain(10_000, 5_000)
+    for t in (db_to_hoas(d), closure_chain(10_000, 5_000)):
+        for run in SIX_RUNS:
+            assert _limit_inside(lambda: run(t))[1] == before, run
+    assert _limit_inside(lambda: None) == (None, before)
+
+
+def _recording_term(depth: int, seen: list) -> Term:
+    """``deep_term(depth)`` whose innermost body appends the recursion limit to ``seen``."""
+
+    def level(j):
+        def body(mx, fresh):
+            if j == depth:
+                seen.append(sys.getrecursionlimit())
+                return place(fresh)
+            return lam(level(j + 1))
+
+        return body
+
+    return closed(level(1))
+
+
+def check_a_deep_foreign_fold_raises_the_limit_while_it_runs() -> None:
+    """Assert that a 2,000-binder fold of an algebra that recurses once per
+    binder trips the guard: it runs under the raised limit, and the
+    caller's limit is back after it."""
+    before = sys.getrecursionlimit()
+    seen = []
+    recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+    try:
+        value = fold(recursing, _recording_term(2_000, seen))
+    except RecursionError:
+        raise AssertionError("a 2,000-binder foreign fold ran out of stack") from None
+    assert value == 2_001
+    assert seen[0] > before
+    assert sys.getrecursionlimit() == before
 
 
 class Poison:

@@ -30,7 +30,17 @@ from kripkelam import (
 )
 from kripkelam.algebras import names, print_alg, size
 
-from helpers import Poison, chain, deep_term, run_fresh, term_x_x, term_xy_x, term_xy_y
+from helpers import (
+    Poison,
+    chain,
+    check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+    check_calls_that_nest_nothing_leave_the_limit_alone,
+    deep_term,
+    run_fresh,
+    term_x_x,
+    term_xy_x,
+    term_xy_y,
+)
 
 
 # ---------------------------------------------------------------- place
@@ -479,9 +489,9 @@ def _frames_left() -> int:
 
 
 def test_a_short_fold_started_near_the_recursion_limit_completes():
-    # 15 frames below the caller's limit, a 40-binder fold needs more frames
-    # than are left: the guard makes room for it whatever the stack holds
-    # already, and puts the limit back.
+    # 15 frames below the caller's limit, a 40-binder size fold completes:
+    # it skips the chain in a few frames and nests nothing, so it does not
+    # trip the guard and leaves the limit as it was.
     limit = sys.getrecursionlimit()
     t = db_to_hoas(chain(40, 3))
 
@@ -492,6 +502,69 @@ def test_a_short_fold_started_near_the_recursion_limit_completes():
 
     assert descend(_frames_left() - 15) == 41
     assert sys.getrecursionlimit() == limit
+
+
+def test_a_foreign_fold_started_140_frames_below_the_recursion_limit_completes():
+    # An algebra that recurses once per binder takes 3 frames a binder, so
+    # the tripwire must fire before a 100-binder fold runs out of the
+    # frames left below the caller's limit: it fires within 41 binders,
+    # about 130 frames in all.
+    limit = sys.getrecursionlimit()
+    recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+    t = deep_term(100)
+
+    def descend(n):
+        if n:
+            return descend(n - 1)
+        return fold(recursing, t)
+
+    assert descend(_frames_left() - 140) == 101
+    assert sys.getrecursionlimit() == limit
+
+
+def test_calls_that_nest_nothing_leave_the_recursion_limit_alone():
+    check_calls_that_nest_nothing_leave_the_limit_alone()
+
+
+def test_a_deep_foreign_fold_raises_the_recursion_limit_only_while_it_runs():
+    check_a_deep_foreign_fold_raises_the_limit_while_it_runs()
+
+
+def test_a_tripped_call_caps_the_recursion_limit_at_a_c_int():
+    # 10**9 binders would need more frames than a recursion limit can hold;
+    # a fold that trips the guard raises the limit to the largest it can.
+    before = sys.getrecursionlimit()
+    recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+    inside = encoding.run_guarded(lambda: (fold(recursing, deep_term(100)), sys.getrecursionlimit()), 10**9)
+    assert inside == (101, 2**31 - 1)
+    assert sys.getrecursionlimit() == before
+
+
+def test_a_deep_repr_on_another_thread_during_a_guarded_call_raises_recursion_error():
+    # A guarded call that nests nothing leaves the recursion limit alone, so
+    # the C recursion of a deep repr on another thread stops at the limit.
+    # On CPython 3.11 a limit raised for the call let it overflow the C
+    # stack and kill the process.
+    out = run_fresh("""
+        import threading
+        from kripkelam import run_guarded
+
+        entered, done = threading.Event(), threading.Event()
+        holder = threading.Thread(target=run_guarded, args=(lambda: (entered.set(), done.wait()),))
+        holder.start()
+        entered.wait()
+        nested = []
+        for _ in range(150_000):
+            nested = [nested]
+        try:
+            repr(nested)
+        except RecursionError:
+            print("RecursionError")
+        finally:
+            done.set()
+            holder.join()
+    """)
+    assert out == "RecursionError\n"
 
 
 def test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit():

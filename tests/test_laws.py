@@ -28,6 +28,7 @@ from kripkelam import (
     standard_contexts,
     to_debruijn,
 )
+from kripkelam import encoding
 from kripkelam.laws import render_reports
 
 from helpers import Poison, RenameCounter, renamed
@@ -321,6 +322,15 @@ def test_run_all_laws_is_green():
     reports = run_all_laws(max_binders=6, samples=100, seed=0)
     assert len(reports) == 9
     assert all(r.ok for r in reports), render_reports(reports)
+
+
+def test_the_law_suites_trip_no_guarded_call(monkeypatch):
+    # A law instance folds at most 8 binders, and the chain skip nests
+    # nothing: no guarded call of the suites raises the recursion limit.
+    trips = []
+    monkeypatch.setattr(encoding, "_raise_limit", trips.append)
+    assert all(r.ok for r in run_all_laws(max_binders=8, samples=1_000, seed=0))
+    assert trips == []
 
 
 def test_run_all_laws_reports_are_reproducible():

@@ -6,15 +6,19 @@ it patches, asserts that the same checks pass.
 """
 
 import inspect
+import sys
+import textwrap
 from functools import partial
 
 import pytest
 
-from kripkelam import Algebra, algebras, db_to_hoas, debruijn, fold, lam_alg, names, run_guarded
+from kripkelam import Algebra, algebras, db_to_hoas, debruijn, encoding, fold, lam_alg, names, run_guarded
 
 from helpers import (
     SIX_RUNS,
     chain,
+    check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+    check_calls_that_nest_nothing_leave_the_limit_alone,
     check_chains_agree_with_closures,
     check_guard_charges_k_binders,
     closure_chain,
@@ -25,6 +29,9 @@ from test_algebras import test_the_print_carrier_names_binders_from_any_start as
 from test_debruijn import _outcome
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
 from test_debruijn import test_format_db_text_is_read_without_the_match as _read_without_the_match
+from test_encoding import (
+    test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit as _lam_alg_tower_walks,
+)
 
 
 def _guard_checks():
@@ -46,12 +53,16 @@ def _fails(check) -> bool:
 
 
 def _with_line(module, name: str, old: str, new: str):
-    """``module.name`` with the one line ``old`` of its source read as ``new``."""
-    source = inspect.getsource(getattr(module, name))
+    """``module.name`` with the one line ``old`` of its source read as ``new``;
+    ``name`` may be a method's, as in ``"Algebra.interpret_lam"``."""
+    function = module
+    for part in name.split("."):
+        function = getattr(function, part)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
     scope = {}
     exec(source.replace(old, new), vars(module), scope)
-    return scope[name]
+    return scope[function.__name__]
 
 
 @pytest.mark.parametrize(
@@ -113,7 +124,7 @@ _closure_guard_checks = [partial(check_guard_charges_k_binders, run, closure_cha
             "elif type(opened) is _Lam",
             [partial(_wrapper_sees_every_closure_binder, alg, apply) for alg, apply in _APPLIED],
         ),
-        ("_charge(budget, 1)", "pass", _closure_guard_checks),
+        ("budget.left -= 1", "pass", _closure_guard_checks),
     ],
     ids=["skip-any-algebra", "skip-level-off-by-one", "step-any-algebra", "step-uncharged"],
 )
@@ -121,6 +132,73 @@ def test_the_shared_chain_loop(monkeypatch, old, new, checks):
     assert not any(_fails(check) for check in checks)
     monkeypatch.setattr(algebras, "_chain_end", _with_line(algebras, "_chain_end", old, new))
     assert all(_fails(check) for check in checks)
+
+
+def _within_the_stack(check):
+    """``check``, failing as an assertion where it runs out of stack."""
+
+    def run():
+        try:
+            check()
+        except RecursionError:
+            raise AssertionError(f"{check.__name__} ran out of stack") from None
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "module, name, patched, old, new, check",
+    [
+        (
+            encoding,
+            "Algebra.interpret_lam",
+            [(encoding.Algebra, "interpret_lam")],
+            "if budget.left < budget.trip:",
+            "if budget.left < 0:",
+            check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+        ),
+        (
+            encoding,
+            "_charge",
+            [(encoding, "_charge"), (algebras, "_charge")],
+            "budget.trip = budget.trip - n if budget.trip > n else 0",
+            "pass",
+            check_calls_that_nest_nothing_leave_the_limit_alone,
+        ),
+        (
+            algebras,
+            "_chain_end",
+            [(algebras, "_chain_end")],
+            "budget.trip -= 1",
+            "pass",
+            check_calls_that_nest_nothing_leave_the_limit_alone,
+        ),
+        # lam_alg holds the function it was made with.
+        (encoding, "_rebuild_lam", [(lam_alg(), "_interpret")], "budget.trip += 1", "pass", _lam_alg_tower_walks),
+        (
+            encoding,
+            "run_guarded",
+            [(encoding, "run_guarded"), (algebras, "run_guarded")],
+            "_restore_limit(budget)",
+            "pass",
+            check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+        ),
+    ],
+    ids=["tick-trips-at-zero", "charge-keeps-the-trip-point", "step-keeps-the-trip-point", "shifted-untick", "no-restore"],
+)
+def test_the_trip(monkeypatch, module, name, patched, old, new, check):
+    check = _within_the_stack(check)
+    assert not _fails(check)
+    mutant = _with_line(module, name, old, new)
+    for owner, attribute in patched:
+        monkeypatch.setattr(owner, attribute, mutant)
+    # A dropped restore leaves the limit raised and the call counted in flight.
+    monkeypatch.setattr(encoding, "_in_flight", encoding._in_flight)
+    limit = sys.getrecursionlimit()
+    try:
+        assert _fails(check)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # The long binder-run scan with its chunks cut at a fixed width: on a run of
