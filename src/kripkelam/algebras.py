@@ -38,7 +38,7 @@ import reprlib
 from operator import attrgetter
 
 from .debruijn import DbTerm, Var, _binder_text, _canonical, _chain, _ChainBinder
-from .encoding import Algebra, OpenTerm, Rename, Term, _budget, _charge, _Lam, _trip, run_guarded
+from .encoding import Algebra, OpenTerm, Rename, Term, _budget, _charge, _Lam, run_guarded
 
 __all__ = [
     "NameStream",
@@ -272,13 +272,7 @@ def _chain_end(body, alg, level: int, var, own, cls=None) -> tuple:
             c = var(level + named) if named >= 0 else opened.target
             level += below + 1
         elif alg is own and type(opened) is _Lam:
-            # _charge(budget, 1) written out, which saves a call per binder.
-            if budget is not None:
-                budget.left -= 1
-                if budget.trip:
-                    budget.trip -= 1
-                if budget.left < budget.trip:
-                    _trip(budget, 1)
+            _charge(budget, 1)
             body = opened._body
             continue
         elif isinstance(opened, OpenTerm):

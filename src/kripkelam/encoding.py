@@ -49,9 +49,12 @@ last one ends, unless it was set to another value meanwhile. On CPython
 deeply nested list) overflow the C stack and crash the process, so that
 window stays open while a call whose tripwire fired is in flight. A call
 started near the caller's limit must fire the tripwire before it runs out
-of frames: a 100-binder fold of an algebra that recurses once per binder
-needs 130 frames below that limit, where 5 were enough when every call
-raised it on entry.
+of frames, so it needs about 41 times its frames per nested binder below
+that limit: a 100-binder fold of an algebra that recurses once per binder
+needs 130 frames at 3 frames a binder and 650 at the 16 a binder that the
+raised limit budgets for, where 5 were enough when every call raised the
+limit on entry. At the default limit of 1,000, such a 16-frame fold
+started more than about 350 frames deep raises ``RecursionError``.
 This relies on CPython 3.11 and later, where a Python-to-Python call
 takes no C stack, so a 10,000-binder fold fits even a thread started with
 a 256 KiB stack. An algebra whose
@@ -306,18 +309,25 @@ class _Budget:
 
     __slots__ = ("left", "limit", "trip", "active", "raised")
 
+    def __init__(self, limit: int):
+        self.left = limit
+        self.limit = limit
+        self.trip = limit - _TRIP if limit > _TRIP else 0
+        self.active = True
+        self.raised = False
+
 
 # Charges that may nest before a top-level guarded call raises the recursion
-# limit. Each costs a foreign algebra 3 or more frames and a lam_alg layer 1,
-# so a call whose tripwire has not fired is within about 130 frames of where
-# it started. A guarded call of the law suites makes at most 8.
+# limit. Each costs a lam_alg layer 1 frame and a foreign algebra 3 or more,
+# up to the _FRAMES_PER_LEVEL it is budgeted, so a call whose tripwire has
+# not fired may be up to about 41 times that, 130 to 650 frames, deeper than
+# where it started. A guarded call of the law suites makes at most 8.
 _TRIP = 40
 
 # The budget of the top-level guarded call this context runs in, or None. A
 # context copied inside the call keeps the budget after the call ends; the
 # call marks it inactive then, and an inactive budget guards nothing.
 _budget: ContextVar[_Budget | None] = ContextVar("kripkelam_guard_budget", default=None)
-_new = object.__new__
 _limit_lock = threading.Lock()
 # Top-level guarded calls in flight whose tripwire fired, the recursion limit
 # before the first of them, and the limit the guard last left in place.
@@ -334,8 +344,8 @@ def _charge(budget: _Budget | None, n: int) -> None:
     :class:`DepthLimitError` on the charge that takes it past its limit,
     and keeps ``left`` where the charge of the binder that crossed it left
     it. The chain loop of :mod:`kripkelam.algebras` charges here every
-    binder it skips, and the same way, written out, every binder it steps
-    in place; ``Algebra.interpret_lam`` charges one that may nest.
+    binder it steps in place or skips; ``Algebra.interpret_lam`` charges
+    one that may nest.
     """
     if budget is not None:
         budget.left -= n
@@ -420,9 +430,11 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     a deeply nested list, say) overflow the C stack and crash the process,
     so that window stays open while a call whose tripwire fired is in
     flight. A call started near the caller's limit must fire its tripwire
-    before it runs out of frames: a 100-binder fold of an algebra that
-    recurses once per binder needs 130 frames below that limit, where 5
-    were enough when every call raised the limit on entry.
+    before it runs out of frames, so it needs about 41 times its frames per
+    nested binder below that limit: a 100-binder fold of an algebra that
+    recurses once per binder needs 130 frames at 3 frames a binder and 650
+    at the 16 a binder that the raised limit budgets for, where 5 were
+    enough when every call raised the limit on entry.
     """
     budget = _budget.get()
     if budget is not None and budget.active:
@@ -430,11 +442,7 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     limit = DEFAULT_MAX_NESTING if max_depth is None else operator.index(max_depth)
     if limit < 1:
         raise ValueError("max_depth must be at least 1")
-    budget = _new(_Budget)
-    budget.left = budget.limit = limit
-    budget.trip = limit - _TRIP if limit > _TRIP else 0
-    budget.active = True
-    budget.raised = False
+    budget = _Budget(limit)
     token = _budget.set(budget)
     try:
         return thunk()

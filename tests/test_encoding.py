@@ -504,13 +504,27 @@ def test_a_short_fold_started_near_the_recursion_limit_completes():
     assert sys.getrecursionlimit() == limit
 
 
-def test_a_foreign_fold_started_140_frames_below_the_recursion_limit_completes():
-    # An algebra that recurses once per binder takes 3 frames a binder, so
-    # the tripwire must fire before a 100-binder fold runs out of the
-    # frames left below the caller's limit: it fires within 41 binders,
-    # about 130 frames in all.
+def _nest(n, thunk):
+    return _nest(n - 1, thunk) if n else thunk()
+
+
+@pytest.mark.parametrize(
+    "interpret, below",
+    [
+        (lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg), 140),
+        (lambda body, embed, alg: _nest(11, lambda: 1 + body(Rename.identity(), 1).interpret(alg)), 680),
+    ],
+    ids=["3-frames-a-binder-140-below", "16-frames-a-binder-680-below"],
+)
+def test_a_foreign_fold_started_near_the_recursion_limit_fires_the_tripwire_in_time(interpret, below):
+    # An algebra that recurses once per binder takes 3 frames a binder
+    # (interpret, interpret_lam and the algebra); _nest(11, ...) adds 13,
+    # the 16 a binder that _FRAMES_PER_LEVEL budgets for. The tripwire must
+    # fire before a 100-binder fold runs out of the frames left below the
+    # caller's limit: it fires within 41 binders, about 130 frames in all
+    # at 3 frames a binder and about 650 at 16.
     limit = sys.getrecursionlimit()
-    recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+    recursing = Algebra(interpret)
     t = deep_term(100)
 
     def descend(n):
@@ -518,7 +532,7 @@ def test_a_foreign_fold_started_140_frames_below_the_recursion_limit_completes()
             return descend(n - 1)
         return fold(recursing, t)
 
-    assert descend(_frames_left() - 140) == 101
+    assert descend(_frames_left() - below) == 101
     assert sys.getrecursionlimit() == limit
 
 

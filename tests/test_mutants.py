@@ -124,7 +124,7 @@ _closure_guard_checks = [partial(check_guard_charges_k_binders, run, closure_cha
             "elif type(opened) is _Lam",
             [partial(_wrapper_sees_every_closure_binder, alg, apply) for alg, apply in _APPLIED],
         ),
-        ("budget.left -= 1", "pass", _closure_guard_checks),
+        ("_charge(budget, 1)", "pass", _closure_guard_checks),
     ],
     ids=["skip-any-algebra", "skip-level-off-by-one", "step-any-algebra", "step-uncharged"],
 )
@@ -165,14 +165,6 @@ def _within_the_stack(check):
             "pass",
             check_calls_that_nest_nothing_leave_the_limit_alone,
         ),
-        (
-            algebras,
-            "_chain_end",
-            [(algebras, "_chain_end")],
-            "budget.trip -= 1",
-            "pass",
-            check_calls_that_nest_nothing_leave_the_limit_alone,
-        ),
         # lam_alg holds the function it was made with.
         (encoding, "_rebuild_lam", [(lam_alg(), "_interpret")], "budget.trip += 1", "pass", _lam_alg_tower_walks),
         (
@@ -184,7 +176,7 @@ def _within_the_stack(check):
             check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
         ),
     ],
-    ids=["tick-trips-at-zero", "charge-keeps-the-trip-point", "step-keeps-the-trip-point", "shifted-untick", "no-restore"],
+    ids=["tick-trips-at-zero", "charge-keeps-the-trip-point", "shifted-untick", "no-restore"],
 )
 def test_the_trip(monkeypatch, module, name, patched, old, new, check):
     check = _within_the_stack(check)
