@@ -88,9 +88,6 @@ class NameStream:
     def __repr__(self):
         return f"NameStream(start={self._start!r})"
 
-    def __reduce__(self):
-        return NameStream, (self._start,)
-
 
 def names(start: int = 1) -> NameStream:
     return NameStream(start)
@@ -140,14 +137,17 @@ class _Name(int):
         return f"x{self}"
 
 
-def _print_lam(body, embed, alg):
-    c = _new(_PrintCarrier)
-    c.body = body
-    c.alg = alg
-    return c
+def _carrier_lam(cls):
+    """The ``interpret_lam`` of a function carrier whose binder value is a
+    ``cls`` holding the binder's body and the algebra to read it with."""
 
+    def interpret_lam(body, embed, alg):
+        c = _new(cls)
+        c.body = body
+        c.alg = alg
+        return c
 
-_PRINT_ALG = Algebra(_print_lam, name="print")
+    return interpret_lam
 
 
 class _PrintCarrier:
@@ -165,6 +165,9 @@ class _PrintCarrier:
         start = stream.start
         n, c = _chain_end(self.body, self.alg, start, _Name, _PRINT_ALG, _PrintCarrier)
         return _prefixes(start, n - 1) + _applied(c, NameStream(n), str)
+
+
+_PRINT_ALG = Algebra(_carrier_lam(_PrintCarrier), name="print")
 
 
 def print_alg() -> Algebra:
@@ -196,16 +199,6 @@ class _Level(int):
         return Var(n - self)
 
 
-def _debruijn_lam(body, embed, alg):
-    c = _new(_DepthCarrier)
-    c.body = body
-    c.alg = alg
-    return c
-
-
-_TO_DEBRUIJN_ALG = Algebra(_debruijn_lam, name="debruijn")
-
-
 class _DepthCarrier:
     """``to_debruijn_alg``'s value for a binder: its body and the algebra to read it with.
 
@@ -221,6 +214,9 @@ class _DepthCarrier:
         level, c = _chain_end(self.body, self.alg, v + 1, _Level, _TO_DEBRUIJN_ALG, _DepthCarrier)
         inner = _applied(c, level - 1, DbTerm)
         return _chain(level - 1 - v + inner.binders, inner.occurrence)
+
+
+_TO_DEBRUIJN_ALG = Algebra(_carrier_lam(_DepthCarrier), name="debruijn")
 
 
 def to_debruijn_alg() -> Algebra:

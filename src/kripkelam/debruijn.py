@@ -47,7 +47,9 @@ formatted per call. The oracles do not use the table.
 
 from __future__ import annotations
 
+import operator
 import re
+import reprlib
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
@@ -67,7 +69,6 @@ __all__ = [
     "db_to_body",
     "db_to_hoas",
     "db_to_named",
-    "db_validate",
     "enumerate_terms",
     "format_db",
     "gen_term",
@@ -119,12 +120,19 @@ class DbTerm(_Chain):
 
 
 class Var(DbTerm):
-    """A variable occurrence by de Bruijn index."""
+    """A variable occurrence by de Bruijn index.
+
+    ``index`` is read with ``operator.index``: any integer, and a ``bool``
+    as its ``int``. Anything else raises ``TypeError`` naming it.
+    """
 
     __slots__ = ()
 
     def __new__(cls, index: int):
-        return _make(Var, 0, index)
+        try:
+            return _make(Var, 0, operator.index(index))
+        except TypeError:
+            raise TypeError(f"a de Bruijn index is an integer, not {reprlib.repr(index)}") from None
 
 
 class Lam(DbTerm):
@@ -183,9 +191,15 @@ class Abs(NamedTerm):
 
 
 class UnboundVariable(ValueError):
+    """A named term's occurrence that no binder of it binds."""
+
     def __init__(self, name: str):
-        super().__init__(f"unbound variable {name}")
+        # args are the constructor's, so pickle and copy rebuild the error.
+        super().__init__(name)
         self.name = name
+
+    def __str__(self):
+        return f"unbound variable {self.name}"
 
 
 class OpenTermError(ValueError):
@@ -196,10 +210,14 @@ class ParseError(ValueError):
     """Syntax error with a 1-based source position."""
 
     def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+        # args are the constructor's, so pickle and copy rebuild the error.
+        super().__init__(message, line, column)
         self.message = message
         self.line = line
         self.column = column
+
+    def __str__(self):
+        return f"{self.line}:{self.column}: {self.message}"
 
 
 def _unchain(d: DbTerm) -> tuple[int, int]:
@@ -224,12 +242,6 @@ def _checked_name(name: str) -> str:
     if _NAME.fullmatch(name) is None:
         raise ValueError(f"not an identifier: {name!r}")
     return name
-
-
-def db_validate(d: DbTerm, depth: int = 0) -> bool:
-    """True iff ``d`` is well-scoped under ``depth`` enclosing binders."""
-    k, i = _unchain(d)
-    return 0 <= i < depth + k
 
 
 def oracle_size(d: DbTerm) -> int:

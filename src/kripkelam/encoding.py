@@ -48,20 +48,14 @@ last one ends, unless it was set to another value meanwhile. On CPython
 3.11 a raised limit lets another thread's deep C recursion (``repr`` of a
 deeply nested list) overflow the C stack and crash the process, so that
 window stays open while a call whose tripwire fired is in flight. A call
-started near the caller's limit must fire the tripwire before it runs out
-of frames, so it needs about 41 times its frames per nested binder below
-that limit: a 100-binder fold of an algebra that recurses once per binder
-needs 130 frames at 3 frames a binder and 650 at the 16 a binder that the
-raised limit budgets for, where 5 were enough when every call raised the
-limit on entry. At the default limit of 1,000, such a 16-frame fold
-started more than about 350 frames deep raises ``RecursionError``.
-This relies on CPython 3.11 and later, where a Python-to-Python call
-takes no C stack, so a 10,000-binder fold fits even a thread started with
-a 256 KiB stack. An algebra whose
-per-binder recursion passes through a C function (a generator inside
-``sum``, say) takes C stack per binder: a deep fold of it raises
-``RecursionError`` on 3.12 and later, or can overflow a small thread stack
-and crash the interpreter.
+started near the caller's limit needs headroom below it to fire the
+tripwire in time; :func:`run_guarded` gives the figures. This relies on
+CPython 3.11 and later, where a Python-to-Python call takes no C stack, so
+a 10,000-binder fold fits even a thread started with a 256 KiB stack. An
+algebra whose per-binder recursion passes through a C function (a
+generator inside ``sum``, say) takes C stack per binder: a deep fold of it
+raises ``RecursionError`` on 3.12 and later, or can overflow a small thread
+stack and crash the interpreter.
 
 The guard's own state is a context variable, so it is per thread and per
 asyncio task. A new thread starts unguarded on Python 3.11 to 3.13, so its
@@ -109,11 +103,15 @@ class DepthLimitError(RuntimeError):
     """A guarded call interpreted more binders than the active limit allows."""
 
     def __init__(self, limit: int):
-        super().__init__(
-            f"more than {limit} binder interpretations in one guarded call "
+        # args are the constructor's, so pickle and copy rebuild the error.
+        super().__init__(limit)
+        self.limit = limit
+
+    def __str__(self):
+        return (
+            f"more than {self.limit} binder interpretations in one guarded call "
             "(the limit on binder nesting counts every binder interpreted)"
         )
-        self.limit = limit
 
 
 class Rename:
@@ -123,10 +121,6 @@ class Rename:
 
     def __init__(self, apply: Callable[[Any], Any]):
         self.apply = apply
-
-    def then(self, outer: "Rename") -> "Rename":
-        """Left-to-right composition: ``f.then(g).apply(x) == g.apply(f.apply(x))``."""
-        return Rename(lambda value: outer.apply(self.apply(value)))
 
     @staticmethod
     def identity() -> "Rename":
@@ -318,10 +312,8 @@ class _Budget:
 
 
 # Charges that may nest before a top-level guarded call raises the recursion
-# limit. Each costs a lam_alg layer 1 frame and a foreign algebra 3 or more,
-# up to the _FRAMES_PER_LEVEL it is budgeted, so a call whose tripwire has
-# not fired may be up to about 41 times that, 130 to 650 frames, deeper than
-# where it started. A guarded call of the law suites makes at most 8.
+# limit; run_guarded's docstring gives the headroom that costs a call near
+# the caller's limit. A guarded call of the law suites makes at most 8.
 _TRIP = 40
 
 # The budget of the top-level guarded call this context runs in, or None. A
@@ -433,8 +425,9 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     before it runs out of frames, so it needs about 41 times its frames per
     nested binder below that limit: a 100-binder fold of an algebra that
     recurses once per binder needs 130 frames at 3 frames a binder and 650
-    at the 16 a binder that the raised limit budgets for, where 5 were
-    enough when every call raised the limit on entry.
+    at the 16 a binder that the raised limit budgets for. So at the default
+    limit of 1,000, such a 16-frame fold started more than about 350 frames
+    deep raises ``RecursionError``.
     """
     budget = _budget.get()
     if budget is not None and budget.active:

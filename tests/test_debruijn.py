@@ -22,7 +22,6 @@ from kripkelam import (
     Var,
     db_to_hoas,
     db_to_named,
-    db_validate,
     fold,
     enumerate_terms,
     format_db,
@@ -57,29 +56,6 @@ from helpers import (
 chains = st.integers(min_value=1, max_value=64).flatmap(
     lambda k: st.integers(min_value=0, max_value=k - 1).map(lambda i: chain(k, i))
 )
-
-
-# ---------------------------------------------------------------- validate
-
-
-def test_validate_closed_identity():
-    assert db_validate(Lam(Var(0)), 0)
-
-
-def test_validate_rejects_unbound_index():
-    assert not db_validate(Var(0), 0)
-    assert not db_validate(Lam(Var(1)), 0)
-    assert not db_validate(Lam(Var(-1)), 0)
-
-
-def test_validate_running_example_is_closed():
-    assert db_validate(Lam(Lam(Var(1))), 0)
-
-
-def test_validate_respects_ambient_depth():
-    assert db_validate(Var(0), 1)
-    assert db_validate(Lam(Var(1)), 1)
-    assert not db_validate(Lam(Var(2)), 1)
 
 
 # ---------------------------------------------------------------- oracles
@@ -252,7 +228,8 @@ def test_gen_term_is_deterministic():
 
 def test_gen_term_always_closed():
     for seed in range(200):
-        assert db_validate(gen_term(seed, 17), 0)
+        t = gen_term(seed, 17)
+        assert 0 <= t.index < t.binders
 
 
 def test_gen_term_covers_depth_range():
@@ -863,6 +840,24 @@ def test_a_name_the_named_syntax_cannot_spell_is_rejected(name, error):
         Ref(name)
     with pytest.raises(error):
         Abs(name, Ref("x"))
+
+
+@pytest.mark.parametrize("index", [1.0, 0.5, "0", None])
+def test_a_de_bruijn_index_that_is_no_integer_is_rejected(index):
+    # Var once stored any object: Lam(Lam(Var(1.0))) formatted as text
+    # parse_db rejects, and printed as x1.0 or x1 depending on the path.
+    with pytest.raises(TypeError) as err:
+        Var(index)
+    assert str(err.value) == f"a de Bruijn index is an integer, not {index!r}"
+
+
+def test_a_bool_de_bruijn_index_is_its_int():
+    for flag in (True, False):
+        v = Var(flag)
+        assert type(v.index) is int and v == Var(int(flag)) and repr(v) == f"Var({int(flag)})"
+    d = Lam(Lam(Var(True)))
+    assert format_db(d) == "Lam (Lam (Var 1))" and parse_db(format_db(d)) == d
+    assert oracle_print(d) == print_term(db_to_hoas(d)) == render_named(db_to_named(d)) == "\\ x1. \\ x2. x1"
 
 
 identifiers = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True)

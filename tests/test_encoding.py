@@ -4,8 +4,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kripkelam.encoding as encoding
 from kripkelam import (
@@ -196,25 +194,6 @@ def test_rename_identity_law():
     r = Rename.identity()
     for v in (0, "a", (1, 2)):
         assert r.apply(v) == v
-
-
-@settings(max_examples=50)
-@given(st.integers(), st.integers(), st.integers(), st.integers(), st.integers())
-def test_rename_composition_is_associative(a, b, c, d, x):
-    f = Rename(lambda n: n + a)
-    g = Rename(lambda n: n * 2 + b)
-    h = Rename(lambda n: n - c + d)
-    lhs = f.then(g).then(h)
-    rhs = f.then(g.then(h))
-    assert lhs.apply(x) == rhs.apply(x)
-
-
-@settings(max_examples=50)
-@given(st.integers(), st.integers())
-def test_rename_identity_is_neutral_for_composition(a, x):
-    f = Rename(lambda n: n + a)
-    assert f.then(Rename.identity()).apply(x) == f.apply(x)
-    assert Rename.identity().then(f).apply(x) == f.apply(x)
 
 
 # ---------------------------------------------------------------- depth guard

@@ -12,7 +12,21 @@ from functools import partial
 
 import pytest
 
-from kripkelam import Algebra, algebras, db_to_hoas, debruijn, encoding, fold, lam_alg, names, run_guarded
+from kripkelam import (
+    Algebra,
+    algebras,
+    closed,
+    db_to_hoas,
+    debruijn,
+    encoding,
+    fold,
+    lam_alg,
+    names,
+    place,
+    print_alg,
+    run_guarded,
+    size,
+)
 
 from helpers import (
     SIX_RUNS,
@@ -25,6 +39,8 @@ from helpers import (
     reference_parse_db,
 )
 from test_algebras import test_a_fold_keeps_few_tracked_objects_alive_per_binder as _keeps_few_alive
+from test_algebras import test_a_type_error_raised_inside_a_carriers_last_value_is_its_own as _carriers_own_error
+from test_algebras import test_an_occurrence_no_binder_bound_is_a_type_error as _no_binder_bound
 from test_algebras import test_the_print_carrier_names_binders_from_any_start as _names_from_any_start
 from test_debruijn import _outcome
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
@@ -47,7 +63,7 @@ def _guard_checks():
 def _fails(check) -> bool:
     try:
         check()
-    except AssertionError:
+    except (AssertionError, pytest.fail.Exception):  # pytest.raises fails with the latter
         return True
     return False
 
@@ -191,6 +207,34 @@ def test_the_trip(monkeypatch, module, name, patched, old, new, check):
         assert _fails(check)
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize(
+    "name, old, new, check",
+    [
+        # An entry point takes whatever ends the chain for the level of the
+        # binder the occurrence names: size(place(42) under one binder) is 2.
+        (
+            "_unfold",
+            "if type(end) is not _Level:",
+            "if False:",
+            partial(_no_binder_bound, size, closed(lambda mo, x: place(42)), "42"),
+        ),
+        # Every TypeError is read as a refused call, also one raised inside
+        # the function that ends a carrier's chain.
+        (
+            "_raise_if_refused",
+            "if err.__traceback__.tb_next is None:",
+            "if True:",
+            partial(_carriers_own_error, lambda t: fold(print_alg(), t)(names(1))),
+        ),
+    ],
+    ids=["unfold-any-end", "every-type-error-refused"],
+)
+def test_the_ill_formed_checks(monkeypatch, name, old, new, check):
+    assert not _fails(check)
+    monkeypatch.setattr(algebras, name, _with_line(algebras, name, old, new))
+    assert _fails(check)
 
 
 # The long binder-run scan with its chunks cut at a fixed width: on a run of

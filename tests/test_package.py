@@ -1,6 +1,14 @@
-"""The package root: what it exports, and what importing it loads."""
+"""The package's public surface: what the root exports, what importing it
+loads, and where the README and ``pyproject.toml`` name it."""
 
+import copy
+import importlib
 import inspect
+import pickle
+import pkgutil
+import re
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +20,7 @@ import kripkelam.laws as laws
 
 from helpers import run_fresh
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = {"algebras": algebras, "debruijn": debruijn, "encoding": encoding, "laws": laws}
 # What ``from kripkelam import *`` bound when the root star-imported each module.
 STAR_NAMES = {*MODULES, *(name for module in MODULES.values() for name in module.__all__)}
@@ -40,7 +49,7 @@ def test_star_import_binds_every_module_name_and_the_modules():
         print(*sorted(namespace))
         """
     )
-    assert len(STAR_NAMES) == 66
+    assert len(STAR_NAMES) == 65
     assert out.split() == sorted(STAR_NAMES)
 
 
@@ -80,3 +89,57 @@ def test_run_guarded_is_the_only_public_callable_taking_max_depth():
         and "max_depth" in inspect.signature(obj).parameters
     ]
     assert takers == ["kripkelam.encoding.run_guarded"]
+
+
+def _layout_tables() -> dict[str, list[tuple[str, str]]]:
+    """README's Layout section: each module's table rows, as (name, callers)."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for section in layout.split("\n### ")[1:]:
+        heading, _, body = section.partition("\n")
+        tables[heading.strip("`")] = re.findall(r"^\| `(\w+)` \| (.+) \|$", body, re.M)
+    return tables
+
+
+CALLERS = {"library", "CLI", "benchmark", "acceptance"}
+
+
+def test_the_readme_tables_list_exactly_each_modules_public_names():
+    tables = _layout_tables()
+    assert set(tables) == {f"kripkelam.{m.name}" for m in pkgutil.iter_modules(kripkelam.__path__)}
+    for module_name, rows in tables.items():
+        names = [name for name, _ in rows]
+        assert sorted(names) == sorted(importlib.import_module(module_name).__all__), module_name
+        for name, callers in rows:
+            assert callers == "tests only" or set(callers.split(", ")) <= CALLERS, name
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        encoding.DepthLimitError(5),
+        debruijn.UnboundVariable("x"),
+        debruijn.ParseError("expected )", 2, 7),
+        debruijn.OpenTermError("term is open: index 1 under 1 binders"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_the_library_errors_survive_pickle_and_copy(error):
+    # Each error once passed its message to the base class as its only
+    # argument, so a copy ran the constructor on the message: the text came
+    # back doubled, and a ParseError could not be rebuilt at all.
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(twin) is type(error)
+        assert str(twin) == str(error)
+        assert vars(twin) == vars(error)
+
+
+def test_the_console_script_is_the_cli_main():
+    # CI runs the suite from the source tree without installing, so nothing
+    # else checks the command README's examples use.
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["kripkelam"]
+    module_name, _, attribute = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attribute)
+    assert callable(entry) and entry is importlib.import_module("kripkelam.cli").main
