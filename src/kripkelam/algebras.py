@@ -38,7 +38,7 @@ import reprlib
 from operator import attrgetter
 
 from .debruijn import DbTerm, Var, _binder_text, _canonical, _chain, _ChainBinder
-from .encoding import Algebra, OpenTerm, Rename, Term, _budget, _charge, _Lam, run_guarded
+from .encoding import Algebra, OpenTerm, Rename, Term, _charge, _guard, _Lam, run_guarded
 
 __all__ = [
     "NameStream",
@@ -248,7 +248,7 @@ def _chain_end(body, alg, level: int, var, own, cls=None) -> tuple:
     in through ``lam_alg`` does. Returns the level past the last binder
     walked and the value that ends the chain.
     """
-    budget = _budget.get()
+    budget = _guard.budget
     while True:
         try:
             opened = body(_IDENTITY, var(level))

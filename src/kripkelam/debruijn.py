@@ -426,8 +426,13 @@ def gen_term(seed: int, max_depth: int) -> DbTerm:
 
     Two splitmix64 draws from ``seed``: depth is ``1 + draw0 mod max_depth``
     and index is ``draw1 mod depth``. Streams of terms use consecutive
-    seeds.
+    seeds. ``max_depth`` is read with ``operator.index``, as ``Var`` reads
+    an index.
     """
+    try:
+        max_depth = operator.index(max_depth)
+    except TypeError:
+        raise TypeError(f"a depth bound is an integer, not {reprlib.repr(max_depth)}") from None
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     draw0, state = splitmix64(seed & _MASK64)
@@ -437,8 +442,14 @@ def gen_term(seed: int, max_depth: int) -> DbTerm:
 
 
 def format_db(d: DbTerm) -> str:
-    """Canonical text form, e.g. ``Lam (Lam (Var 1))``."""
+    """Canonical text form, e.g. ``Lam (Lam (Var 1))``.
+
+    A negative index, which ``Var`` takes, has no text form: ``parse_db``
+    reads none, so it raises ``ValueError``.
+    """
     k, i = _unchain(d)
+    if i < 0:
+        raise ValueError(f"a negative de Bruijn index has no text form: {i}")
     return "Lam (" * k + f"Var {i}" + ")" * k
 
 

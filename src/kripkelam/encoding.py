@@ -57,12 +57,13 @@ generator inside ``sum``, say) takes C stack per binder: a deep fold of it
 raises ``RecursionError`` on 3.12 and later, or can overflow a small thread
 stack and crash the interpreter.
 
-The guard's own state is a context variable, so it is per thread and per
-asyncio task. A new thread starts unguarded on Python 3.11 to 3.13, so its
-folds are top-level calls with their own count; free-threaded builds of
-3.14 may copy the starting thread's context into it. A task or copied
-context made inside a guarded call shares that call's count while the
-call runs.
+The guard's budget is per thread: a top-level guarded call keeps it in a
+thread-local, which only the thread running the call can reach. Folds on
+another thread are top-level calls there with their own count, whether
+that thread was started inside a guarded call or runs a context copied
+inside one. A guarded thunk is synchronous, so an asyncio task runs during
+the call only if the thunk drives an event loop on its own thread, and
+then the task shares the call's count.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from __future__ import annotations
 import operator
 import sys
 import threading
-from contextvars import ContextVar
 from typing import Any, Callable
 
 __all__ = [
@@ -188,7 +188,7 @@ class Algebra:
     def interpret_lam(self, body: TermBody, embed: Embed, candidate):
         # The hot tick: a charge of one that may nest, so the trip point
         # stays where it is.
-        budget = _budget.get()
+        budget = _guard.budget
         if budget is not None:
             budget.left -= 1
             if budget.left < budget.trip:
@@ -239,7 +239,7 @@ def _rebuild_lam(body: TermBody, embed: Embed, _construction_alg) -> Term:
         def shifted(mx: Rename, fresh):
             # One frame per layer of a term folded through lam_alg many
             # times, and no binder: the trip point moves, the count does not.
-            budget = _budget.get()
+            budget = _guard.budget
             if budget is not None:
                 budget.trip += 1
                 if budget.left < budget.trip:
@@ -298,16 +298,16 @@ class _Budget:
     nothing and up with every ``lam_alg`` layer, so ``left`` falls below
     it once the call has made more than ``_TRIP`` interpretations and
     layers, which may nest. The tripwire then fires: the call raises the
-    recursion limit (``raised``).
+    recursion limit (``raised``). Only the thread that runs the call can
+    reach its budget, so nothing here takes a lock.
     """
 
-    __slots__ = ("left", "limit", "trip", "active", "raised")
+    __slots__ = ("left", "limit", "trip", "raised")
 
     def __init__(self, limit: int):
         self.left = limit
         self.limit = limit
         self.trip = limit - _TRIP if limit > _TRIP else 0
-        self.active = True
         self.raised = False
 
 
@@ -316,13 +316,19 @@ class _Budget:
 # the caller's limit. A guarded call of the law suites makes at most 8.
 _TRIP = 40
 
-# The budget of the top-level guarded call this context runs in, or None. A
-# context copied inside the call keeps the budget after the call ends; the
-# call marks it inactive then, and an inactive budget guards nothing.
-_budget: ContextVar[_Budget | None] = ContextVar("kripkelam_guard_budget", default=None)
-_limit_lock = threading.Lock()
-# Top-level guarded calls in flight whose tripwire fired, the recursion limit
+
+class _Guard(threading.local):
+    """Per thread, the budget of the top-level guarded call running there,
+    or None: :func:`run_guarded` sets it on entry and clears it on exit."""
+
+    budget: _Budget | None = None
+
+
+_guard = _Guard()
+# The recursion limit is process-wide, so these are shared by every thread:
+# top-level guarded calls in flight whose tripwire fired, the recursion limit
 # before the first of them, and the limit the guard last left in place.
+_limit_lock = threading.Lock()
 _in_flight = 0
 _limit_before = 0
 _limit_set = 0
@@ -332,7 +338,7 @@ def _charge(budget: _Budget | None, n: int) -> None:
     """Charge ``budget`` for ``n`` binders that nest nothing, as ``n`` charges of one would.
 
     The trip point moves down with ``left``, floored at 0, so only a charge
-    past the limit takes ``left`` below it. An active budget raises
+    past the limit takes ``left`` below it. A budget raises
     :class:`DepthLimitError` on the charge that takes it past its limit,
     and keeps ``left`` where the charge of the binder that crossed it left
     it. The chain loop of :mod:`kripkelam.algebras` charges here every
@@ -349,13 +355,11 @@ def _charge(budget: _Budget | None, n: int) -> None:
 def _trip(budget: _Budget, n: int) -> None:
     """The slow path of a charge of ``n`` that took ``left`` below the trip point.
 
-    Past the limit, an active budget raises :class:`DepthLimitError` (a
-    ``lam_alg`` layer, ``n == 0``, charges nothing and raises nothing).
-    Otherwise the tripwire fires: the trip point drops to 0, where only the
-    limit check is left, and the recursion limit is raised for the call.
+    Past the limit it raises :class:`DepthLimitError` (a ``lam_alg``
+    layer, ``n == 0``, charges nothing and raises nothing). Otherwise the
+    tripwire fires: the trip point drops to 0, where only the limit check
+    is left, and the recursion limit is raised for the call.
     """
-    if not budget.active:
-        return
     if budget.left < 0 and n:
         budget.left = min(budget.left + n, 0) - 1
         raise DepthLimitError(budget.limit)
@@ -370,30 +374,23 @@ def _raise_limit(budget: _Budget) -> None:
     # The interpreter stores its recursion limit in a C int.
     need = min(budget.limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM, 2**31 - 1)
     with _limit_lock:
-        if not budget.raised:
-            if _in_flight == 0:
-                _limit_before = _limit_set = sys.getrecursionlimit()
-            if need > sys.getrecursionlimit():
-                sys.setrecursionlimit(need)
-                _limit_set = need
-            _in_flight += 1
-            budget.raised = True
-    # A copied context can fire the tripwire on another thread while the
-    # call ends; then the call's exit may have missed the raise.
-    if not budget.active:
-        _restore_limit(budget)
+        if _in_flight == 0:
+            _limit_before = _limit_set = sys.getrecursionlimit()
+        if need > sys.getrecursionlimit():
+            sys.setrecursionlimit(need)
+            _limit_set = need
+        _in_flight += 1
+        budget.raised = True
 
 
-def _restore_limit(budget: _Budget) -> None:
-    """Undo ``_raise_limit(budget)`` once; the last such call in flight puts the limit back."""
+def _restore_limit() -> None:
+    """Undo one ``_raise_limit``; the last call in flight puts the limit back."""
     global _in_flight
     with _limit_lock:
-        if budget.raised:
-            budget.raised = False
-            _in_flight -= 1
-            # A limit someone else set while the call ran is theirs to keep.
-            if _in_flight == 0 and sys.getrecursionlimit() == _limit_set:
-                sys.setrecursionlimit(_limit_before)
+        _in_flight -= 1
+        # A limit someone else set while the call ran is theirs to keep.
+        if _in_flight == 0 and sys.getrecursionlimit() == _limit_set:
+            sys.setrecursionlimit(_limit_before)
 
 
 def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
@@ -404,10 +401,9 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     ``max_depth``, an integer of at least 1 (default
     ``DEFAULT_MAX_NESTING``). Inside an already-guarded computation this is
     a plain call, so nested folds accumulate into the enclosing count and
-    keep its budget, whatever ``max_depth`` they pass. The count lives in a
-    context variable: each thread and each asyncio task has its own, and a
-    thread started inside a guarded call starts unguarded on Python 3.11 to
-    3.13, so its folds are top-level calls with their own count.
+    keep its budget, whatever ``max_depth`` they pass. The count is per
+    thread: folds on another thread, started or run in a copied context
+    inside this call, are top-level calls there with their own count.
 
     At top level the thunk runs once, on the calling thread, and leaves
     the interpreter's recursion limit alone until the call's tripwire
@@ -429,18 +425,16 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     limit of 1,000, such a 16-frame fold started more than about 350 frames
     deep raises ``RecursionError``.
     """
-    budget = _budget.get()
-    if budget is not None and budget.active:
+    if _guard.budget is not None:
         return thunk()
     limit = DEFAULT_MAX_NESTING if max_depth is None else operator.index(max_depth)
     if limit < 1:
         raise ValueError("max_depth must be at least 1")
     budget = _Budget(limit)
-    token = _budget.set(budget)
     try:
+        _guard.budget = budget
         return thunk()
     finally:
-        budget.active = False
-        _budget.reset(token)
+        _guard.budget = None
         if budget.raised:
-            _restore_limit(budget)
+            _restore_limit()

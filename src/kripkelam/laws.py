@@ -30,6 +30,8 @@ None for an enumerated skeleton, and record each refuted pair as a
 from __future__ import annotations
 
 import enum
+import operator
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Union
 
@@ -89,6 +91,8 @@ class BodySkeleton:
     leaf: Union[Slot, int]
 
     def validate(self):
+        if not isinstance(self.binders, int):
+            raise TypeError(f"a skeleton's binder count is an integer, not {reprlib.repr(self.binders)}")
         if self.binders < 0:
             raise ValueError(f"negative binder count: {self.binders}")
         if isinstance(self.leaf, int) and not 0 <= self.leaf < self.binders:
@@ -288,6 +292,10 @@ def enumerate_skeletons(max_binders: int) -> list[BodySkeleton]:
 
 def gen_skeleton(seed: int, max_binders: int) -> BodySkeleton:
     """Seeded pseudo-random skeleton, same splitmix64 scheme as gen_term."""
+    try:
+        max_binders = operator.index(max_binders)
+    except TypeError:
+        raise TypeError(f"a binder bound is an integer, not {reprlib.repr(max_binders)}") from None
     if max_binders < 0:
         raise ValueError("max_binders must be nonnegative")
     draw0, state = splitmix64(seed)

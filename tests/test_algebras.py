@@ -14,6 +14,7 @@ from kripkelam import (
     DepthLimitError,
     Lam,
     Rename,
+    Term,
     Var,
     closed,
     db_to_body,
@@ -478,8 +479,10 @@ def test_entry_points_equal_their_folds_at_the_canonical_argument():
         (closed(lambda mo, x: place(lambda *a: 5)), "<function "),
         (closed(lambda mo, x: lam(lambda my: place(my))), "<function "),
         (closed(lambda mo, x: place(lambda mx, y: place(y))), "<function "),
+        # A term whose meaning is no binder at all.
+        (Term(lambda alg: 5), "5"),
     ],
-    ids=["outer", "inner", "builtin", "not-an-open-term", "wrong-arity-body", "placed-body"],
+    ids=["outer", "inner", "builtin", "not-an-open-term", "wrong-arity-body", "placed-body", "no-binder"],
 )
 def test_an_occurrence_no_binder_bound_is_a_type_error(entry, t, held):
     # size once counted the 42 as the occurrence's size, and print_term

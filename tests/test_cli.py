@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import kripkelam.cli as cli
 import kripkelam.encoding as encoding
 from kripkelam import DEFAULT_MAX_NESTING, Abs, ParseError, Ref
 from kripkelam.cli import main, parse_named, render_named
@@ -297,6 +298,16 @@ def test_cli_roundtrip_reports_counts(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["roundtrip", "--max-depth", "16"])
     assert code == 0
     assert out == "roundtrip: 136 terms to depth 16, 0 mismatches\n"
+
+
+def test_cli_roundtrip_exits_two_on_a_mismatch(monkeypatch, capsys):
+    # A conversion that moves every occurrence to the innermost binder
+    # misses each term whose index is not 0: 6 of the 10 to depth 4.
+    real = cli.to_debruijn
+    monkeypatch.setattr(cli, "to_debruijn", lambda t: chain(real(t).binders, 0))
+    code, out, _ = run_cli(monkeypatch, capsys, ["roundtrip", "--max-depth", "4"])
+    assert code == 2
+    assert out == "roundtrip: 10 terms to depth 4, 6 mismatches\n"
 
 
 def test_cli_gen_is_deterministic(monkeypatch, capsys):

@@ -249,6 +249,15 @@ def test_gen_term_rejects_nonpositive_depth():
         gen_term(1, 0)
 
 
+@pytest.mark.parametrize("bound", [2.5, 3.0, "3", None])
+def test_gen_term_rejects_a_bound_that_is_no_integer(bound):
+    # gen_term(3, 2.5) once built a chain of 3.0 binders, whose repr and
+    # format_db raised TypeError and whose size was 4.0.
+    with pytest.raises(TypeError) as err:
+        gen_term(3, bound)
+    assert str(err.value) == f"a depth bound is an integer, not {bound!r}"
+
+
 # ---------------------------------------------------------------- text format
 
 
@@ -290,6 +299,26 @@ def test_parse_db_errors_carry_positions():
 @given(chains)
 def test_format_parse_roundtrip(d):
     assert parse_db(format_db(d)) == d
+
+
+@pytest.mark.parametrize("d", [Var(-1), Lam(Var(-1)), Lam(Lam(Var(-(10**20))))])
+def test_format_db_rejects_a_negative_index(d):
+    # It once wrote Lam (Var -1), which parse_db rejects at the '-'.
+    with pytest.raises(ValueError, match="a negative de Bruijn index has no text form"):
+        format_db(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=64), st.integers(min_value=-3, max_value=10**20))
+def test_every_term_format_db_writes_parses_back(k, i):
+    # Open and closed terms alike, with indices past the 18-digit fast path.
+    d = chain(k, i)
+    try:
+        text = format_db(d)
+    except ValueError:
+        assert i < 0
+    else:
+        assert i >= 0 and parse_db(text) == d
 
 
 # ---------------------------------------------------------------- syntax parity
@@ -880,6 +909,11 @@ def test_node_views_of_stored_chains():
     assert (t.name, t.body.name, t.body.body.name) == ("x", "y", "x")
     assert isinstance(t.body.body, Ref)
     assert Lam(Var(0)) != Abs("x", Ref("x")) and Var(0) != Ref("x")
+    assert (Var(0) == 0) is False and (Ref("x") == "x") is False
+    with pytest.raises(TypeError, match="not a de Bruijn term"):
+        format_db("x")
+    with pytest.raises(TypeError, match="not a named term"):
+        named_to_db(Var(0))
     with pytest.raises(TypeError):
         Lam(Ref("x"))
     with pytest.raises(TypeError):

@@ -383,6 +383,25 @@ def test_a_context_copied_inside_a_guarded_call_is_unguarded_after_it():
     assert copies[0].run(lambda: deep_term(6).run(size_alg())) == 7
 
 
+def test_a_context_copied_inside_a_guarded_call_and_run_on_another_thread_has_its_own_budget():
+    # The budget belongs to the thread, not to the context: run on a worker
+    # during the call, the copy's 500-binder fold is a top-level call there,
+    # and the outer call still has exactly 10 of its 510 left.
+    results = []
+
+    def outer():
+        assert size(db_to_hoas(chain(500, 0))) == 501
+        copied = contextvars.copy_context()
+        worker = threading.Thread(target=lambda: results.append(copied.run(size, db_to_hoas(chain(500, 250)))))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return size(db_to_hoas(chain(8, 3)))
+
+    assert encoding.run_guarded(outer, max_depth=510) == 9
+    assert results == [501]
+
+
 # ---------------------------------------------------------------- recursion limit
 
 

@@ -60,6 +60,20 @@ def test_skeleton_validation():
         BodySkeleton(-1, Slot.ENV).validate()
 
 
+@pytest.mark.parametrize("binders", [1.5, 1.0, "1", None])
+def test_a_binder_count_or_bound_that_is_no_integer_is_rejected(binders):
+    # gen_skeleton(1, 1.5) once built a skeleton of 1.0 binders, and
+    # hom_sides on BodySkeleton(1.5, Slot.ENV) observed (3.5, 3.5).
+    with pytest.raises(TypeError) as err:
+        BodySkeleton(binders, Slot.ENV).validate()
+    assert str(err.value) == f"a skeleton's binder count is an integer, not {binders!r}"
+    with pytest.raises(TypeError, match="a skeleton's binder count is an integer"):
+        hom_sides(size_alg(), size_alg(), lambda n: n, BodySkeleton(binders, Slot.ENV), 1, lambda n: n)
+    with pytest.raises(TypeError) as err:
+        gen_skeleton(1, binders)
+    assert str(err.value) == f"a binder bound is an integer, not {binders!r}"
+
+
 def test_body_of_skeleton_rejects_malformed():
     with pytest.raises(ValueError):
         body_of_skeleton(BodySkeleton(1, 1), 0)
@@ -87,6 +101,8 @@ def test_negative_pool_bounds_are_rejected():
         enumerate_skeletons(-1)
     with pytest.raises(ValueError, match="max_binders must be nonnegative"):
         skeleton_pool(-1, 0, seed=0)
+    with pytest.raises(ValueError, match="max_binders must be nonnegative"):
+        gen_skeleton(0, -1)
     with pytest.raises(ValueError, match="samples must be nonnegative"):
         skeleton_pool(2, -1, seed=0)
     with pytest.raises(ValueError):
@@ -316,6 +332,17 @@ def test_report_rendering_mentions_counts():
     assert "id_hom[size]" in text
     assert "9 checked" in text
     assert "[ok]" in text
+
+
+def test_report_rendering_shows_five_witnesses_and_counts_the_rest():
+    # The successor refutes every skeleton whose leaf is no env slot.
+    report = check_hom(
+        size_alg(), size_alg(), lambda n: n + 1, skeletons_to(2), env_value=1, observe=lambda n: n, suite="succ"
+    )
+    lines = render_reports([report]).splitlines()
+    assert len(report.failures) == 6
+    assert [line.startswith("  counterexample: ") for line in lines] == [False] + [True] * 5 + [False]
+    assert lines[-1] == "  ... and 1 more"
 
 
 def test_run_all_laws_is_green():

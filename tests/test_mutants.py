@@ -28,6 +28,7 @@ from kripkelam import (
     size,
 )
 
+import helpers
 from helpers import (
     SIX_RUNS,
     chain,
@@ -38,8 +39,13 @@ from helpers import (
     closure_chain,
     reference_parse_db,
 )
+from test_algebras import _no_size
 from test_algebras import test_a_fold_keeps_few_tracked_objects_alive_per_binder as _keeps_few_alive
+from test_algebras import test_a_size_fold_of_a_held_value_that_is_no_size_is_a_type_error as _held_no_size
 from test_algebras import test_a_type_error_raised_inside_a_carriers_last_value_is_its_own as _carriers_own_error
+from test_algebras import (
+    test_an_applied_carrier_ending_in_a_value_that_gives_no_text_or_term_is_a_type_error as _applied_no_text,
+)
 from test_algebras import test_an_occurrence_no_binder_bound_is_a_type_error as _no_binder_bound
 from test_algebras import test_the_print_carrier_names_binders_from_any_start as _names_from_any_start
 from test_debruijn import _outcome
@@ -187,7 +193,7 @@ def _within_the_stack(check):
             encoding,
             "run_guarded",
             [(encoding, "run_guarded"), (algebras, "run_guarded")],
-            "_restore_limit(budget)",
+            "_restore_limit()",
             "pass",
             check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
         ),
@@ -209,13 +215,28 @@ def test_the_trip(monkeypatch, module, name, patched, old, new, check):
         sys.setrecursionlimit(limit)
 
 
+def test_the_budget_is_cleared_on_exit(monkeypatch):
+    # A budget left on the thread makes the next top-level call there a
+    # nested one, which spends what is left of the old budget, not its own.
+    check = partial(check_guard_charges_k_binders, size, db_to_hoas(chain(60, 30)), 60)
+    assert not _fails(check)
+    mutant = _with_line(encoding, "run_guarded", "_guard.budget = None", "pass")
+    for owner in (encoding, algebras, helpers):
+        monkeypatch.setattr(owner, "run_guarded", mutant)
+    try:
+        assert _fails(check)
+    finally:
+        encoding._guard.budget = None
+
+
 @pytest.mark.parametrize(
-    "name, old, new, check",
+    "name, patched, old, new, check",
     [
         # An entry point takes whatever ends the chain for the level of the
         # binder the occurrence names: size(place(42) under one binder) is 2.
         (
             "_unfold",
+            [(algebras, "_unfold")],
             "if type(end) is not _Level:",
             "if False:",
             partial(_no_binder_bound, size, closed(lambda mo, x: place(42)), "42"),
@@ -224,16 +245,37 @@ def test_the_trip(monkeypatch, module, name, patched, old, new, check):
         # the function that ends a carrier's chain.
         (
             "_raise_if_refused",
+            [(algebras, "_raise_if_refused")],
             "if err.__traceback__.tb_next is None:",
             "if True:",
             partial(_carriers_own_error, lambda t: fold(print_alg(), t)(names(1))),
         ),
+        # The print carrier joins a value that gives no text to the binder
+        # prefixes.
+        (
+            "_applied",
+            [(algebras, "_applied")],
+            "if not isinstance(out, kind):",
+            "if False:",
+            partial(_applied_no_text, lambda t: fold(print_alg(), t)(names(1))),
+        ),
+        # The size fold adds a held function to the binder count; size_alg
+        # holds the function it was made with.
+        (
+            "_size_lam",
+            [(algebras.size_alg(), "_interpret")],
+            "if not isinstance(value, int):",
+            "if False:",
+            partial(_held_no_size, closed(lambda mo, x: place(_no_size))),
+        ),
     ],
-    ids=["unfold-any-end", "every-type-error-refused"],
+    ids=["unfold-any-end", "every-type-error-refused", "applied-any-value", "size-any-value"],
 )
-def test_the_ill_formed_checks(monkeypatch, name, old, new, check):
+def test_the_ill_formed_checks(monkeypatch, name, patched, old, new, check):
     assert not _fails(check)
-    monkeypatch.setattr(algebras, name, _with_line(algebras, name, old, new))
+    mutant = _with_line(algebras, name, old, new)
+    for owner, attribute in patched:
+        monkeypatch.setattr(owner, attribute, mutant)
     assert _fails(check)
 
 
