@@ -38,7 +38,7 @@ import reprlib
 from operator import attrgetter
 
 from .debruijn import DbTerm, Var, _binder_text, _canonical, _chain, _ChainBinder
-from .encoding import Algebra, OpenTerm, Rename, Term, _charge, _guard, _Lam, run_guarded
+from .encoding import Algebra, OpenTerm, Rename, Term, _charge, _guard, _Lam, _new, run_guarded
 
 __all__ = [
     "NameStream",
@@ -94,7 +94,6 @@ def names(start: int = 1) -> NameStream:
 
 
 _IDENTITY = Rename.identity()
-_new = object.__new__
 
 
 # The size fold's variable at every level: level ** 0, which is 1.
@@ -164,7 +163,9 @@ class _PrintCarrier:
     def __call__(self, stream: NameStream) -> str:
         start = stream.start
         n, c = _chain_end(self.body, self.alg, start, _Name, _PRINT_ALG, _PrintCarrier)
-        return _prefixes(start, n - 1) + _applied(c, NameStream(n), str)
+        rest = _new(NameStream)
+        rest._start = n
+        return _prefixes(start, n - 1) + _applied(c, rest, str)
 
 
 _PRINT_ALG = Algebra(_carrier_lam(_PrintCarrier), name="print")

@@ -54,7 +54,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
 
-from .encoding import DEFAULT_MAX_NESTING, OpenTerm, Rename, Term, TermBody, identity_embed, place
+from .encoding import DEFAULT_MAX_NESTING, OpenTerm, Rename, Term, TermBody, _new, identity_embed, place
 
 __all__ = [
     "Abs",
@@ -102,7 +102,7 @@ class _Chain:
 
 
 def _make(cls, binders, occurrence):
-    t = object.__new__(cls)
+    t = _new(cls)
     t._binders = binders
     t._occurrence = occurrence
     return t
@@ -228,11 +228,17 @@ def _unchain(d: DbTerm) -> tuple[int, int]:
 
 
 def _chain(k: int, i: int) -> DbTerm:
-    return _make(Lam if k else Var, k, i)
+    t = _new(Lam if k else Var)
+    t._binders = k
+    t._occurrence = i
+    return t
 
 
 def _named(binders: tuple[str, ...], occurrence: str) -> NamedTerm:
-    return _make(Abs if binders else Ref, binders, occurrence)
+    t = _new(Abs if binders else Ref)
+    t._binders = binders
+    t._occurrence = occurrence
+    return t
 
 
 def _checked_name(name: str) -> str:
@@ -310,7 +316,6 @@ def named_to_db(t: NamedTerm) -> DbTerm:
 
 _IDENTITY = Rename.identity()
 _EMBED = identity_embed()
-_new = object.__new__
 
 
 class _ChainBinder(OpenTerm):
@@ -335,9 +340,9 @@ class _ChainBinder(OpenTerm):
     in O(1) from them, charged to the guard as its ``below + 1`` binders;
     any other algebra calls each binder in turn.
 
-    There is no ``__init__``: every binder is made by ``object.__new__`` and
-    three slot stores, as :func:`_binder` does. A class call would enter a
-    Python ``__init__`` from C once per binder a fold calls.
+    There is no ``__init__``: every binder is made as :func:`_binder`
+    makes one, by the rule for the library's own objects in
+    :mod:`kripkelam.encoding`.
     """
 
     __slots__ = ("below", "index", "target")
@@ -390,7 +395,9 @@ def db_to_hoas(d: DbTerm) -> Term:
     Round-trips: converting the result back to de Bruijn form yields ``d``.
     """
     # The outermost binder is its own ``lam`` node.
-    return Term(db_to_body(d).interpret)
+    t = _new(Term)
+    t.run = db_to_body(d).interpret
+    return t
 
 
 def enumerate_terms(max_depth: int) -> Iterator[DbTerm]:

@@ -57,18 +57,21 @@ generator inside ``sum``, say) takes C stack per binder: a deep fold of it
 raises ``RecursionError`` on 3.12 and later, or can overflow a small thread
 stack and crash the interpreter.
 
-The guard's budget is per thread: a top-level guarded call keeps it in a
-thread-local, which only the thread running the call can reach. Folds on
-another thread are top-level calls there with their own count, whether
-that thread was started inside a guarded call or runs a context copied
-inside one. A guarded thunk is synchronous, so an asyncio task runs during
-the call only if the thunk drives an event loop on its own thread, and
-then the task shares the call's count.
+The guard's budget is per thread: each thread has one, made the first
+time the thread touches the guard and reused by every top-level guarded
+call there, so a call allocates nothing and reads one thread-local. Only
+the thread that owns a budget can reach it, and a limit of 0 marks that no
+call is running. Folds on another thread are top-level calls there with
+their own count, whether that thread was started inside a guarded call or
+runs a context copied inside one. A guarded thunk is synchronous, so an
+asyncio task runs during the call only if the thunk drives an event loop
+on its own thread, and then the task shares the call's count.
 """
 
 from __future__ import annotations
 
 import operator
+import reprlib
 import sys
 import threading
 from typing import Any, Callable
@@ -97,6 +100,12 @@ DEFAULT_MAX_NESTING = 10_000
 # is margin for user algebras.
 _FRAMES_PER_LEVEL = 16
 _FRAME_HEADROOM = 2048
+
+# The objects the library makes for itself once per term, binder or call
+# (terms, renames, placed values, chain nodes, name streams) are made with
+# object.__new__ and slot stores, never a class call: a class call enters a
+# Python __init__ from C each time. Public constructors keep their checks.
+_new = object.__new__
 
 
 class DepthLimitError(RuntimeError):
@@ -162,9 +171,6 @@ class _Placed(OpenTerm):
 
     __slots__ = ("_value",)
 
-    def __init__(self, value):
-        self._value = value
-
     def interpret(self, alg):
         return self._value
 
@@ -189,7 +195,7 @@ class Algebra:
         # The hot tick: a charge of one that may nest, so the trip point
         # stays where it is.
         budget = _guard.budget
-        if budget is not None:
+        if budget.limit:
             budget.left -= 1
             if budget.left < budget.trip:
                 _trip(budget, 1)
@@ -219,7 +225,9 @@ def identity_embed() -> Embed:
 
 def place(x) -> OpenTerm:
     """Treat an already-interpreted value as a term; the algebra is ignored."""
-    return _Placed(x)
+    p = _new(_Placed)
+    p._value = x
+    return p
 
 
 def lam(body: TermBody) -> OpenTerm:
@@ -240,15 +248,19 @@ def _rebuild_lam(body: TermBody, embed: Embed, _construction_alg) -> Term:
             # One frame per layer of a term folded through lam_alg many
             # times, and no binder: the trip point moves, the count does not.
             budget = _guard.budget
-            if budget is not None:
+            if budget.limit:
                 budget.trip += 1
                 if budget.left < budget.trip:
                     _trip(budget, 0)
-            return body(Rename(lambda t: mx.apply(t.run(alg))), fresh)
+            r = _new(Rename)
+            r.apply = lambda t: mx.apply(t.run(alg))
+            return body(r, fresh)
 
         return alg.interpret_lam(shifted, embed, embed(alg))
 
-    return Term(run)
+    t = _new(Term)
+    t.run = run
+    return t
 
 
 _LAM_ALG = Algebra(_rebuild_lam, name="lam_alg")
@@ -291,24 +303,21 @@ def fold(alg: Algebra, t: Term):
 
 
 class _Budget:
-    """One top-level guarded call's count of binders, and its tripwire.
+    """A thread's count of binders for the top-level guarded call running
+    there, and its tripwire.
 
-    ``left`` is what is left of ``limit``. The trip point ``trip`` starts
-    ``_TRIP`` below ``limit`` and moves down with every charge that nests
-    nothing and up with every ``lam_alg`` layer, so ``left`` falls below
-    it once the call has made more than ``_TRIP`` interpretations and
-    layers, which may nest. The tripwire then fires: the call raises the
-    recursion limit (``raised``). Only the thread that runs the call can
-    reach its budget, so nothing here takes a lock.
+    ``limit`` is the call's limit, or 0 while no call runs on the thread:
+    then nothing is charged. ``left`` is what is left of ``limit``. The trip
+    point ``trip`` starts ``_TRIP`` below ``limit`` and moves down with
+    every charge that nests nothing and up with every ``lam_alg`` layer, so
+    ``left`` falls below it once the call has made more than ``_TRIP``
+    interpretations and layers, which may nest. The tripwire then fires:
+    the call raises the recursion limit (``raised``). :func:`run_guarded`
+    sets all four for each top-level call; only the thread that owns the
+    budget can reach it, so nothing here takes a lock.
     """
 
     __slots__ = ("left", "limit", "trip", "raised")
-
-    def __init__(self, limit: int):
-        self.left = limit
-        self.limit = limit
-        self.trip = limit - _TRIP if limit > _TRIP else 0
-        self.raised = False
 
 
 # Charges that may nest before a top-level guarded call raises the recursion
@@ -318,10 +327,13 @@ _TRIP = 40
 
 
 class _Guard(threading.local):
-    """Per thread, the budget of the top-level guarded call running there,
-    or None: :func:`run_guarded` sets it on entry and clears it on exit."""
+    """Per thread, the one budget that every top-level guarded call there
+    reuses, made idle the first time the thread touches the guard."""
 
-    budget: _Budget | None = None
+    def __init__(self):
+        budget = self.budget = _new(_Budget)
+        budget.left = budget.limit = budget.trip = 0
+        budget.raised = False
 
 
 _guard = _Guard()
@@ -334,7 +346,7 @@ _limit_before = 0
 _limit_set = 0
 
 
-def _charge(budget: _Budget | None, n: int) -> None:
+def _charge(budget: _Budget, n: int) -> None:
     """Charge ``budget`` for ``n`` binders that nest nothing, as ``n`` charges of one would.
 
     The trip point moves down with ``left``, floored at 0, so only a charge
@@ -343,9 +355,9 @@ def _charge(budget: _Budget | None, n: int) -> None:
     and keeps ``left`` where the charge of the binder that crossed it left
     it. The chain loop of :mod:`kripkelam.algebras` charges here every
     binder it steps in place or skips; ``Algebra.interpret_lam`` charges
-    one that may nest.
+    one that may nest. An idle budget is charged nothing.
     """
-    if budget is not None:
+    if budget.limit:
         budget.left -= n
         budget.trip = budget.trip - n if budget.trip > n else 0
         if budget.left < budget.trip:
@@ -399,11 +411,14 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     The guard counts the binders interpreted while ``thunk`` runs, which
     bounds their nesting too, and raises :class:`DepthLimitError` past
     ``max_depth``, an integer of at least 1 (default
-    ``DEFAULT_MAX_NESTING``). Inside an already-guarded computation this is
-    a plain call, so nested folds accumulate into the enclosing count and
-    keep its budget, whatever ``max_depth`` they pass. The count is per
-    thread: folds on another thread, started or run in a copied context
-    inside this call, are top-level calls there with their own count.
+    ``DEFAULT_MAX_NESTING``); anything else raises ``TypeError`` naming it.
+    Inside an already-guarded computation this is a plain call, so nested
+    folds accumulate into the enclosing count and keep its budget, whatever
+    ``max_depth`` they pass. The count is per thread: each thread has one
+    budget, which every top-level call there resets on entry and marks idle
+    on exit, so a call reads one thread-local and allocates nothing. Folds
+    on another thread, started or run in a copied context inside this call,
+    are top-level calls there with their own count.
 
     At top level the thunk runs once, on the calling thread, and leaves
     the interpreter's recursion limit alone until the call's tripwire
@@ -425,16 +440,26 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     limit of 1,000, such a 16-frame fold started more than about 350 frames
     deep raises ``RecursionError``.
     """
-    if _guard.budget is not None:
+    budget = _guard.budget
+    if budget.limit:
         return thunk()
-    limit = DEFAULT_MAX_NESTING if max_depth is None else operator.index(max_depth)
-    if limit < 1:
-        raise ValueError("max_depth must be at least 1")
-    budget = _Budget(limit)
+    if max_depth is None:
+        limit = DEFAULT_MAX_NESTING
+    else:
+        try:
+            limit = operator.index(max_depth)
+        except TypeError:
+            raise TypeError(f"max_depth must be an integer, not {reprlib.repr(max_depth)}") from None
+        if limit < 1:
+            raise ValueError("max_depth must be at least 1")
+    budget.left = limit
+    budget.trip = limit - _TRIP if limit > _TRIP else 0
+    budget.raised = False
+    # Marked busy inside the try, so an interrupt cannot leave it so.
     try:
-        _guard.budget = budget
+        budget.limit = limit
         return thunk()
     finally:
-        _guard.budget = None
+        budget.limit = 0
         if budget.raised:
             _restore_limit()

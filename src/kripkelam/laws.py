@@ -41,6 +41,7 @@ from .encoding import (
     Algebra,
     Rename,
     Term,
+    _new,
     closed,
     fold,
     identity_embed,
@@ -95,6 +96,8 @@ class BodySkeleton:
             raise TypeError(f"a skeleton's binder count is an integer, not {reprlib.repr(self.binders)}")
         if self.binders < 0:
             raise ValueError(f"negative binder count: {self.binders}")
+        if not isinstance(self.leaf, (Slot, int)):
+            raise TypeError(f"a skeleton's leaf is a Slot or an integer, not {reprlib.repr(self.leaf)}")
         if isinstance(self.leaf, int) and not 0 <= self.leaf < self.binders:
             raise ValueError(
                 f"leaf index {self.leaf} is not bound by {self.binders} local binders"
@@ -148,7 +151,9 @@ def hom_sides(
     lhs = run_guarded(lambda: observe(h(alg1.interpret_lam(f, embed, alg1))))
 
     def adapted(mx: Rename, fresh):
-        return f(Rename(lambda a: mx.apply(h(a))), fresh)
+        r = _new(Rename)
+        r.apply = lambda a: mx.apply(h(a))
+        return f(r, fresh)
 
     rhs = run_guarded(lambda: observe(alg2.interpret_lam(adapted, embed, alg2)))
     return lhs, rhs

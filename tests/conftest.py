@@ -11,6 +11,6 @@ def _the_guard_leaves_nothing_behind():
     # into a nested one; a call left in flight would keep the limit raised.
     limit = sys.getrecursionlimit()
     yield
-    assert encoding._guard.budget is None
+    assert encoding._guard.budget.limit == 0
     assert encoding._in_flight == 0
     assert sys.getrecursionlimit() == limit

@@ -426,6 +426,27 @@ def test_a_binder_costs_few_python_calls(make, per_binder):
     assert _calls_per_binder(make) <= per_binder
 
 
+@pytest.mark.parametrize(
+    "run, calls",
+    [
+        (size, 10),
+        (print_term, 13),
+        (to_debruijn, 11),
+        (lambda t: size(fold(lam_alg(), t)), 20),
+    ],
+    ids=["size", "print", "debruijn", "size-of-lam-alg-fold"],
+)
+def test_a_call_on_a_short_chain_costs_a_fixed_number_of_python_calls(run, calls):
+    # On short terms the fixed cost of a call is what counts: a top-level
+    # guarded call allocates no budget, and the library makes its own terms,
+    # renames and name streams without entering an __init__. calls counts
+    # run and every Python call under it; the lambda around it adds one.
+    # The first call may grow the table of canonical names.
+    t = db_to_hoas(chain(16, 8))
+    run(t)
+    assert _profiled(lambda: run(t))[0] == calls + 1
+
+
 @pytest.mark.parametrize("run", SIX_RUNS, ids=_SIX_IDS)
 def test_a_closure_chain_takes_the_same_stack_at_any_depth(run):
     # Every library path steps lam/place closures in a loop, so the deepest

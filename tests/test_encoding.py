@@ -311,6 +311,81 @@ def test_invalid_max_depth_rejected():
             encoding.run_guarded(lambda: fold(size_alg(), term_x_x()), max_depth=bad)
 
 
+def test_a_max_depth_that_is_no_integer_is_named():
+    for bad in (2.5, "5", [3]):
+        with pytest.raises(TypeError) as err:
+            encoding.run_guarded(lambda: fold(size_alg(), term_x_x()), max_depth=bad)
+        assert str(err.value) == f"max_depth must be an integer, not {bad!r}"
+    assert encoding.run_guarded(lambda: fold(size_alg(), term_x_x()), max_depth=True) == 2
+
+
+# ---------------------------------------------------------------- the thread's budget
+
+
+def _fields(budget):
+    return budget.limit, budget.left, budget.trip, budget.raised
+
+
+def test_a_thread_reuses_one_budget_for_every_top_level_call():
+    budget = encoding._guard.budget
+    assert "__init__" not in vars(encoding._Budget)
+    assert encoding.run_guarded(lambda: encoding._guard.budget) is budget
+    assert size(db_to_hoas(chain(50, 20))) == 51
+    assert encoding.run_guarded(lambda: encoding._guard.budget, max_depth=5) is budget
+    assert encoding._guard.budget is budget and budget.limit == 0
+    others = []
+    worker = threading.Thread(target=lambda: others.append(encoding.run_guarded(lambda: encoding._guard.budget)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert others[0] is not budget and others[0].limit == 0
+
+
+def test_a_top_level_call_writes_nothing_to_the_thread_local(monkeypatch):
+    class Recording:
+        # Stands in for the thread-local: it holds the same budget and
+        # records every attribute written to it.
+        def __init__(self, budget):
+            object.__setattr__(self, "budget", budget)
+            object.__setattr__(self, "writes", [])
+
+        def __setattr__(self, name, value):
+            self.writes.append(name)
+            object.__setattr__(self, name, value)
+
+    guard = Recording(encoding._guard.budget)
+    monkeypatch.setattr(encoding, "_guard", guard)
+    assert encoding.run_guarded(lambda: fold(size_alg(), deep_term(50)), max_depth=60) == 51
+    with pytest.raises(DepthLimitError):
+        encoding.run_guarded(lambda: fold(size_alg(), deep_term(50)), max_depth=40)
+    assert guard.writes == []
+
+
+def test_a_term_interpreted_outside_any_guarded_call_charges_nothing():
+    # Left idle, the budget charges neither a tick, a chain skip nor a
+    # lam_alg layer: its fields are those the last call left.
+    t = db_to_hoas(chain(50, 20))
+    reinterpreted = fold(lam_alg(), t)
+    budget = encoding._guard.budget
+    before = _fields(budget)
+    assert before[0] == 0
+    assert t.run(size_alg()) == 51
+    assert reinterpreted.run(size_alg()) == 51
+    assert deep_term(60).run(size_alg()) == 61
+    assert _fields(budget) == before
+
+
+def test_an_interrupted_call_leaves_the_budget_idle():
+    def interrupted():
+        size(db_to_hoas(chain(50, 20)))
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        encoding.run_guarded(interrupted)
+    assert encoding._guard.budget.limit == 0
+    assert size(db_to_hoas(chain(50, 20))) == 51
+
+
 # ---------------------------------------------------------------- concurrency
 
 

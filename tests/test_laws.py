@@ -74,6 +74,17 @@ def test_a_binder_count_or_bound_that_is_no_integer_is_rejected(binders):
     assert str(err.value) == f"a binder bound is an integer, not {binders!r}"
 
 
+@pytest.mark.parametrize("leaf", [0.5, "env", None])
+def test_a_leaf_that_is_neither_a_slot_nor_an_integer_is_rejected(leaf):
+    # BodySkeleton(2, 0.5) once validated, and hom_sides on BodySkeleton(1,
+    # 0.5) observed (3, 3); "env" and None failed later with a bare '>'.
+    with pytest.raises(TypeError) as err:
+        BodySkeleton(2, leaf).validate()
+    assert str(err.value) == f"a skeleton's leaf is a Slot or an integer, not {leaf!r}"
+    with pytest.raises(TypeError, match="a skeleton's leaf is a Slot or an integer"):
+        hom_sides(size_alg(), size_alg(), lambda n: n, BodySkeleton(1, leaf), 1, lambda n: n)
+
+
 def test_body_of_skeleton_rejects_malformed():
     with pytest.raises(ValueError):
         body_of_skeleton(BodySkeleton(1, 1), 0)

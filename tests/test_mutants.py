@@ -14,6 +14,7 @@ import pytest
 
 from kripkelam import (
     Algebra,
+    DepthLimitError,
     algebras,
     closed,
     db_to_hoas,
@@ -40,6 +41,7 @@ from helpers import (
     reference_parse_db,
 )
 from test_algebras import _no_size
+from test_algebras import test_carriers_apply_at_depth_outside_the_guard as _carriers_outside_the_guard
 from test_algebras import test_a_fold_keeps_few_tracked_objects_alive_per_binder as _keeps_few_alive
 from test_algebras import test_a_size_fold_of_a_held_value_that_is_no_size_is_a_type_error as _held_no_size
 from test_algebras import test_a_type_error_raised_inside_a_carriers_last_value_is_its_own as _carriers_own_error
@@ -51,6 +53,7 @@ from test_algebras import test_the_print_carrier_names_binders_from_any_start as
 from test_debruijn import _outcome
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
 from test_debruijn import test_format_db_text_is_read_without_the_match as _read_without_the_match
+from test_encoding import test_a_term_interpreted_outside_any_guarded_call_charges_nothing as _charges_nothing_outside
 from test_encoding import (
     test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit as _lam_alg_tower_walks,
 )
@@ -220,13 +223,52 @@ def test_the_budget_is_cleared_on_exit(monkeypatch):
     # nested one, which spends what is left of the old budget, not its own.
     check = partial(check_guard_charges_k_binders, size, db_to_hoas(chain(60, 30)), 60)
     assert not _fails(check)
-    mutant = _with_line(encoding, "run_guarded", "_guard.budget = None", "pass")
+    mutant = _with_line(encoding, "run_guarded", "budget.limit = 0", "pass")
     for owner in (encoding, algebras, helpers):
         monkeypatch.setattr(owner, "run_guarded", mutant)
     try:
         assert _fails(check)
     finally:
-        encoding._guard.budget = None
+        encoding._guard.budget.limit = 0
+
+
+def _charging_nothing(check):
+    """``check``, failing as an assertion where it raises ``DepthLimitError``."""
+
+    def run():
+        try:
+            check()
+        except DepthLimitError as err:
+            raise AssertionError(f"{check.__name__} was charged: {err}") from None
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "name, patched, check",
+    [
+        ("Algebra.interpret_lam", [(encoding.Algebra, "interpret_lam")], _charges_nothing_outside),
+        ("_charge", [(encoding, "_charge"), (algebras, "_charge")], _carriers_outside_the_guard),
+        # lam_alg holds the function it was made with.
+        ("_rebuild_lam", [(lam_alg(), "_interpret")], _charges_nothing_outside),
+    ],
+    ids=["idle-tick-charges", "idle-charge-charges", "idle-shifted-charges"],
+)
+def test_an_idle_budget_charges_nothing(monkeypatch, name, patched, check):
+    # Outside any guarded call the thread's budget has a limit of 0, and
+    # each charge site tests it before it charges.
+    check = _charging_nothing(check)
+    assert not _fails(check)
+    mutant = _with_line(encoding, name, "if budget.limit:", "if True:")
+    for owner, attribute in patched:
+        monkeypatch.setattr(owner, attribute, mutant)
+    # An idle charge that fires the tripwire raises the limit for no call.
+    monkeypatch.setattr(encoding, "_in_flight", encoding._in_flight)
+    limit = sys.getrecursionlimit()
+    try:
+        assert _fails(check)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize(
