@@ -33,12 +33,11 @@ a fold. Tests check that each entry point agrees with its algebra's fold.
 
 from __future__ import annotations
 
-import operator
 import reprlib
 from operator import attrgetter
 
 from .debruijn import DbTerm, Var, _binder_text, _canonical, _chain, _ChainBinder
-from .encoding import Algebra, OpenTerm, Rename, Term, _charge, _guard, _Lam, _new, run_guarded
+from .encoding import Algebra, OpenTerm, Rename, Term, _charge, _guard, _integer, _Lam, _new, run_guarded
 
 __all__ = [
     "NameStream",
@@ -55,19 +54,16 @@ __all__ = [
 class NameStream:
     """Infinite supply of canonical names x{n}, x{n+1}, ... by index.
 
-    ``start`` is read with ``operator.index``, as ``run_guarded`` reads
-    ``max_depth``: any integer, zero and negative ones too, and a ``bool``
-    as its ``int``. Anything else raises ``TypeError`` naming it.
+    ``start`` may be any integer, zero and negative ones too, and a
+    ``bool`` counts as its ``int``. Anything else raises ``TypeError``
+    naming it.
     """
 
     __slots__ = ("_start",)
     start = property(attrgetter("_start"))
 
     def __init__(self, start: int = 1):
-        try:
-            self._start = operator.index(start)
-        except TypeError:
-            raise TypeError(f"a name stream starts at an integer, not {reprlib.repr(start)}") from None
+        self._start = _integer(start, "a name stream starts at an integer")
 
     @property
     def head(self) -> str:

@@ -47,14 +47,12 @@ formatted per call. The oracles do not use the table.
 
 from __future__ import annotations
 
-import operator
 import re
-import reprlib
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
 
-from .encoding import DEFAULT_MAX_NESTING, OpenTerm, Rename, Term, TermBody, _new, identity_embed, place
+from .encoding import DEFAULT_MAX_NESTING, OpenTerm, Rename, Term, TermBody, _integer, _new, identity_embed, place
 
 __all__ = [
     "Abs",
@@ -122,17 +120,14 @@ class DbTerm(_Chain):
 class Var(DbTerm):
     """A variable occurrence by de Bruijn index.
 
-    ``index`` is read with ``operator.index``: any integer, and a ``bool``
-    as its ``int``. Anything else raises ``TypeError`` naming it.
+    ``index`` may be any integer, and a ``bool`` counts as its ``int``.
+    Anything else raises ``TypeError`` naming it.
     """
 
     __slots__ = ()
 
     def __new__(cls, index: int):
-        try:
-            return _make(Var, 0, operator.index(index))
-        except TypeError:
-            raise TypeError(f"a de Bruijn index is an integer, not {reprlib.repr(index)}") from None
+        return _make(Var, 0, _integer(index, "a de Bruijn index is an integer"))
 
 
 class Lam(DbTerm):
@@ -141,9 +136,8 @@ class Lam(DbTerm):
     __slots__ = ()
 
     def __new__(cls, body: DbTerm):
-        if not isinstance(body, DbTerm):
-            raise TypeError(f"not a de Bruijn term: {body!r}")
-        return _make(Lam, body._binders + 1, body._occurrence)
+        k, i = _unchain(body)
+        return _make(Lam, k + 1, i)
 
     @property
     def body(self) -> DbTerm:
@@ -403,13 +397,13 @@ def db_to_hoas(d: DbTerm) -> Term:
 def enumerate_terms(max_depth: int) -> Iterator[DbTerm]:
     """All closed chains of depth 1..max_depth in (depth, index) order.
 
-    Yields exactly ``max_depth * (max_depth + 1) // 2`` terms.
+    Yields exactly ``max_depth * (max_depth + 1) // 2`` terms. The bound is
+    read and checked at the call, not when the terms are first asked for.
     """
+    max_depth = _integer(max_depth, "a depth bound is an integer")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    for k in range(1, max_depth + 1):
-        for i in range(k):
-            yield _chain(k, i)
+    return (_chain(k, i) for k in range(1, max_depth + 1) for i in range(k))
 
 
 _MASK64 = (1 << 64) - 1
@@ -433,13 +427,12 @@ def gen_term(seed: int, max_depth: int) -> DbTerm:
 
     Two splitmix64 draws from ``seed``: depth is ``1 + draw0 mod max_depth``
     and index is ``draw1 mod depth``. Streams of terms use consecutive
-    seeds. ``max_depth`` is read with ``operator.index``, as ``Var`` reads
-    an index.
+    seeds. ``seed`` may be any integer and ``max_depth`` any positive one;
+    a ``bool`` counts as its ``int``, and anything else raises
+    ``TypeError`` naming it.
     """
-    try:
-        max_depth = operator.index(max_depth)
-    except TypeError:
-        raise TypeError(f"a depth bound is an integer, not {reprlib.repr(max_depth)}") from None
+    seed = _integer(seed, "a seed is an integer")
+    max_depth = _integer(max_depth, "a depth bound is an integer")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     draw0, state = splitmix64(seed & _MASK64)

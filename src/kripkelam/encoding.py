@@ -218,6 +218,18 @@ def _identity(value):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` read with ``operator.index``: any integer, and a ``bool`` as its ``int``.
+
+    Anything else raises ``TypeError``: ``what``, then the value. Every
+    count, bound, index and seed a caller gives the library is read here.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what}, not {reprlib.repr(value)}") from None
+
+
 def identity_embed() -> Embed:
     """The embedding used when the candidate family is the algebra type."""
     return _identity
@@ -446,10 +458,7 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     if max_depth is None:
         limit = DEFAULT_MAX_NESTING
     else:
-        try:
-            limit = operator.index(max_depth)
-        except TypeError:
-            raise TypeError(f"max_depth must be an integer, not {reprlib.repr(max_depth)}") from None
+        limit = _integer(max_depth, "max_depth must be an integer")
         if limit < 1:
             raise ValueError("max_depth must be at least 1")
     budget.left = limit

@@ -30,8 +30,6 @@ None for an enumerated skeleton, and record each refuted pair as a
 from __future__ import annotations
 
 import enum
-import operator
-import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Union
 
@@ -41,6 +39,7 @@ from .encoding import (
     Algebra,
     Rename,
     Term,
+    _integer,
     _new,
     closed,
     fold,
@@ -91,17 +90,23 @@ class BodySkeleton:
     binders: int
     leaf: Union[Slot, int]
 
-    def validate(self):
-        if not isinstance(self.binders, int):
-            raise TypeError(f"a skeleton's binder count is an integer, not {reprlib.repr(self.binders)}")
-        if self.binders < 0:
-            raise ValueError(f"negative binder count: {self.binders}")
-        if not isinstance(self.leaf, (Slot, int)):
-            raise TypeError(f"a skeleton's leaf is a Slot or an integer, not {reprlib.repr(self.leaf)}")
-        if isinstance(self.leaf, int) and not 0 <= self.leaf < self.binders:
-            raise ValueError(
-                f"leaf index {self.leaf} is not bound by {self.binders} local binders"
-            )
+    def validate(self) -> tuple[int, Union[Slot, int]]:
+        """Check the skeleton and return its binder count and leaf, each
+        integer read as an ``int``.
+
+        The count and an index leaf may be any integer in range, and a
+        ``bool`` counts as its ``int``; anything else raises ``TypeError``
+        naming it.
+        """
+        binders = _integer(self.binders, "a skeleton's binder count is an integer")
+        if binders < 0:
+            raise ValueError(f"negative binder count: {binders}")
+        leaf = self.leaf
+        if not isinstance(leaf, Slot):
+            leaf = _integer(leaf, "a skeleton's leaf is a Slot or an integer")
+            if not 0 <= leaf < binders:
+                raise ValueError(f"leaf index {leaf} is not bound by {binders} local binders")
+        return binders, leaf
 
     def describe(self) -> str:
         leaf = self.leaf.value if isinstance(self.leaf, Slot) else f"local{self.leaf}"
@@ -117,17 +122,14 @@ def body_of_skeleton(skeleton: BodySkeleton, env_value):
     variable from the binder that introduces it. ``env_value`` is renamed
     only when the leaf is the env slot.
     """
-    skeleton.validate()
     # As a chain, the leaf names the body's own binder (fresh), one of the
     # local binders below it, or a binder outside the body (env), which every
     # rename reaches.
-    below = skeleton.binders
-    if skeleton.leaf is Slot.ENV:
+    below, index = skeleton.validate()
+    if index is Slot.ENV:
         index = below + 1
-    elif skeleton.leaf is Slot.FRESH:
+    elif index is Slot.FRESH:
         index = below
-    else:
-        index = skeleton.leaf
     return _binder(below, index, env_value)
 
 
@@ -285,6 +287,7 @@ def enumerate_skeletons(max_binders: int) -> list[BodySkeleton]:
     yields sum over j of (j + 2) skeletons, in (binders, leaf) order with
     slots first.
     """
+    max_binders = _integer(max_binders, "a binder bound is an integer")
     if max_binders < 0:
         raise ValueError("max_binders must be nonnegative")
     out = []
@@ -297,10 +300,8 @@ def enumerate_skeletons(max_binders: int) -> list[BodySkeleton]:
 
 def gen_skeleton(seed: int, max_binders: int) -> BodySkeleton:
     """Seeded pseudo-random skeleton, same splitmix64 scheme as gen_term."""
-    try:
-        max_binders = operator.index(max_binders)
-    except TypeError:
-        raise TypeError(f"a binder bound is an integer, not {reprlib.repr(max_binders)}") from None
+    seed = _integer(seed, "a seed is an integer")
+    max_binders = _integer(max_binders, "a binder bound is an integer")
     if max_binders < 0:
         raise ValueError("max_binders must be nonnegative")
     draw0, state = splitmix64(seed)
@@ -318,6 +319,8 @@ def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[_PoolItem]:
     """Every skeleton up to ``max_binders`` tagged None, then ``samples``
     generated ones with up to ``4 * max_binders`` binders, tagged with their
     seeds ``seed``, ``seed + 1``, ..."""
+    samples = _integer(samples, "a sample count is an integer")
+    seed = _integer(seed, "a seed is an integer")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     pool: list[_PoolItem] = [(None, s) for s in enumerate_skeletons(max_binders)]
@@ -355,6 +358,8 @@ def standard_contexts() -> list[CarrierContext]:
 def run_all_laws(max_binders: int = 8, samples: int = 1000, seed: int = 0) -> list[Report]:
     """Run the identity, composition (``fold(lam_alg(), _)`` then
     ``fold(alg, _)``) and fold suites on every standard carrier ``alg``."""
+    samples = _integer(samples, "a sample count is an integer")
+    seed = _integer(seed, "a seed is an integer")
     reports = []
     for offset, ctx in enumerate(standard_contexts()):
         pool = skeleton_pool(max_binders, samples, seed + offset * max(samples, 1))

@@ -4,6 +4,7 @@ import pickle
 import reprlib
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +104,8 @@ def test_a_name_stream_reads_a_bool_start_as_its_int():
         assert type(s.start) is int and s == NameStream(int(flag))
         assert repr(s) == f"NameStream(start={int(flag)})"
     assert fold(print_alg(), db_to_hoas(chain(2, 1)))(names(True)) == "\\ x1. \\ x2. x1"
+    s = names(np.int64(3))
+    assert type(s.start) is int and s == NameStream(3)
 
 
 def _printed_from(start, k, i):

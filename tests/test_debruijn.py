@@ -184,6 +184,16 @@ def test_enumerate_rejects_nonpositive_depth():
         list(enumerate_terms(0))
 
 
+def test_enumerate_terms_checks_its_bound_at_the_call():
+    # It once returned a generator, which raised only on the first next.
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_depth must be at least 1"):
+            enumerate_terms(bad)
+    with pytest.raises(TypeError) as err:
+        enumerate_terms(2.5)
+    assert str(err.value) == "a depth bound is an integer, not 2.5"
+
+
 # ---------------------------------------------------------------- generator
 
 
@@ -256,6 +266,24 @@ def test_gen_term_rejects_a_bound_that_is_no_integer(bound):
     with pytest.raises(TypeError) as err:
         gen_term(3, bound)
     assert str(err.value) == f"a depth bound is an integer, not {bound!r}"
+    # enumerate_terms(2.5) once returned a generator that raised a bare
+    # TypeError from range, and gen_term(2.5, 3) one from the seed's mask.
+    with pytest.raises(TypeError) as err:
+        enumerate_terms(bound)
+    assert str(err.value) == f"a depth bound is an integer, not {bound!r}"
+    with pytest.raises(TypeError) as err:
+        gen_term(bound, 3)
+    assert str(err.value) == f"a seed is an integer, not {bound!r}"
+
+
+def test_a_bool_or_numpy_seed_or_depth_bound_is_its_int():
+    for one, three in ((True, 3), (1, np.int64(3))):
+        assert gen_term(one, three) == gen_term(1, 3)
+        assert gen_term(three, one) == gen_term(3, 1)
+        assert list(enumerate_terms(three)) == list(enumerate_terms(3))
+        assert list(enumerate_terms(one)) == [Lam(Var(0))]
+        d = gen_term(three, three)
+        assert type(d.binders) is int and type(d.index) is int
 
 
 # ---------------------------------------------------------------- text format
@@ -887,6 +915,8 @@ def test_a_bool_de_bruijn_index_is_its_int():
     d = Lam(Lam(Var(True)))
     assert format_db(d) == "Lam (Lam (Var 1))" and parse_db(format_db(d)) == d
     assert oracle_print(d) == print_term(db_to_hoas(d)) == render_named(db_to_named(d)) == "\\ x1. \\ x2. x1"
+    v = Var(np.int64(3))
+    assert type(v.index) is int and v == Var(3)
 
 
 identifiers = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True)

@@ -3,6 +3,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 import kripkelam.encoding as encoding
@@ -317,6 +318,9 @@ def test_a_max_depth_that_is_no_integer_is_named():
             encoding.run_guarded(lambda: fold(size_alg(), term_x_x()), max_depth=bad)
         assert str(err.value) == f"max_depth must be an integer, not {bad!r}"
     assert encoding.run_guarded(lambda: fold(size_alg(), term_x_x()), max_depth=True) == 2
+    with pytest.raises(DepthLimitError) as err:
+        encoding.run_guarded(lambda: fold(size_alg(), deep_term(4)), max_depth=np.int64(3))
+    assert type(err.value.limit) is int and err.value.limit == 3
 
 
 # ---------------------------------------------------------------- the thread's budget

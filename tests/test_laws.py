@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,14 @@ def test_a_binder_count_or_bound_that_is_no_integer_is_rejected(binders):
     with pytest.raises(TypeError) as err:
         gen_skeleton(1, binders)
     assert str(err.value) == f"a binder bound is an integer, not {binders!r}"
+    # enumerate_skeletons("1") once raised a bare '<' and 1.5 one from range;
+    # gen_skeleton(1.5, 1) raised one from splitmix64's arithmetic.
+    with pytest.raises(TypeError) as err:
+        enumerate_skeletons(binders)
+    assert str(err.value) == f"a binder bound is an integer, not {binders!r}"
+    with pytest.raises(TypeError) as err:
+        gen_skeleton(binders, 1)
+    assert str(err.value) == f"a seed is an integer, not {binders!r}"
 
 
 @pytest.mark.parametrize("leaf", [0.5, "env", None])
@@ -118,6 +127,32 @@ def test_negative_pool_bounds_are_rejected():
         skeleton_pool(2, -1, seed=0)
     with pytest.raises(ValueError):
         run_all_laws(max_binders=-1, samples=0)
+    # run_all_laws(1, 1, "3") once raised "can only concatenate str (not
+    # "int") to str"; a sample count of 2.5 one from range.
+    for bad in (2.5, "3", None):
+        for pool in (skeleton_pool, run_all_laws):
+            with pytest.raises(TypeError) as err:
+                pool(1, bad, 0)
+            assert str(err.value) == f"a sample count is an integer, not {bad!r}"
+            with pytest.raises(TypeError) as err:
+                pool(1, 1, bad)
+            assert str(err.value) == f"a seed is an integer, not {bad!r}"
+
+
+def test_a_bool_or_numpy_count_bound_or_seed_is_its_int():
+    for one, three in ((True, 3), (1, np.int64(3))):
+        assert BodySkeleton(three, one).validate() == (3, 1)
+        assert BodySkeleton(one, Slot.ENV).validate() == (1, Slot.ENV)
+        assert type(BodySkeleton(three, three - 1).validate()[0]) is int
+        sides = hom_sides(size_alg(), size_alg(), lambda n: n, BodySkeleton(three, one), 1, lambda n: n)
+        assert sides == (5, 5) and all(type(side) is int for side in sides)
+        assert enumerate_skeletons(three) == enumerate_skeletons(3)
+        assert gen_skeleton(three, one) == gen_skeleton(3, 1)
+        assert gen_skeleton(one, three) == gen_skeleton(1, 3)
+        pool = skeleton_pool(one, three, three)
+        assert pool == skeleton_pool(1, 3, 3)
+        assert all(type(seed) is int for seed, _ in pool if seed is not None)
+        assert run_all_laws(one, three, three) == run_all_laws(1, 3, 3)
 
 
 # ------------------------------------------------- skeleton body semantics

@@ -15,6 +15,8 @@ import pytest
 from kripkelam import (
     Algebra,
     DepthLimitError,
+    Lam,
+    Var,
     algebras,
     closed,
     db_to_hoas,
@@ -22,6 +24,7 @@ from kripkelam import (
     encoding,
     fold,
     lam_alg,
+    laws,
     names,
     place,
     print_alg,
@@ -30,6 +33,7 @@ from kripkelam import (
 )
 
 import helpers
+import test_debruijn
 from helpers import (
     SIX_RUNS,
     chain,
@@ -50,13 +54,22 @@ from test_algebras import (
 )
 from test_algebras import test_an_occurrence_no_binder_bound_is_a_type_error as _no_binder_bound
 from test_algebras import test_the_print_carrier_names_binders_from_any_start as _names_from_any_start
+from test_algebras import test_a_name_stream_rejects_a_start_that_is_no_integer as _start_no_integer
 from test_debruijn import _outcome
+from test_debruijn import test_a_de_bruijn_index_that_is_no_integer_is_rejected as _index_no_integer
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
+from test_debruijn import test_a_name_the_named_syntax_cannot_spell_is_rejected as _name_cannot_spell
+from test_debruijn import test_enumerate_terms_checks_its_bound_at_the_call as _bound_at_the_call
+from test_debruijn import test_format_db_rejects_a_negative_index as _format_db_negative
 from test_debruijn import test_format_db_text_is_read_without_the_match as _read_without_the_match
+from test_debruijn import test_gen_term_rejects_a_bound_that_is_no_integer as _depth_bound_no_integer
+from test_encoding import test_a_max_depth_that_is_no_integer_is_named as _max_depth_named
 from test_encoding import test_a_term_interpreted_outside_any_guarded_call_charges_nothing as _charges_nothing_outside
 from test_encoding import (
     test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit as _lam_alg_tower_walks,
 )
+from test_laws import test_a_binder_count_or_bound_that_is_no_integer_is_rejected as _binders_no_integer
+from test_laws import test_negative_pool_bounds_are_rejected as _pool_bounds
 
 
 def _guard_checks():
@@ -399,4 +412,54 @@ def _db_text_is_read_without_the_match(k):
 def test_the_de_bruijn_parser(monkeypatch, old, new, checks):
     assert not any(_fails(check) for check in checks)
     monkeypatch.setattr(debruijn, "parse_db", _with_line(debruijn, "parse_db", old, new))
+    assert all(_fails(check) for check in checks)
+
+
+@pytest.mark.parametrize(
+    "module, name, patched, old, new, checks",
+    [
+        # Every count, bound, index and seed is kept as the caller gave it.
+        (
+            encoding,
+            "_integer",
+            [(module, "_integer") for module in (encoding, algebras, debruijn, laws)],
+            "return operator.index(value)",
+            "return value",
+            [
+                _max_depth_named,
+                partial(_start_no_integer, 1.5),
+                partial(_index_no_integer, 0.5),
+                partial(_depth_bound_no_integer, 2.5),
+                _bound_at_the_call,
+                partial(_binders_no_integer, 1.5),
+                _pool_bounds,
+            ],
+        ),
+        # A name is checked only for a leading identifier.
+        (
+            debruijn,
+            "_checked_name",
+            [(debruijn, "_checked_name")],
+            "_NAME.fullmatch(name)",
+            "_NAME.match(name)",
+            [partial(_name_cannot_spell, name, ValueError) for name in ("x y", "x.", "x\n")],
+        ),
+        # format_db writes a negative index that parse_db cannot read back;
+        # its test calls the format_db that test_debruijn imported.
+        (
+            debruijn,
+            "format_db",
+            [(debruijn, "format_db"), (test_debruijn, "format_db")],
+            "if i < 0:",
+            "if False:",
+            [partial(_format_db_negative, d) for d in (Var(-1), Lam(Var(-1)))],
+        ),
+    ],
+    ids=["integer-unread", "name-prefix-only", "negative-index-written"],
+)
+def test_the_input_checks(monkeypatch, module, name, patched, old, new, checks):
+    assert not any(_fails(check) for check in checks)
+    mutant = _with_line(module, name, old, new)
+    for owner, attribute in patched:
+        monkeypatch.setattr(owner, attribute, mutant)
     assert all(_fails(check) for check in checks)
