@@ -36,7 +36,7 @@ from __future__ import annotations
 import reprlib
 from operator import attrgetter
 
-from .debruijn import DbTerm, Var, _binder_text, _canonical, _chain, _ChainBinder
+from .debruijn import DbTerm, _binder_text, _canonical, _chain, _ChainBinder
 from .encoding import Algebra, OpenTerm, Rename, Term, _charge, _guard, _integer, _Lam, _new, run_guarded
 
 __all__ = [
@@ -110,12 +110,25 @@ _SIZE_ALG = Algebra(_size_lam, name="size")
 
 
 def size_alg() -> Algebra:
-    """Integer carrier: binders and variable occurrences count one each."""
+    """Integer carrier: binders and variable occurrences count one each.
+
+    A placed ``int`` counts as a subterm of that size, since ``place``
+    takes a value already interpreted at this carrier: the fold of
+    ``closed(lambda mo, x: place(42))`` is 43. A placed value that is no
+    ``int`` raises ``TypeError`` naming it.
+    """
     return _SIZE_ALG
 
 
 def size(t: Term) -> int:
-    """Count binders and the occurrence, as ``fold(size_alg(), t)`` does."""
+    """Count binders and the occurrence.
+
+    This agrees with ``fold(size_alg(), t)`` when the occurrence is a
+    variable bound by the term. Where the fold counts a placed ``int`` as
+    a subterm of that size, ``size`` finds no bound variable and raises
+    ``TypeError``: ``size(closed(lambda mo, x: place(42)))`` raises where
+    the fold gives 43.
+    """
     return _unfold(t)[0] + 1
 
 
@@ -148,16 +161,19 @@ def _carrier_lam(cls):
 class _PrintCarrier:
     """``print_alg``'s value for a binder: its body and the algebra to read it with.
 
-    Applied to a stream, it walks the chain with :func:`_chain_end`, each
-    binder taking the next name. Whatever ends the chain is applied to the
-    stream that is left, and the text is joined once. Names are counted as
-    ints, so no stream is built per binder.
+    Applied to a :class:`NameStream`, it walks the chain with
+    :func:`_chain_end`, each binder taking the next name; applied to
+    anything else, it raises ``TypeError`` naming it. Whatever ends the
+    chain is applied to the stream that is left, and the text is joined
+    once. Names are counted as ints, so no stream is built per binder.
     """
 
     __slots__ = ("body", "alg")
 
     def __call__(self, stream: NameStream) -> str:
-        start = stream.start
+        if not isinstance(stream, NameStream):
+            raise TypeError(f"a print carrier value takes a NameStream, not {reprlib.repr(stream)}")
+        start = stream._start
         n, c = _chain_end(self.body, self.alg, start, _Name, _PRINT_ALG, _PrintCarrier)
         rest = _new(NameStream)
         rest._start = n
@@ -186,28 +202,33 @@ class _Level(int):
     """A bound variable's denotation in ``to_debruijn_alg``: the depth of its binder.
 
     Called with the depth ``n`` of an occurrence, it gives the index of
-    the binder, ``Var(n - self)``. An ``int`` subclass with no slots of its
-    own, so making one runs in C.
+    the binder, ``Var(n - self)``, made without ``Var``'s check: the
+    carrier that calls it has read ``n`` as an ``int``. An ``int`` subclass
+    with no slots of its own, so making one runs in C.
     """
 
     __slots__ = ()
 
     def __call__(self, n: int) -> DbTerm:
-        return Var(n - self)
+        return _chain(0, n - self)
 
 
 class _DepthCarrier:
     """``to_debruijn_alg``'s value for a binder: its body and the algebra to read it with.
 
     Applied to a depth ``v``, it walks the chain with :func:`_chain_end`
-    from level ``v + 1``, one level deeper per binder. Whatever ends the
-    chain is applied to the depth reached, and the binders walked are put
-    around its term in one step.
+    from level ``v + 1``, one level deeper per binder. ``v`` may be any
+    integer, and a ``bool`` counts as its ``int``; anything else raises
+    ``TypeError`` naming it. Whatever ends the chain is applied to the
+    depth reached, and the binders walked are put around its term in one
+    step.
     """
 
     __slots__ = ("body", "alg")
 
     def __call__(self, v: int) -> DbTerm:
+        if type(v) is not int:
+            v = _integer(v, "a de Bruijn carrier value takes an integer depth")
         level, c = _chain_end(self.body, self.alg, v + 1, _Level, _TO_DEBRUIJN_ALG, _DepthCarrier)
         inner = _applied(c, level - 1, DbTerm)
         return _chain(level - 1 - v + inner.binders, inner.occurrence)

@@ -102,9 +102,10 @@ _FRAMES_PER_LEVEL = 16
 _FRAME_HEADROOM = 2048
 
 # The objects the library makes for itself once per term, binder or call
-# (terms, renames, placed values, chain nodes, name streams) are made with
-# object.__new__ and slot stores, never a class call: a class call enters a
-# Python __init__ from C each time. Public constructors keep their checks.
+# (terms, renames, placed values, chain nodes, name streams, law skeletons)
+# are made with object.__new__ and slot stores, never a class call: a class
+# call enters a Python __init__ from C each time. Public constructors keep
+# their checks.
 _new = object.__new__
 
 

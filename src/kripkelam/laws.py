@@ -20,6 +20,13 @@ applying function carriers to a canonical argument first. A reported
 failure is a real counterexample and comes with the skeleton (and seed, if
 generated) that produced it; a pass covers only the instances that ran.
 
+A :class:`BodySkeleton` is checked once, when it is made, so a law
+instance pays only for the law: :func:`body_of_skeleton` checks nothing.
+The skeletons the library makes itself (:func:`enumerate_skeletons`,
+:func:`gen_skeleton`) are valid by construction, and are made without
+``__init__`` by the rule for the library's own objects in
+:mod:`kripkelam.encoding`.
+
 :func:`hom_sides` evaluates one instance and returns both observed sides.
 The suites (:func:`check_hom` and the three laws built on it) run it over
 ``(seed, skeleton)`` pairs as :func:`skeleton_pool` returns them, with seed
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Union
 
 from .algebras import names, print_alg, size_alg, to_debruijn_alg
@@ -78,17 +86,31 @@ class Slot(enum.Enum):
     FRESH = "fresh"  # the body's own bound variable
 
 
-@dataclass(frozen=True)
+# Stores a field of a frozen dataclass, past its __setattr__.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class BodySkeleton:
     """Finite stand-in for a quantified binder body.
 
     ``binders`` local binders wrapped around a single leaf. The leaf is
     either one of the two slots or the de Bruijn index of a local binder
     (innermost = 0).
+
+    A skeleton is checked when it is made, by :meth:`validate`, and keeps
+    the ``int`` count and leaf that returns, so no later use checks it
+    again. The library makes its own skeletons, which are valid by
+    construction, with ``_new`` and slot stores instead.
     """
 
     binders: int
     leaf: Union[Slot, int]
+
+    def __post_init__(self):
+        binders, leaf = self.validate()
+        _set(self, "binders", binders)
+        _set(self, "leaf", leaf)
 
     def validate(self) -> tuple[int, Union[Slot, int]]:
         """Check the skeleton and return its binder count and leaf, each
@@ -96,7 +118,8 @@ class BodySkeleton:
 
         The count and an index leaf may be any integer in range, and a
         ``bool`` counts as its ``int``; anything else raises ``TypeError``
-        naming it.
+        naming it. Making a skeleton calls this, so one that exists has
+        passed it.
         """
         binders = _integer(self.binders, "a skeleton's binder count is an integer")
         if binders < 0:
@@ -113,6 +136,15 @@ class BodySkeleton:
         return f"{self.binders} binders over {leaf}"
 
 
+def _skeleton(binders: int, leaf: Union[Slot, int]) -> BodySkeleton:
+    """The skeleton ``BodySkeleton(binders, leaf)``, made without ``__init__``:
+    ``binders`` is an ``int`` and ``leaf`` a slot or an ``int`` index in range."""
+    s = _new(BodySkeleton)
+    _set(s, "binders", binders)
+    _set(s, "leaf", leaf)
+    return s
+
+
 def body_of_skeleton(skeleton: BodySkeleton, env_value):
     """Realize a skeleton as a binder body closed over ``env_value``.
 
@@ -120,17 +152,22 @@ def body_of_skeleton(skeleton: BodySkeleton, env_value):
     Only the leaf's value is carried through the local binders' renames:
     the renamed ``env_value``, the renamed ``fresh``, or a local binder's
     variable from the binder that introduces it. ``env_value`` is renamed
-    only when the leaf is the env slot.
+    only when the leaf is the env slot. The skeleton was checked when it
+    was made, so this reads its fields and checks nothing.
     """
     # As a chain, the leaf names the body's own binder (fresh), one of the
     # local binders below it, or a binder outside the body (env), which every
     # rename reaches.
-    below, index = skeleton.validate()
+    below = skeleton.binders
+    index = skeleton.leaf
     if index is Slot.ENV:
         index = below + 1
     elif index is Slot.FRESH:
         index = below
     return _binder(below, index, env_value)
+
+
+_EMBED = identity_embed()
 
 
 def hom_sides(
@@ -148,16 +185,14 @@ def hom_sides(
     the two sides are equal.
     """
     f = body_of_skeleton(skeleton, env_value)
-    embed = identity_embed()
-
-    lhs = run_guarded(lambda: observe(h(alg1.interpret_lam(f, embed, alg1))))
+    lhs = run_guarded(lambda: observe(h(alg1.interpret_lam(f, _EMBED, alg1))))
 
     def adapted(mx: Rename, fresh):
         r = _new(Rename)
         r.apply = lambda a: mx.apply(h(a))
         return f(r, fresh)
 
-    rhs = run_guarded(lambda: observe(alg2.interpret_lam(adapted, embed, alg2)))
+    rhs = run_guarded(lambda: observe(alg2.interpret_lam(adapted, _EMBED, alg2)))
     return lhs, rhs
 
 
@@ -272,7 +307,7 @@ def check_fold_hom(alg: Algebra, skeletons: Iterable[_PoolItem], *, observe) -> 
     return check_hom(
         lam_alg(),
         alg,
-        lambda t: fold(alg, t),
+        partial(fold, alg),
         skeletons,
         env_value=identity_term(),
         observe=observe,
@@ -290,12 +325,7 @@ def enumerate_skeletons(max_binders: int) -> list[BodySkeleton]:
     max_binders = _integer(max_binders, "a binder bound is an integer")
     if max_binders < 0:
         raise ValueError("max_binders must be nonnegative")
-    out = []
-    for j in range(max_binders + 1):
-        out.append(BodySkeleton(j, Slot.ENV))
-        out.append(BodySkeleton(j, Slot.FRESH))
-        out.extend(BodySkeleton(j, i) for i in range(j))
-    return out
+    return [_skeleton(j, leaf) for j in range(max_binders + 1) for leaf in (Slot.ENV, Slot.FRESH, *range(j))]
 
 
 def gen_skeleton(seed: int, max_binders: int) -> BodySkeleton:
@@ -308,11 +338,7 @@ def gen_skeleton(seed: int, max_binders: int) -> BodySkeleton:
     draw1, _ = splitmix64(state)
     binders = draw0 % (max_binders + 1)
     choice = draw1 % (binders + 2)
-    if choice == 0:
-        return BodySkeleton(binders, Slot.ENV)
-    if choice == 1:
-        return BodySkeleton(binders, Slot.FRESH)
-    return BodySkeleton(binders, choice - 2)
+    return _skeleton(binders, Slot.ENV if choice == 0 else Slot.FRESH if choice == 1 else choice - 2)
 
 
 def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[_PoolItem]:
@@ -338,6 +364,10 @@ class CarrierContext:
     observe: Callable[[Any], Any]
 
 
+# The print carrier's canonical argument, shared: a name stream is immutable.
+_FROM_X1 = names(1)
+
+
 def standard_contexts() -> list[CarrierContext]:
     """The three observable carriers the library fixes for cross-checks.
 
@@ -346,9 +376,7 @@ def standard_contexts() -> list[CarrierContext]:
     """
     return [
         CarrierContext("size", size_alg(), 1, lambda n: n),
-        CarrierContext(
-            "print", print_alg(), lambda _stream: "e", lambda render: render(names(1))
-        ),
+        CarrierContext("print", print_alg(), lambda _stream: "e", lambda render: render(_FROM_X1)),
         CarrierContext(
             "debruijn", to_debruijn_alg(), lambda n: Var(n - 1), lambda f: f(1)
         ),
@@ -371,8 +399,8 @@ def run_all_laws(max_binders: int = 8, samples: int = 1000, seed: int = 0) -> li
                 lam_alg(),
                 lam_alg(),
                 ctx.alg,
-                lambda t: fold(lam_alg(), t),
-                lambda t, alg=ctx.alg: fold(alg, t),
+                partial(fold, lam_alg()),
+                partial(fold, ctx.alg),
                 pool,
                 env_value=identity_term(),
                 observe=ctx.observe,

@@ -615,9 +615,51 @@ def test_a_size_fold_of_a_held_value_that_is_no_size_is_a_type_error(t):
             run()
         assert str(err.value).startswith(f"ill-formed term: it holds {reprlib.repr(_no_size)}")
     # A held int still reads as a size: a term renamed in through lam_alg
-    # reaches the body as one. The fold counts it; size finds no binder.
-    assert fold(size_alg(), closed(lambda mo, x: place(42))) == 43
+    # reaches the body as one, and place takes a value already interpreted
+    # at the carrier. The fold counts it as a subterm of that size; size,
+    # which agrees with the fold when the occurrence is a bound variable,
+    # finds no binder. Both by design.
+    held = closed(lambda mo, x: place(42))
+    assert fold(size_alg(), held) == 43
     assert fold(size_alg(), closed(lambda mo, x: db_to_body(chain(2, 1))(mo, 42))) == 44
+    with pytest.raises(TypeError) as err:
+        size(held)
+    assert str(err.value).startswith("ill-formed term: it holds 42, ")
+
+
+# A chain of chain binders, whose occurrence the loop reads from a binder,
+# and one of closures, whose occurrence a place holds.
+_TWO_BINDERS_OVER_THE_OUTER = [db_to_hoas(Lam(Lam(Var(1)))), term_xy_x()]
+
+
+@pytest.mark.parametrize("depth", [2.5, "1", None])
+def test_a_de_bruijn_carrier_value_names_a_depth_that_is_no_integer(depth):
+    # Applied to 2.5 it once said "a de Bruijn index is an integer, not
+    # 1.5", naming a value worked out from the depth, and applied to "1" it
+    # raised a bare "can only concatenate str".
+    for t in _TWO_BINDERS_OVER_THE_OUTER:
+        with pytest.raises(TypeError) as err:
+            fold(to_debruijn_alg(), t)(depth)
+        assert str(err.value) == f"a de Bruijn carrier value takes an integer depth, not {depth!r}"
+
+
+def test_a_de_bruijn_carrier_value_reads_a_bool_or_numpy_depth_as_its_int():
+    for t in _TWO_BINDERS_OVER_THE_OUTER:
+        for one in (True, np.int64(1)):
+            d = fold(to_debruijn_alg(), t)(one)
+            assert d == Lam(Lam(Var(1)))
+            assert type(d.binders) is int and type(d.index) is int
+        assert fold(to_debruijn_alg(), t)(np.int64(4)) == fold(to_debruijn_alg(), t)(4)
+
+
+@pytest.mark.parametrize("stream", [3, True, "x1", None])
+def test_a_print_carrier_value_names_an_argument_that_is_no_name_stream(stream):
+    # Applied to 3 it once raised "'int' object has no attribute 'start'".
+    for t in _TWO_BINDERS_OVER_THE_OUTER:
+        with pytest.raises(TypeError) as err:
+            fold(print_alg(), t)(stream)
+        assert str(err.value) == f"a print carrier value takes a NameStream, not {stream!r}"
+        assert fold(print_alg(), t)(names(True)) == "\\ x1. \\ x2. x1"
 
 
 @_APPLIED_CARRIERS

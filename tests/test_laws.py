@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from kripkelam import encoding
 from kripkelam.laws import render_reports
 
 from helpers import Poison, RenameCounter, renamed
+from test_algebras import _profiled
 
 
 def skeletons_to(depth):
@@ -48,6 +51,37 @@ def test_skeleton_enumeration_counts():
     assert len(enumerate_skeletons(0)) == 2
     assert len(enumerate_skeletons(1)) == 5
     assert len(enumerate_skeletons(8)) == sum(j + 2 for j in range(9))
+
+
+def test_enumerate_skeletons_counts_by_the_closed_formula():
+    # sum over j <= n of (j + 2), in closed form: 54 at 8, 594 at 32.
+    for n in range(65):
+        assert len(enumerate_skeletons(n)) == (n + 1) * (n + 4) // 2
+
+
+def test_the_library_makes_the_skeletons_the_public_constructor_makes():
+    # enumerate_skeletons and gen_skeleton make theirs without __init__.
+    made = enumerate_skeletons(16) + [gen_skeleton(seed, 32) for seed in range(300)]
+    made += [gen_skeleton(True, np.int64(3)), gen_skeleton(np.int64(5), True)]
+    for s in made:
+        twin = BodySkeleton(s.binders, s.leaf)
+        assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+        assert type(s.binders) is int
+        assert isinstance(s.leaf, Slot) or type(s.leaf) is int
+
+
+def test_a_skeleton_is_checked_when_it_is_made():
+    for binders, leaf in ((1, 1), (2, 5), (2, -1), (0, 0)):
+        with pytest.raises(ValueError) as err:
+            BodySkeleton(binders, leaf)
+        assert str(err.value) == f"leaf index {leaf} is not bound by {binders} local binders"
+    with pytest.raises(ValueError, match="negative binder count: -1"):
+        BodySkeleton(-1, Slot.FRESH)
+    # What is made keeps the ints that validate read.
+    s = BodySkeleton(np.int64(3), True)
+    assert (s.binders, s.leaf) == (3, 1)
+    assert type(s.binders) is int and type(s.leaf) is int
+    assert repr(s) == "BodySkeleton(binders=3, leaf=1)"
 
 
 def test_skeleton_validation():
@@ -404,6 +438,59 @@ def test_the_law_suites_trip_no_guarded_call(monkeypatch):
     monkeypatch.setattr(encoding, "_raise_limit", trips.append)
     assert all(r.ok for r in run_all_laws(max_binders=8, samples=1_000, seed=0))
     assert trips == []
+
+
+def test_check_hom_validates_no_skeleton_of_its_pool(monkeypatch):
+    # Each skeleton was checked when it was made; a law instance checks
+    # nothing again.
+    validated = []
+    real = BodySkeleton.validate
+
+    def counting(skeleton):
+        validated.append(skeleton)
+        return real(skeleton)
+
+    monkeypatch.setattr(BodySkeleton, "validate", counting)
+    pool = skeleton_pool(3, 20, 5) + [(None, BodySkeleton(4, 2))]
+    assert len(validated) == 1
+    for ctx in standard_contexts():
+        report = check_hom(
+            ctx.alg, ctx.alg, lambda x: x, pool, env_value=ctx.env_value, observe=ctx.observe
+        )
+        assert report.ok and report.checked == len(pool)
+        assert check_fold_hom(ctx.alg, pool, observe=ctx.observe).ok
+    assert len(validated) == 1
+
+
+_THREE_SKELETONS = [(None, BodySkeleton(0, Slot.ENV)), (None, BodySkeleton(1, Slot.FRESH)), (None, BodySkeleton(2, 0))]
+
+
+@pytest.mark.parametrize(
+    "label, suite, calls",
+    [
+        ("size", "id", 68),
+        ("size", "fold", 107),
+        ("print", "id", 104),
+        ("print", "fold", 141),
+        ("debruijn", "id", 105),
+        ("debruijn", "fold", 138),
+    ],
+    ids=["size-id", "size-fold", "print-id", "print-fold", "debruijn-id", "debruijn-fold"],
+)
+def test_a_law_instance_costs_a_fixed_number_of_python_calls(label, suite, calls):
+    # calls is what three instances cost on top of a suite's fixed cost: the
+    # Python calls of a suite over the three skeletons twice, less those over
+    # them once. An instance builds its body from the skeleton's fields and
+    # checks nothing, observes with one shared name stream, and makes its de
+    # Bruijn variables without Var's check.
+    ctx = next(c for c in standard_contexts() if c.label == label)
+    if suite == "id":
+        run = partial(check_id_hom, ctx.alg, env_value=ctx.env_value, observe=ctx.observe)
+    else:
+        run = partial(check_fold_hom, ctx.alg, observe=ctx.observe)
+    assert run(_THREE_SKELETONS).ok
+    twice, once = (_profiled(partial(run, _THREE_SKELETONS * n))[0] for n in (2, 1))
+    assert twice - once == calls
 
 
 def test_run_all_laws_reports_are_reproducible():

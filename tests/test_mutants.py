@@ -55,6 +55,8 @@ from test_algebras import (
 from test_algebras import test_an_occurrence_no_binder_bound_is_a_type_error as _no_binder_bound
 from test_algebras import test_the_print_carrier_names_binders_from_any_start as _names_from_any_start
 from test_algebras import test_a_name_stream_rejects_a_start_that_is_no_integer as _start_no_integer
+from test_algebras import test_a_de_bruijn_carrier_value_reads_a_bool_or_numpy_depth_as_its_int as _bool_depth
+from test_algebras import test_entry_points_equal_their_folds_at_the_canonical_argument as _entries_equal_folds
 from test_debruijn import _outcome
 from test_debruijn import test_a_de_bruijn_index_that_is_no_integer_is_rejected as _index_no_integer
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
@@ -69,6 +71,8 @@ from test_encoding import (
     test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit as _lam_alg_tower_walks,
 )
 from test_laws import test_a_binder_count_or_bound_that_is_no_integer_is_rejected as _binders_no_integer
+from test_laws import test_a_skeleton_is_checked_when_it_is_made as _checked_when_made
+from test_laws import test_body_of_skeleton_rejects_malformed as _body_rejects_malformed
 from test_laws import test_negative_pool_bounds_are_rejected as _pool_bounds
 
 
@@ -454,12 +458,32 @@ def test_the_de_bruijn_parser(monkeypatch, old, new, checks):
             "if False:",
             [partial(_format_db_negative, d) for d in (Var(-1), Lam(Var(-1)))],
         ),
+        # A skeleton is made with its fields unchecked, so one whose leaf no
+        # local binder binds is kept and realized.
+        (
+            laws,
+            "BodySkeleton.__post_init__",
+            [(laws.BodySkeleton, "__post_init__")],
+            "binders, leaf = self.validate()",
+            "binders, leaf = self.binders, self.leaf",
+            [_checked_when_made, _body_rejects_malformed],
+        ),
     ],
-    ids=["integer-unread", "name-prefix-only", "negative-index-written"],
+    ids=["integer-unread", "name-prefix-only", "negative-index-written", "skeleton-made-unchecked"],
 )
 def test_the_input_checks(monkeypatch, module, name, patched, old, new, checks):
     assert not any(_fails(check) for check in checks)
     mutant = _with_line(module, name, old, new)
     for owner, attribute in patched:
         monkeypatch.setattr(owner, attribute, mutant)
+    assert all(_fails(check) for check in checks)
+
+
+def test_the_de_bruijn_variable(monkeypatch):
+    # An applied de Bruijn carrier gives a variable the index of the binder
+    # one further out.
+    checks = [_entries_equal_folds, _bool_depth]
+    assert not any(_fails(check) for check in checks)
+    mutant = _with_line(algebras, "_Level.__call__", "_chain(0, n - self)", "_chain(0, n - self + 1)")
+    monkeypatch.setattr(algebras._Level, "__call__", mutant)
     assert all(_fails(check) for check in checks)
