@@ -5,7 +5,9 @@ integer carrier directly. The other two use function carriers (name stream
 to text, nesting depth to tree) whose values are defunctionalized: a
 binder's value holds its body and algebra, and applying it walks the rest
 of the chain. A size fold and an applied carrier walk it in one loop that
-all three share, so none recurses at any depth. While a binder's algebra
+all three share, so none recurses at any depth. The loop, ``_chain_end``,
+lives in :mod:`kripkelam.encoding`, beside the ``lam`` nodes and chain
+binders it walks and the guard it charges. While a binder's algebra
 is the library's own, the loop steps a ``lam`` node its body returns in
 place: it charges the guard for one binder and calls that node's body
 next. A ``db_to_hoas`` binder is its own body and records the ``B``
@@ -36,8 +38,8 @@ from __future__ import annotations
 import reprlib
 from operator import attrgetter
 
-from .debruijn import DbTerm, _binder_text, _canonical, _chain, _ChainBinder
-from .encoding import Algebra, OpenTerm, Rename, Term, _charge, _guard, _integer, _Lam, _new, run_guarded
+from .debruijn import DbTerm, _binder_text, _canonical, _chain
+from .encoding import Algebra, Term, _chain_end, _ill_formed, _integer, _new, _raise_if_refused, run_guarded
 
 __all__ = [
     "NameStream",
@@ -87,9 +89,6 @@ class NameStream:
 
 def names(start: int = 1) -> NameStream:
     return NameStream(start)
-
-
-_IDENTITY = Rename.identity()
 
 
 # The size fold's variable at every level: level ** 0, which is 1.
@@ -253,51 +252,6 @@ def to_debruijn(t: Term) -> DbTerm:
     return _chain(k, k - j)
 
 
-def _chain_end(body, alg, level: int, var, own, cls=None) -> tuple:
-    """Walk the chain from a binder with ``body``, read with the algebra ``alg``.
-
-    The binder is at ``level``: its body is asked at the identity rename
-    for the variable ``var(level)``, and what it returns is interpreted
-    with the binder's algebra. With the library's algebra ``own``, a
-    ``lam`` node is instead stepped in place, charged to the guard as one
-    binder, and a chain binder is skipped with its chain. The walk goes on
-    one level deeper while that gives a value of the carrier class ``cls``
-    (the size fold has none), as an occurrence that denotes a term renamed
-    in through ``lam_alg`` does. Returns the level past the last binder
-    walked and the value that ends the chain.
-    """
-    budget = _guard.budget
-    while True:
-        try:
-            opened = body(_IDENTITY, var(level))
-        except TypeError as err:
-            _raise_if_refused(body, err)
-            raise
-        level += 1
-        if alg is own and type(opened) is _ChainBinder:
-            # Stepping this binder, then each binder that returns, takes
-            # below + 1 steps and ends in place(value): value is the variable
-            # handed to step below - index if that is not negative, and the
-            # target untouched otherwise, since the named binder was entered
-            # further out. The guard is charged for those steps at once.
-            below = opened.below
-            _charge(budget, below + 1)
-            named = below - opened.index
-            c = var(level + named) if named >= 0 else opened.target
-            level += below + 1
-        elif alg is own and type(opened) is _Lam:
-            _charge(budget, 1)
-            body = opened._body
-            continue
-        elif isinstance(opened, OpenTerm):
-            c = opened.interpret(alg)
-        else:
-            raise _ill_formed(body)
-        if type(c) is not cls:
-            return level, c
-        body, alg = c.body, c.alg
-
-
 def _applied(c, arg, kind):
     """``c(arg)``, which ends a carrier's chain and must give a ``kind``."""
     try:
@@ -308,24 +262,6 @@ def _applied(c, arg, kind):
     if not isinstance(out, kind):
         raise _ill_formed(c)
     return out
-
-
-def _ill_formed(c) -> TypeError:
-    return TypeError(
-        f"ill-formed term: it holds {reprlib.repr(c)}, "
-        "which is neither a variable bound by the term nor a binder body"
-    )
-
-
-def _raise_if_refused(c, err: TypeError) -> None:
-    """Raise ``_ill_formed(c)`` if calling ``c`` raised ``err`` itself.
-
-    A ``TypeError`` raised by the call, not from inside a Python function
-    it ran, means ``c`` cannot be called with those arguments: it is no
-    binder body, or no value a carrier's chain can end in.
-    """
-    if err.__traceback__.tb_next is None:
-        raise _ill_formed(c) from err
 
 
 def _unfold(t: Term) -> tuple[int, int]:

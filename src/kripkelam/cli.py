@@ -1,10 +1,11 @@
 """Command line front end.
 
-Input is a single term, read from a positional file argument or stdin: in
-named syntax, or in de Bruijn syntax for ``from-db``. Both syntaxes, and
-``parse_named``/``render_named`` (imported here for callers that use them
-from this module), live in :mod:`kripkelam.debruijn`. Exit codes: 0
-success, 1 bad input, 2 a check suite failed, 3 the binder guard tripped:
+Input is a single term, read from a positional file argument or stdin, as
+UTF-8 either way: in named syntax, or in de Bruijn syntax for ``from-db``.
+Both syntaxes, and ``parse_named``/``render_named`` (imported here for
+callers that use them from this module), live in
+:mod:`kripkelam.debruijn`. Exit codes: 0 success, 1 bad input (a usage
+error too), 2 a check suite failed, 3 the binder guard tripped:
 one fold interpreted more binders than its limit (``DEFAULT_MAX_NESTING``),
 which also bounds how deeply they nest. Only ``check-laws`` imports
 :mod:`kripkelam.laws`, when it runs, so the other commands start without it.
@@ -35,6 +36,10 @@ __all__ = ["main", "parse_named", "render_named"]
 
 def _read_input(path: str | None) -> str:
     if path is None:
+        # Read as a file is, as UTF-8 whatever the locale says; a text
+        # stream put in stdin's place, such as a StringIO, is read as it is.
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -144,9 +149,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, but 2 means a check suite
+        # failed: bad input exits 1. --help still exits 0.
+        raise SystemExit(1 if stop.code else 0) from None
     except ParseError as err:
         print(f"error: syntax: {err}", file=sys.stderr)
         return 1

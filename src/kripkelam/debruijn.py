@@ -11,12 +11,10 @@ conversions read the two fields and never recurse, so they work at any
 depth, which the differential tests for the encoding rely on.
 
 The bridge to the encoding, :func:`db_to_hoas`, uses the chain shape too:
-only the denotation of the binder the occurrence names is carried inward.
-It is captured when that binder is entered and renamed once by each binder
-inside it, so folding a converted term takes time and memory linear in its
-depth. Each binder of a converted term is one small object that is both the
-``lam`` node and its own body, so a fold keeps one GC-tracked object alive
-per binder. The library's own folds and chain loop skip such a chain in O(1).
+it makes the outermost binder of the converted term, a chain binder, and
+each chain binder makes the next when its body is called. The chain binder
+and the chain loop that skips a chain of them live in
+:mod:`kripkelam.encoding`, beside the binder guard the loop charges.
 
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
@@ -52,7 +50,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
 
-from .encoding import DEFAULT_MAX_NESTING, OpenTerm, Rename, Term, TermBody, _integer, _new, identity_embed, place
+from .encoding import DEFAULT_MAX_NESTING, Term, TermBody, _binder, _integer, _new
 
 __all__ = [
     "Abs",
@@ -306,70 +304,6 @@ def named_to_db(t: NamedTerm) -> DbTerm:
         return _chain(len(t.binders), t.binders[::-1].index(t.occurrence))
     except ValueError:
         raise UnboundVariable(t.occurrence) from None
-
-
-_IDENTITY = Rename.identity()
-_EMBED = identity_embed()
-
-
-class _ChainBinder(OpenTerm):
-    """One binder of a chain that is also its own Kripke body.
-
-    The binder has ``below`` binders under it, and the chain's occurrence
-    names the binder with ``index`` binders under it. Only that binder's
-    denotation, ``target``, is carried: calling the body at the named
-    binder captures its fresh variable, and each binder inside it renames
-    the value into its own world, so the occurrence is renamed exactly
-    ``index`` times and a fold stays linear in the depth. Binders outside
-    the named one leave ``target`` untouched, as does the identity rename.
-    Being its own body, a binder costs a fold one GC-tracked object. Calling
-    the body returns the next binder before the fold recurses into it, so
-    the fold's own recursion stays in plain Python calls.
-
-    The fields say what calling the chain at the identity rename gives:
-    ``below + 1`` binders, ending in the fresh variable handed to step
-    ``below - index``, or in ``target`` if that step is negative. So the
-    ``size_alg`` fold and the chain loop of :mod:`kripkelam.algebras`,
-    which the entry points and the applied carriers share, skip the chain
-    in O(1) from them, charged to the guard as its ``below + 1`` binders;
-    any other algebra calls each binder in turn.
-
-    There is no ``__init__``: every binder is made as :func:`_binder`
-    makes one, by the rule for the library's own objects in
-    :mod:`kripkelam.encoding`.
-    """
-
-    __slots__ = ("below", "index", "target")
-
-    def interpret(self, alg):
-        return alg.interpret_lam(self, _EMBED, alg)
-
-    def __call__(self, mx: Rename, fresh) -> OpenTerm:
-        below = self.below
-        index = self.index
-        if below == index:
-            value = fresh
-        elif below > index or mx is _IDENTITY:
-            value = self.target
-        else:
-            value = mx.apply(self.target)
-        if below == 0:
-            return place(value)
-        # _binder(below - 1, index, value), inlined: this runs once per binder.
-        b = _new(_ChainBinder)
-        b.below = below - 1
-        b.index = index
-        b.target = value
-        return b
-
-
-def _binder(below: int, index: int, target) -> _ChainBinder:
-    """The chain binder with ``below`` binders under it, naming ``index``."""
-    b = _new(_ChainBinder)
-    b.below = below
-    b.index = index
-    b.target = target
-    return b
 
 
 def db_to_body(d: DbTerm) -> TermBody:

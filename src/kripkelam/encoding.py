@@ -22,6 +22,18 @@ it only through ``place`` and through renames. Algebras that respect purity
 may be folded concurrently; all values here are immutable after
 construction.
 
+Chain binders: :func:`kripkelam.debruijn.db_to_hoas` converts a first-order
+chain into chain binders. Only the denotation of the binder the occurrence
+names is carried inward. It is captured when that binder is entered and
+renamed once by each binder inside it, so folding a converted term takes
+time and memory linear in its depth. Each binder of a converted term is one
+small object that is both the ``lam`` node and its own body, so a fold keeps
+one GC-tracked object alive per binder. The chain loop here, which the size
+fold, the entry points and the applied carriers of
+:mod:`kripkelam.algebras` share, skips such a chain in O(1). It charges the
+guard inline, as the tick in ``Algebra.interpret_lam`` and a ``lam_alg``
+layer do, so every charge is made in this module.
+
 Deep terms: no fold of a library algebra recurses per binder. A
 ``size_alg`` fold, the entry points of :mod:`kripkelam.algebras` and the
 values of its two function carriers when applied walk the chain in one
@@ -74,6 +86,7 @@ import operator
 import reprlib
 import sys
 import threading
+from functools import partial
 from typing import Any, Callable
 
 __all__ = [
@@ -174,6 +187,65 @@ class _Placed(OpenTerm):
 
     def interpret(self, alg):
         return self._value
+
+
+class _ChainBinder(OpenTerm):
+    """One binder of a chain that is also its own Kripke body.
+
+    The binder has ``below`` binders under it, and the chain's occurrence
+    names the binder with ``index`` binders under it. Only that binder's
+    denotation, ``target``, is carried: calling the body at the named
+    binder captures its fresh variable, and each binder inside it renames
+    the value into its own world, so the occurrence is renamed exactly
+    ``index`` times and a fold stays linear in the depth. Binders outside
+    the named one leave ``target`` untouched, as does the identity rename.
+    Being its own body, a binder costs a fold one GC-tracked object. Calling
+    the body returns the next binder before the fold recurses into it, so
+    the fold's own recursion stays in plain Python calls.
+
+    The fields say what calling the chain at the identity rename gives:
+    ``below + 1`` binders, ending in the fresh variable handed to step
+    ``below - index``, or in ``target`` if that step is negative. So the
+    chain loop :func:`_chain_end`, which the ``size_alg`` fold, the entry
+    points and the applied carriers share, skips the chain in O(1) from
+    them, charged to the guard as its ``below + 1`` binders; any other
+    algebra calls each binder in turn.
+
+    There is no ``__init__``: every binder is made as :func:`_binder`
+    makes one, by the rule for the library's own objects above.
+    """
+
+    __slots__ = ("below", "index", "target")
+
+    def interpret(self, alg):
+        return alg.interpret_lam(self, _identity, alg)
+
+    def __call__(self, mx: Rename, fresh) -> OpenTerm:
+        below = self.below
+        index = self.index
+        if below == index:
+            value = fresh
+        elif below > index or mx is _IDENTITY_RENAME:
+            value = self.target
+        else:
+            value = mx.apply(self.target)
+        if below == 0:
+            return place(value)
+        # _binder(below - 1, index, value), inlined: this runs once per binder.
+        b = _new(_ChainBinder)
+        b.below = below - 1
+        b.index = index
+        b.target = value
+        return b
+
+
+def _binder(below: int, index: int, target) -> _ChainBinder:
+    """The chain binder with ``below`` binders under it, naming ``index``."""
+    b = _new(_ChainBinder)
+    b.below = below
+    b.index = index
+    b.target = target
+    return b
 
 
 class Algebra:
@@ -312,7 +384,7 @@ def fold(alg: Algebra, t: Term):
     apply a function carrier under the guard; a nested call keeps the outer
     budget.
     """
-    return run_guarded(lambda: t.run(alg))
+    return run_guarded(partial(t.run, alg))
 
 
 class _Budget:
@@ -359,31 +431,88 @@ _limit_before = 0
 _limit_set = 0
 
 
-def _charge(budget: _Budget, n: int) -> None:
-    """Charge ``budget`` for ``n`` binders that nest nothing, as ``n`` charges of one would.
+def _chain_end(body, alg, level: int, var, own, cls=None) -> tuple:
+    """Walk the chain from a binder with ``body``, read with the algebra ``alg``.
 
-    The trip point moves down with ``left``, floored at 0, so only a charge
-    past the limit takes ``left`` below it. A budget raises
-    :class:`DepthLimitError` on the charge that takes it past its limit,
-    and keeps ``left`` where the charge of the binder that crossed it left
-    it. The chain loop of :mod:`kripkelam.algebras` charges here every
-    binder it steps in place or skips; ``Algebra.interpret_lam`` charges
-    one that may nest. An idle budget is charged nothing.
+    The binder is at ``level``: its body is asked at the identity rename
+    for the variable ``var(level)``, and what it returns is interpreted
+    with the binder's algebra. With the library's algebra ``own``, a
+    ``lam`` node is instead stepped in place, charged to the guard as one
+    binder, and a chain binder is skipped with its chain. The walk goes on
+    one level deeper while that gives a value of the carrier class ``cls``
+    (the size fold has none), as an occurrence that denotes a term renamed
+    in through ``lam_alg`` does. Returns the level past the last binder
+    walked and the value that ends the chain. The size fold, the two
+    function carriers and the entry points of :mod:`kripkelam.algebras`
+    call it.
     """
-    if budget.limit:
-        budget.left -= n
-        budget.trip = budget.trip - n if budget.trip > n else 0
-        if budget.left < budget.trip:
-            _trip(budget, n)
+    budget = _guard.budget
+    while True:
+        try:
+            opened = body(_IDENTITY_RENAME, var(level))
+        except TypeError as err:
+            _raise_if_refused(body, err)
+            raise
+        level += 1
+        if alg is own and (type(opened) is _Lam or type(opened) is _ChainBinder):
+            n = 1
+            if type(opened) is _ChainBinder:
+                # Stepping this binder, then each binder that returns, takes
+                # below + 1 steps and ends in place(value): value is the
+                # variable handed to step below - index if that is not
+                # negative, and the target untouched otherwise, since the
+                # named binder was entered further out.
+                below = opened.below
+                n = below + 1
+                named = below - opened.index
+                c = var(level + named) if named >= 0 else opened.target
+                level += below + 1
+            # The n binders stepped or skipped nest nothing: they are charged
+            # at once, as n charges of one would be. The trip point moves
+            # down with left, floored at 0, so only a charge past the limit
+            # takes left below it. An idle budget is charged nothing.
+            if budget.limit:
+                budget.left -= n
+                budget.trip = budget.trip - n if budget.trip > n else 0
+                if budget.left < budget.trip:
+                    _trip(budget, n)
+            if type(opened) is _Lam:
+                body = opened._body
+                continue
+        elif isinstance(opened, OpenTerm):
+            c = opened.interpret(alg)
+        else:
+            raise _ill_formed(body)
+        if type(c) is not cls:
+            return level, c
+        body, alg = c.body, c.alg
+
+
+def _ill_formed(c) -> TypeError:
+    what = "neither a variable bound by the term nor a binder body"
+    return TypeError(f"ill-formed term: it holds {reprlib.repr(c)}, which is {what}")
+
+
+def _raise_if_refused(c, err: TypeError) -> None:
+    """Raise ``_ill_formed(c)`` if calling ``c`` raised ``err`` itself.
+
+    A ``TypeError`` raised by the call, not from inside a Python function
+    it ran, means ``c`` cannot be called with those arguments: it is no
+    binder body, or no value a carrier's chain can end in.
+    """
+    if err.__traceback__.tb_next is None:
+        raise _ill_formed(c) from err
 
 
 def _trip(budget: _Budget, n: int) -> None:
     """The slow path of a charge of ``n`` that took ``left`` below the trip point.
 
     Past the limit it raises :class:`DepthLimitError` (a ``lam_alg``
-    layer, ``n == 0``, charges nothing and raises nothing). Otherwise the
-    tripwire fires: the trip point drops to 0, where only the limit check
-    is left, and the recursion limit is raised for the call.
+    layer, ``n == 0``, charges nothing and raises nothing) and leaves
+    ``left`` where the charge of the binder that crossed the limit left
+    it. Otherwise the tripwire fires: the trip point drops to 0, where
+    only the limit check is left, and the recursion limit is raised for
+    the call.
     """
     if budget.left < 0 and n:
         budget.left = min(budget.left + n, 0) - 1

@@ -42,16 +42,17 @@ from functools import partial
 from typing import Any, Callable, Iterable, Union
 
 from .algebras import names, print_alg, size_alg, to_debruijn_alg
-from .debruijn import Var, _binder, splitmix64
+from .debruijn import Var, splitmix64
 from .encoding import (
     Algebra,
     Rename,
     Term,
+    _binder,
+    _identity,
     _integer,
     _new,
     closed,
     fold,
-    identity_embed,
     lam_alg,
     place,
     run_guarded,
@@ -167,9 +168,6 @@ def body_of_skeleton(skeleton: BodySkeleton, env_value):
     return _binder(below, index, env_value)
 
 
-_EMBED = identity_embed()
-
-
 def hom_sides(
     alg1: Algebra,
     alg2: Algebra,
@@ -185,14 +183,14 @@ def hom_sides(
     the two sides are equal.
     """
     f = body_of_skeleton(skeleton, env_value)
-    lhs = run_guarded(lambda: observe(h(alg1.interpret_lam(f, _EMBED, alg1))))
+    lhs = run_guarded(lambda: observe(h(alg1.interpret_lam(f, _identity, alg1))))
 
     def adapted(mx: Rename, fresh):
         r = _new(Rename)
         r.apply = lambda a: mx.apply(h(a))
         return f(r, fresh)
 
-    rhs = run_guarded(lambda: observe(alg2.interpret_lam(adapted, _EMBED, alg2)))
+    rhs = run_guarded(lambda: observe(alg2.interpret_lam(adapted, _identity, alg2)))
     return lhs, rhs
 
 

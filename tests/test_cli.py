@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,11 +11,12 @@ from kripkelam import DEFAULT_MAX_NESTING, Abs, ParseError, Ref
 from kripkelam.cli import main, parse_named, render_named
 from kripkelam.debruijn import db_to_named, format_db, oracle_print
 
-from helpers import chain, run_python
+from helpers import SRC, chain, run_python
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    # stdin as a process has it: bytes, which the CLI reads as UTF-8.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="ascii"))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -239,6 +243,60 @@ def test_cli_missing_file_exits_one(monkeypatch, capsys):
     code, _, err = run_cli(monkeypatch, capsys, ["size", "/no/such/file"])
     assert code == 1
     assert err.startswith("error:")
+
+
+def _cli_process(args, stdin: bytes, **env: str) -> subprocess.CompletedProcess:
+    """``python -m kripkelam.cli`` with ``args``, fed ``stdin``, in this
+    environment updated with ``env``; its output as bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "kripkelam.cli", *args], input=stdin, capture_output=True, env=env, timeout=300
+    )
+
+
+def test_stdin_is_read_as_utf8_in_a_c_locale(tmp_path):
+    # In the C locale, without UTF-8 mode, Python gives stdin the ASCII
+    # encoding; a term read from stdin then failed at its first λ, while
+    # the same text in a file read.
+    text = "λx. x".encode("utf-8")
+    src = tmp_path / "term.lam"
+    src.write_bytes(text)
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+    for args, stdin in ((["size"], text), (["size", str(src)], b"")):
+        done = _cli_process(args, stdin, **c_locale)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"2\n", b""), args
+
+
+def test_invalid_utf8_on_stdin_exits_one_with_one_error_line(tmp_path):
+    text = b"\\x. \xff"
+    src = tmp_path / "term.lam"
+    src.write_bytes(text)
+    from_stdin = _cli_process(["size"], text)
+    from_file = _cli_process(["size", str(src)], b"")
+    assert (from_stdin.returncode, from_stdin.stdout) == (1, b"")
+    assert from_stdin.stderr.startswith(b"error: ") and from_stdin.stderr.count(b"\n") == 1
+    assert from_stdin.stderr == from_file.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+        (["check-laws", "--samples", "1e3"], "argument --samples: invalid int value: '1e3'"),
+    ],
+    ids=["gen-count-no-integer", "no-command", "check-laws-samples-no-integer"],
+)
+def test_a_usage_error_exits_one(capsys, argv, message):
+    # Exit 2 is a check suite that reported failures; a usage error is bad
+    # input, as argparse reports it.
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: kripkelam")
+    assert err.endswith(f"error: {message}\n")
 
 
 def test_cli_double_dash_forces_stdin(monkeypatch, capsys):

@@ -468,12 +468,12 @@ _THREE_SKELETONS = [(None, BodySkeleton(0, Slot.ENV)), (None, BodySkeleton(1, Sl
 @pytest.mark.parametrize(
     "label, suite, calls",
     [
-        ("size", "id", 68),
-        ("size", "fold", 107),
-        ("print", "id", 104),
-        ("print", "fold", 141),
-        ("debruijn", "id", 105),
-        ("debruijn", "fold", 138),
+        ("size", "id", 64),
+        ("size", "fold", 99),
+        ("print", "id", 100),
+        ("print", "fold", 133),
+        ("debruijn", "id", 101),
+        ("debruijn", "fold", 130),
     ],
     ids=["size-id", "size-fold", "print-id", "print-fold", "debruijn-id", "debruijn-fold"],
 )

@@ -94,6 +94,13 @@ def _fails(check) -> bool:
     return False
 
 
+def _patch_the_chain_loop(monkeypatch, old, new):
+    # The loop lives in encoding; algebras imported it by name.
+    mutant = _with_line(encoding, "_chain_end", old, new)
+    for owner in (encoding, algebras):
+        monkeypatch.setattr(owner, "_chain_end", mutant)
+
+
 def _with_line(module, name: str, old: str, new: str):
     """``module.name`` with the one line ``old`` of its source read as ``new``;
     ``name`` may be a method's, as in ``"Algebra.interpret_lam"``."""
@@ -114,13 +121,13 @@ def _with_line(module, name: str, old: str, new: str):
         # Reads the occurrence from the step after the one that captures it.
         ("named = below - opened.index", "named = below - opened.index + 1", True, False),
         # Charges the binders under the chain binder but not the binder itself.
-        ("_charge(budget, below + 1)", "_charge(budget, below)", True, True),
+        ("n = below + 1", "n = below", True, True),
     ],
     ids=["unpatched", "step-off-by-one", "charges-below"],
 )
 def test_the_chain_skip(monkeypatch, old, new, differential_fails, guard_fails):
     if old is not None:
-        monkeypatch.setattr(algebras, "_chain_end", _with_line(algebras, "_chain_end", old, new))
+        _patch_the_chain_loop(monkeypatch, old, new)
     assert _fails(lambda: check_chains_agree_with_closures(40)) is differential_fails
     assert [_fails(check) for check in _guard_checks()] == [guard_fails] * 2 * len(SIX_RUNS)
 
@@ -159,20 +166,24 @@ _closure_guard_checks = [partial(check_guard_charges_k_binders, run, closure_cha
 @pytest.mark.parametrize(
     "old, new, checks",
     [
-        ("if alg is own and type(opened) is _ChainBinder", "if type(opened) is _ChainBinder", [_wrapped_print_check]),
+        (
+            "if alg is own and (type(opened) is _Lam or type(opened) is _ChainBinder):",
+            "if type(opened) is _ChainBinder or alg is own and type(opened) is _Lam:",
+            [_wrapped_print_check],
+        ),
         ("var(level + named)", "var(level + named + 1)", [partial(check_chains_agree_with_closures, 40)]),
         (
-            "elif alg is own and type(opened) is _Lam",
-            "elif type(opened) is _Lam",
+            "if alg is own and (type(opened) is _Lam or type(opened) is _ChainBinder):",
+            "if type(opened) is _Lam or alg is own and type(opened) is _ChainBinder:",
             [partial(_wrapper_sees_every_closure_binder, alg, apply) for alg, apply in _APPLIED],
         ),
-        ("_charge(budget, 1)", "pass", _closure_guard_checks),
+        ("n = 1", "n = 0", _closure_guard_checks),
     ],
     ids=["skip-any-algebra", "skip-level-off-by-one", "step-any-algebra", "step-uncharged"],
 )
 def test_the_shared_chain_loop(monkeypatch, old, new, checks):
     assert not any(_fails(check) for check in checks)
-    monkeypatch.setattr(algebras, "_chain_end", _with_line(algebras, "_chain_end", old, new))
+    _patch_the_chain_loop(monkeypatch, old, new)
     assert all(_fails(check) for check in checks)
 
 
@@ -201,8 +212,8 @@ def _within_the_stack(check):
         ),
         (
             encoding,
-            "_charge",
-            [(encoding, "_charge"), (algebras, "_charge")],
+            "_chain_end",
+            [(encoding, "_chain_end"), (algebras, "_chain_end")],
             "budget.trip = budget.trip - n if budget.trip > n else 0",
             "pass",
             check_calls_that_nest_nothing_leave_the_limit_alone,
@@ -265,7 +276,7 @@ def _charging_nothing(check):
     "name, patched, check",
     [
         ("Algebra.interpret_lam", [(encoding.Algebra, "interpret_lam")], _charges_nothing_outside),
-        ("_charge", [(encoding, "_charge"), (algebras, "_charge")], _carriers_outside_the_guard),
+        ("_chain_end", [(encoding, "_chain_end"), (algebras, "_chain_end")], _carriers_outside_the_guard),
         # lam_alg holds the function it was made with.
         ("_rebuild_lam", [(lam_alg(), "_interpret")], _charges_nothing_outside),
     ],
@@ -289,11 +300,12 @@ def test_an_idle_budget_charges_nothing(monkeypatch, name, patched, check):
 
 
 @pytest.mark.parametrize(
-    "name, patched, old, new, check",
+    "module, name, patched, old, new, check",
     [
         # An entry point takes whatever ends the chain for the level of the
         # binder the occurrence names: size(place(42) under one binder) is 2.
         (
+            algebras,
             "_unfold",
             [(algebras, "_unfold")],
             "if type(end) is not _Level:",
@@ -303,8 +315,9 @@ def test_an_idle_budget_charges_nothing(monkeypatch, name, patched, check):
         # Every TypeError is read as a refused call, also one raised inside
         # the function that ends a carrier's chain.
         (
+            encoding,
             "_raise_if_refused",
-            [(algebras, "_raise_if_refused")],
+            [(encoding, "_raise_if_refused"), (algebras, "_raise_if_refused")],
             "if err.__traceback__.tb_next is None:",
             "if True:",
             partial(_carriers_own_error, lambda t: fold(print_alg(), t)(names(1))),
@@ -312,6 +325,7 @@ def test_an_idle_budget_charges_nothing(monkeypatch, name, patched, check):
         # The print carrier joins a value that gives no text to the binder
         # prefixes.
         (
+            algebras,
             "_applied",
             [(algebras, "_applied")],
             "if not isinstance(out, kind):",
@@ -321,6 +335,7 @@ def test_an_idle_budget_charges_nothing(monkeypatch, name, patched, check):
         # The size fold adds a held function to the binder count; size_alg
         # holds the function it was made with.
         (
+            algebras,
             "_size_lam",
             [(algebras.size_alg(), "_interpret")],
             "if not isinstance(value, int):",
@@ -330,9 +345,9 @@ def test_an_idle_budget_charges_nothing(monkeypatch, name, patched, check):
     ],
     ids=["unfold-any-end", "every-type-error-refused", "applied-any-value", "size-any-value"],
 )
-def test_the_ill_formed_checks(monkeypatch, name, patched, old, new, check):
+def test_the_ill_formed_checks(monkeypatch, module, name, patched, old, new, check):
     assert not _fails(check)
-    mutant = _with_line(algebras, name, old, new)
+    mutant = _with_line(module, name, old, new)
     for owner, attribute in patched:
         monkeypatch.setattr(owner, attribute, mutant)
     assert _fails(check)

@@ -1,6 +1,8 @@
 """The package's public surface: what the root exports, what importing it
-loads, and where the README and ``pyproject.toml`` name it."""
+loads, and where the README and ``pyproject.toml`` name it; and the one
+module that owns the binder guard and the chain walk."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -143,3 +145,22 @@ def test_the_console_script_is_the_cli_main():
     module_name, _, attribute = target.partition(":")
     entry = getattr(importlib.import_module(module_name), attribute)
     assert callable(entry) and entry is importlib.import_module("kripkelam.cli").main
+
+
+# The guard's budget, its slow path, and the two lam nodes the chain loop
+# steps or skips: encoding alone charges the budget, so no other module
+# needs them.
+_ENCODING_ONLY = {"_guard", "_Budget", "_trip", "_Lam", "_ChainBinder"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "kripkelam").glob("*.py") if p.stem != "encoding"), ids=lambda p: p.stem
+)
+def test_only_encoding_charges_the_guard_or_makes_open_terms(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & _ENCODING_ONLY
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = {ast.unparse(base).rpartition(".")[2] for base in node.bases}
+            assert "OpenTerm" not in bases, node.name
