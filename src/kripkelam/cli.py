@@ -38,6 +38,9 @@ def _read_input(path: str | None) -> str:
     if path is None:
         # Read as a file is, as UTF-8 whatever the locale says; a text
         # stream put in stdin's place, such as a StringIO, is read as it is.
+        # Python sets stdin to None when the process starts with fd 0 closed.
+        if sys.stdin is None:
+            raise OSError("stdin is closed: name a file or pipe the term in")
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(encoding="utf-8")
         return sys.stdin.read()

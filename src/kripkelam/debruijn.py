@@ -133,13 +133,22 @@ class Lam(DbTerm):
 
     __slots__ = ()
 
+    # Each builds its node in place, in one Python call: code that builds or
+    # walks a chain one binder at a time calls them once per binder.
     def __new__(cls, body: DbTerm):
-        k, i = _unchain(body)
-        return _make(Lam, k + 1, i)
+        if not isinstance(body, DbTerm):
+            raise TypeError(f"not a de Bruijn term: {body!r}")
+        t = _new(Lam)
+        t._binders = body._binders + 1
+        t._occurrence = body._occurrence
+        return t
 
     @property
     def body(self) -> DbTerm:
-        return _chain(self._binders - 1, self._occurrence)
+        t = _new(Lam if self._binders > 1 else Var)
+        t._binders = self._binders - 1
+        t._occurrence = self._occurrence
+        return t
 
 
 class NamedTerm(_Chain):

@@ -37,12 +37,11 @@ None for an enumerated skeleton, and record each refuted pair as a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable, Union
 
-from .algebras import names, print_alg, size_alg, to_debruijn_alg
-from .debruijn import Var, splitmix64
+from .algebras import _Level, names, print_alg, size_alg, to_debruijn_alg
+from .debruijn import splitmix64
 from .encoding import (
     Algebra,
     Rename,
@@ -87,12 +86,50 @@ class Slot(enum.Enum):
     FRESH = "fresh"  # the body's own bound variable
 
 
-# Stores a field of a frozen dataclass, past its __setattr__.
+# Stores a field of a frozen record, past its __setattr__.
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class BodySkeleton:
+class _Record:
+    """A record of the fields its ``__slots__`` name, in order, read as the
+    tuple of their values: compared by class and that tuple, shown as
+    ``Name(field=value, ...)``, and pickled and copied by calling the class
+    on it. Each record class also names its fields in ``__match_args__``,
+    for a positional ``match``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by its constructor, and hashed."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BodySkeleton(_Frozen):
     """Finite stand-in for a quantified binder body.
 
     ``binders`` local binders wrapped around a single leaf. The leaf is
@@ -105,10 +142,11 @@ class BodySkeleton:
     construction, with ``_new`` and slot stores instead.
     """
 
-    binders: int
-    leaf: Union[Slot, int]
+    __slots__ = __match_args__ = ("binders", "leaf")
 
-    def __post_init__(self):
+    def __init__(self, binders: int, leaf: Union[Slot, int]):
+        _set(self, "binders", binders)
+        _set(self, "leaf", leaf)
         binders, leaf = self.validate()
         _set(self, "binders", binders)
         _set(self, "leaf", leaf)
@@ -194,14 +232,16 @@ def hom_sides(
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """A refuted instance, reproducible from the skeleton (and seed)."""
 
-    skeleton: BodySkeleton
-    seed: Union[int, None]
-    lhs: Any
-    rhs: Any
+    __slots__ = __match_args__ = ("skeleton", "seed", "lhs", "rhs")
+
+    def __init__(self, skeleton: BodySkeleton, seed: Union[int, None], lhs: Any, rhs: Any):
+        _set(self, "skeleton", skeleton)
+        _set(self, "seed", seed)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     def describe(self) -> str:
         origin = f"seed {self.seed}" if self.seed is not None else "enumerated"
@@ -211,11 +251,16 @@ class Witness:
         )
 
 
-@dataclass
-class Report:
-    suite: str
-    checked: int = 0
-    failures: list[Witness] = field(default_factory=list)
+class Report(_Record):
+    """A suite's name, its count of checked instances and its refuted ones;
+    ``failures`` is a new list unless one is given."""
+
+    __slots__ = __match_args__ = ("suite", "checked", "failures")
+
+    def __init__(self, suite: str, checked: int = 0, failures: Union[list[Witness], None] = None):
+        self.suite = suite
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -352,14 +397,16 @@ def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[_PoolItem]:
     return pool
 
 
-@dataclass(frozen=True)
-class CarrierContext:
+class CarrierContext(_Frozen):
     """An observable carrier: its algebra, a sample value, an observation."""
 
-    label: str
-    alg: Algebra
-    env_value: Any
-    observe: Callable[[Any], Any]
+    __slots__ = __match_args__ = ("label", "alg", "env_value", "observe")
+
+    def __init__(self, label: str, alg: Algebra, env_value: Any, observe: Callable[[Any], Any]):
+        _set(self, "label", label)
+        _set(self, "alg", alg)
+        _set(self, "env_value", env_value)
+        _set(self, "observe", observe)
 
 
 # The print carrier's canonical argument, shared: a name stream is immutable.
@@ -375,9 +422,8 @@ def standard_contexts() -> list[CarrierContext]:
     return [
         CarrierContext("size", size_alg(), 1, lambda n: n),
         CarrierContext("print", print_alg(), lambda _stream: "e", lambda render: render(_FROM_X1)),
-        CarrierContext(
-            "debruijn", to_debruijn_alg(), lambda n: Var(n - 1), lambda f: f(1)
-        ),
+        # The variable of the binder at level 1, as the carrier's own binders give it.
+        CarrierContext("debruijn", to_debruijn_alg(), _Level(1), lambda f: f(1)),
     ]
 
 

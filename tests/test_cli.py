@@ -231,6 +231,30 @@ def test_a_fresh_term_command_imports_no_law_module(
     assert "dataclasses" not in imported - bare_interpreter_imports
 
 
+# What dataclasses loads; none of it serves the library.
+_CODE_GENERATION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-c", "import kripkelam.laws"],
+        ["-c", "from kripkelam import size; import sys; assert 'kripkelam.laws' in sys.modules"],
+        ["-m", "kripkelam.cli", "check-laws", "--max-depth", "2", "--samples", "10"],
+    ],
+    ids=["import-laws", "root-lookup", "check-laws"],
+)
+def test_the_law_module_loads_no_code_generation(bare_interpreter_imports, args):
+    # The law records were dataclasses, and importing dataclasses loads
+    # inspect, which loads ast, dis and tokenize. Only an import statement
+    # logs a module, so the root's and check-laws' loads of laws do not.
+    done = run_python("-X", "importtime", *args)
+    assert done.returncode == 0, done.stderr
+    imported = _imported_modules(done.stderr)
+    assert "kripkelam.encoding" in imported  # the log was read
+    assert not _CODE_GENERATION & (imported - bare_interpreter_imports)
+
+
 def test_a_fresh_check_laws_process_passes_every_suite():
     done = run_python("-m", "kripkelam.cli", "check-laws", "--samples", "10")
     assert done.returncode == 0, done.stderr
@@ -245,13 +269,16 @@ def test_cli_missing_file_exits_one(monkeypatch, capsys):
     assert err.startswith("error:")
 
 
-def _cli_process(args, stdin: bytes, **env: str) -> subprocess.CompletedProcess:
-    """``python -m kripkelam.cli`` with ``args``, fed ``stdin``, in this
-    environment updated with ``env``; its output as bytes."""
+def _cli_process(args, stdin: bytes | None, **env: str) -> subprocess.CompletedProcess:
+    """``python -m kripkelam.cli`` with ``args``, fed ``stdin`` (or with fd 0
+    closed if it is None), in this environment updated with ``env``; its
+    output as bytes."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])), **env)
-    return subprocess.run(
-        [sys.executable, "-m", "kripkelam.cli", *args], input=stdin, capture_output=True, env=env, timeout=300
-    )
+    command = [sys.executable, "-m", "kripkelam.cli", *args]
+    if stdin is None:
+        # As `kripkelam size <&-` starts it: sh closes fd 0 before Python starts.
+        command = ["sh", "-c", 'exec "$@" <&-', "sh", *command]
+    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=300)
 
 
 def test_stdin_is_read_as_utf8_in_a_c_locale(tmp_path):
@@ -276,6 +303,23 @@ def test_invalid_utf8_on_stdin_exits_one_with_one_error_line(tmp_path):
     assert (from_stdin.returncode, from_stdin.stdout) == (1, b"")
     assert from_stdin.stderr.startswith(b"error: ") and from_stdin.stderr.count(b"\n") == 1
     assert from_stdin.stderr == from_file.stderr
+
+
+_CLOSED_STDIN = "error: stdin is closed: name a file or pipe the term in\n"
+
+
+def test_a_closed_stdin_exits_one_with_one_error_line(monkeypatch, capsys):
+    # Python sets sys.stdin to None when fd 0 is closed; reading it once
+    # ended in a traceback from an AttributeError.
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["size"]) == 1
+    assert capsys.readouterr() == ("", _CLOSED_STDIN)
+
+
+def test_a_process_started_with_stdin_closed_exits_one_with_one_error_line():
+    done = _cli_process(["size"], None)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.decode() == _CLOSED_STDIN
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import re
 import sys
 import threading
 import tracemalloc
+from functools import partial
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +53,7 @@ from helpers import (
     renamed,
     run_fresh,
 )
+from test_algebras import _profiled
 
 
 chains = st.integers(min_value=1, max_value=64).flatmap(
@@ -929,6 +932,18 @@ def test_named_terms_roundtrip_through_their_text(binders, occurrence):
     for name in reversed(binders):
         t = Abs(name, t)
     assert parse_named(render_named(t)) == t
+
+
+def test_a_lam_node_is_built_and_opened_in_one_python_call():
+    # The benchmarks' set-up builds every input chain one Lam at a time.
+    for d in (Var(3), Lam(Lam(Var(1)))):
+        node = Lam(d)
+        assert _profiled(partial(Lam, d))[0] == 1
+        assert _profiled(partial(attrgetter("body"), node))[0] == 1
+        assert node.body == d and type(node.body) is type(d)
+    with pytest.raises(TypeError) as err:
+        Lam(3)
+    assert str(err.value) == "not a de Bruijn term: 3"
 
 
 def test_node_views_of_stored_chains():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from functools import partial
 
 import numpy as np
@@ -7,7 +9,10 @@ from hypothesis import strategies as st
 
 from kripkelam import (
     BodySkeleton,
+    CarrierContext,
+    Report,
     Slot,
+    Witness,
     body_of_skeleton,
     check_compose_hom,
     check_fold_hom,
@@ -93,6 +98,93 @@ def test_skeleton_validation():
         BodySkeleton(2, 5).validate()
     with pytest.raises(ValueError):
         BodySkeleton(-1, Slot.ENV).validate()
+
+
+# ------------------------------------------------------------------ records
+
+_WITNESS = Witness(BodySkeleton(2, Slot.ENV), 3, 1, 2)
+
+# Each record with the repr it has always had; the values pickle.
+_RECORDS = [
+    (BodySkeleton(2, Slot.ENV), "BodySkeleton(binders=2, leaf=<Slot.ENV: 'env'>)"),
+    (BodySkeleton(3, 1), "BodySkeleton(binders=3, leaf=1)"),
+    (_WITNESS, "Witness(skeleton=BodySkeleton(binders=2, leaf=<Slot.ENV: 'env'>), seed=3, lhs=1, rhs=2)"),
+    (
+        Witness(BodySkeleton(0, Slot.FRESH), None, "a", "b"),
+        "Witness(skeleton=BodySkeleton(binders=0, leaf=<Slot.FRESH: 'fresh'>), seed=None, lhs='a', rhs='b')",
+    ),
+    (
+        Report("id_hom[size]", 1, [_WITNESS]),
+        "Report(suite='id_hom[size]', checked=1, failures=[Witness(skeleton=BodySkeleton(binders=2, "
+        "leaf=<Slot.ENV: 'env'>), seed=3, lhs=1, rhs=2)])",
+    ),
+    (Report("fold_hom[print]"), "Report(suite='fold_hom[print]', checked=0, failures=[])"),
+    (
+        CarrierContext("size", None, 1, abs),
+        "CarrierContext(label='size', alg=None, env_value=1, observe=<built-in function abs>)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, shown",
+    _RECORDS,
+    ids=["skeleton-slot", "skeleton-local", "witness", "witness-enumerated", "report", "report-new", "context"],
+)
+def test_a_law_record_copies_pickles_and_shows_as_it_always_has(record, shown):
+    assert repr(record) == shown
+    twins = [copy.copy(record), copy.deepcopy(record)]
+    twins += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert twin == record and type(twin) is type(record) and repr(twin) == shown
+    assert record != tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
+def test_a_law_record_is_made_by_position_or_keyword_and_matched_by_position():
+    skeleton = BodySkeleton(binders=2, leaf=Slot.ENV)
+    assert skeleton == BodySkeleton(2, Slot.ENV)
+    assert Witness(skeleton=skeleton, seed=3, lhs=1, rhs=2) == _WITNESS
+    # The form perfbench/selftest.py uses.
+    report = Report("stub", checked=1, failures=[_WITNESS])
+    assert (report.suite, report.checked, report.failures) == ("stub", 1, [_WITNESS])
+    context = CarrierContext(label="size", alg=None, env_value=1, observe=abs)
+    assert context == CarrierContext("size", None, 1, abs)
+    match skeleton, _WITNESS, report, context:
+        case (
+            BodySkeleton(2, Slot.ENV),
+            Witness(BodySkeleton(2, Slot.ENV), 3, 1, 2),
+            Report("stub", 1, [Witness()]),
+            CarrierContext("size", None, 1, observe),
+        ):
+            assert observe is abs
+        case _:
+            pytest.fail("a law record's fields match by position")
+
+
+def test_the_frozen_law_records_hash_and_refuse_assignment():
+    for record, twin in (
+        (BodySkeleton(3, 1), BodySkeleton(np.int64(3), True)),
+        (_WITNESS, Witness(BodySkeleton(2, Slot.ENV), 3, 1, 2)),
+        (CarrierContext("size", None, 1, abs), CarrierContext("size", None, 1, abs)),
+    ):
+        assert record == twin and hash(record) == hash(twin)
+        for name in type(record).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert BodySkeleton(3, 1) != BodySkeleton(3, 2) and BodySkeleton(1, 0) != Witness(BodySkeleton(1, 0), None, 1, 1)
+
+
+def test_a_report_is_unhashable_and_counts_into_its_own_new_list():
+    first, second = Report("a"), Report("a")
+    assert first == second and first.failures is not second.failures
+    first.checked += 1
+    first.failures.append(_WITNESS)
+    assert (second.checked, second.failures) == (0, [])
+    assert first != second
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
 
 
 @pytest.mark.parametrize("binders", [1.5, 1.0, "1", None])
@@ -472,7 +564,7 @@ _THREE_SKELETONS = [(None, BodySkeleton(0, Slot.ENV)), (None, BodySkeleton(1, Sl
         ("size", "fold", 99),
         ("print", "id", 100),
         ("print", "fold", 133),
-        ("debruijn", "id", 101),
+        ("debruijn", "id", 97),
         ("debruijn", "fold", 130),
     ],
     ids=["size-id", "size-fold", "print-id", "print-fold", "debruijn-id", "debruijn-fold"],

@@ -477,8 +477,8 @@ def test_the_de_bruijn_parser(monkeypatch, old, new, checks):
         # local binder binds is kept and realized.
         (
             laws,
-            "BodySkeleton.__post_init__",
-            [(laws.BodySkeleton, "__post_init__")],
+            "BodySkeleton.__init__",
+            [(laws.BodySkeleton, "__init__")],
             "binders, leaf = self.validate()",
             "binders, leaf = self.binders, self.leaf",
             [_checked_when_made, _body_rejects_malformed],
