@@ -20,13 +20,13 @@ binder through ``interpret`` and ``interpret_lam``, as the Mendler
 interface requires, and recurses once per binder if it does.
 
 The entry points ``size``, ``print_term`` and ``to_debruijn`` fold
-``to_debruijn_alg`` and run the same loop over its value inside the
-nesting guard, but apply nothing: the chain must end in the variable of a
-binder the loop walked, which is that binder's level, and each entry point
-builds its result from the binder count and that level. A chain that ends
-in anything else is an ill-formed term, and so is one whose end, applied
-by a carrier, gives no text or de Bruijn term: one ``TypeError`` from the
-three entry points and the two applied carriers. The folds of the three algebras raise
+``to_debruijn_alg`` and run the same loop over its value in the guarded
+entry, with the budget it read, but apply nothing: the chain must end in
+the variable of a binder the loop walked, which is that binder's level,
+and each entry point builds its result from the count and that level. A
+chain that ends in anything else is an ill-formed term, and so is one
+whose end, applied by a carrier, gives no text or de Bruijn term: one
+``TypeError`` from the three entry points and the two applied carriers. The folds of the three algebras raise
 it too for a body that returns no open term or cannot take a rename and a
 variable, and a ``size_alg`` fold for an occurrence that denotes no ``int``.
 The guard counts every binder once, however the loop takes it, as for
@@ -39,7 +39,7 @@ import reprlib
 from operator import attrgetter
 
 from .debruijn import DbTerm, _binder_text, _canonical, _chain
-from .encoding import Algebra, Term, _chain_end, _ill_formed, _integer, _new, _raise_if_refused, run_guarded
+from .encoding import Algebra, Term, _chain_end, _guarded, _ill_formed, _integer, _new, _raise_if_refused
 
 __all__ = [
     "NameStream",
@@ -267,18 +267,11 @@ def _applied(c, arg, kind):
 def _unfold(t: Term) -> tuple[int, int]:
     """The binder count of ``t`` and the level its occurrence names.
 
-    It walks the ``to_debruijn_alg`` value of ``t`` from level 1 and
-    applies nothing: the chain must end in the variable of a binder it
-    walked.
+    The guarded entry walks the ``to_debruijn_alg`` value of ``t`` from
+    level 1 and applies nothing: the chain must end in the variable of a
+    binder it walked.
     """
-
-    def walk():
-        c = t.run(_TO_DEBRUIJN_ALG)
-        if type(c) is not _DepthCarrier:
-            raise _ill_formed(c)
-        return _chain_end(c.body, c.alg, 1, _Level, _TO_DEBRUIJN_ALG, _DepthCarrier)
-
-    level, end = run_guarded(walk)
+    level, end = _guarded(t.run, _TO_DEBRUIJN_ALG, None, _Level, _DepthCarrier)
     if type(end) is not _Level:
         raise _ill_formed(end)
     return level - 1, end

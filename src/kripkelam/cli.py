@@ -5,15 +5,18 @@ UTF-8 either way: in named syntax, or in de Bruijn syntax for ``from-db``.
 Both syntaxes, and ``parse_named``/``render_named`` (imported here for
 callers that use them from this module), live in
 :mod:`kripkelam.debruijn`. Exit codes: 0 success, 1 bad input (a usage
-error too), 2 a check suite failed, 3 the binder guard tripped:
-one fold interpreted more binders than its limit (``DEFAULT_MAX_NESTING``),
-which also bounds how deeply they nest. Only ``check-laws`` imports
-:mod:`kripkelam.laws`, when it runs, so the other commands start without it.
+error, a closed stdin or stdout too), 2 a check suite failed, 3 the binder
+guard tripped: one fold interpreted more binders than its limit
+(``DEFAULT_MAX_NESTING``), which also bounds how deeply they nest, 141
+(128 + SIGPIPE) the reader of stdout stopped reading. Only ``check-laws``
+imports :mod:`kripkelam.laws`, when it runs, so the other commands start
+without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .algebras import print_term, size, to_debruijn
@@ -154,7 +157,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        # Python sets stdout to None when fd 1 is closed.
+        if sys.stdout is None:
+            raise OSError("stdout is closed: nowhere to print the result")
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as stop:
         # argparse exits 2 on a usage error, but 2 means a check suite
         # failed: bad input exits 1. --help still exits 0.
@@ -165,6 +173,13 @@ def main(argv: list[str] | None = None) -> int:
     except DepthLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # No bad input: as the note on SIGPIPE in the signal docs says,
+        # stdout goes to devnull, so the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as err:  # also UnboundVariable, OpenTermError
         print(f"error: {err}", file=sys.stderr)
         return 1

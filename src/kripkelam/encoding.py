@@ -51,17 +51,9 @@ inside it, so this bounds nesting too, but an algebra that interprets
 each body twice trips it at 14 binders.
 
 Each top-level guarded call runs once, on the calling thread, and leaves
-the recursion limit alone until its tripwire fires: after about 40
-interpretations or ``lam_alg`` layers, which may nest. A binder skipped or
-stepped in place nests nothing and never fires it. Only then does the call
-raise the limit to what its budget needs; the limit is process-wide, so it
-stays raised while any such call is in flight and is restored when the
-last one ends, unless it was set to another value meanwhile. On CPython
-3.11 a raised limit lets another thread's deep C recursion (``repr`` of a
-deeply nested list) overflow the C stack and crash the process, so that
-window stays open while a call whose tripwire fired is in flight. A call
-started near the caller's limit needs headroom below it to fire the
-tripwire in time; :func:`run_guarded` gives the figures. This relies on
+the recursion limit alone until its tripwire fires; :func:`run_guarded`
+says when, how long the raised limit stays, what it risks on CPython 3.11
+and the headroom it costs near the caller's limit. This relies on
 CPython 3.11 and later, where a Python-to-Python call takes no C stack, so
 a 10,000-binder fold fits even a thread started with a 256 KiB stack. An
 algebra whose per-binder recursion passes through a C function (a
@@ -69,13 +61,13 @@ generator inside ``sum``, say) takes C stack per binder: a deep fold of it
 raises ``RecursionError`` on 3.12 and later, or can overflow a small thread
 stack and crash the interpreter.
 
-The guard's budget is per thread: each thread has one, made the first
-time the thread touches the guard and reused by every top-level guarded
-call there, so a call allocates nothing and reads one thread-local. Only
-the thread that owns a budget can reach it, and a limit of 0 marks that no
-call is running. Folds on another thread are top-level calls there with
-their own count, whether that thread was started inside a guarded call or
-runs a context copied inside one. A guarded thunk is synchronous, so an
+The guard's budget is per thread, made the first time the thread touches
+the guard; a limit of 0 marks it idle. ``fold``, ``run_guarded`` and the
+entry points enter through one function, which reads it once, resets it
+at top level and hands it to the chain loop, so a call allocates nothing.
+Folds on another thread are top-level calls there with their own count,
+whether that thread was started inside a guarded call or runs a context
+copied inside one. A guarded thunk is synchronous, so an
 asyncio task runs during the call only if the thunk drives an event loop
 on its own thread, and then the task shares the call's count.
 """
@@ -86,7 +78,6 @@ import operator
 import reprlib
 import sys
 import threading
-from functools import partial
 from typing import Any, Callable
 
 __all__ = [
@@ -377,14 +368,14 @@ def closed(builder: TermBody) -> Term:
 def fold(alg: Algebra, t: Term):
     """Interpret a closed term with an algebra.
 
-    The fold runs once, on the calling thread, inside :func:`run_guarded`.
+    The fold runs once, on the calling thread, under the binder guard.
     Pure: same term, same algebra, same result. With a function-typed
     carrier the carrier value may recurse further when applied. Use
     ``run_guarded(thunk, max_depth)`` for a tighter or looser budget, or to
     apply a function carrier under the guard; a nested call keeps the outer
     budget.
     """
-    return run_guarded(partial(t.run, alg))
+    return _guarded(t.run, alg)
 
 
 class _Budget:
@@ -397,7 +388,7 @@ class _Budget:
     every charge that nests nothing and up with every ``lam_alg`` layer, so
     ``left`` falls below it once the call has made more than ``_TRIP``
     interpretations and layers, which may nest. The tripwire then fires:
-    the call raises the recursion limit (``raised``). :func:`run_guarded`
+    the call raises the recursion limit (``raised``). :func:`_guarded`
     sets all four for each top-level call; only the thread that owns the
     budget can reach it, so nothing here takes a lock.
     """
@@ -431,7 +422,7 @@ _limit_before = 0
 _limit_set = 0
 
 
-def _chain_end(body, alg, level: int, var, own, cls=None) -> tuple:
+def _chain_end(body, alg, level: int, var, own, cls=None, budget=None) -> tuple:
     """Walk the chain from a binder with ``body``, read with the algebra ``alg``.
 
     The binder is at ``level``: its body is asked at the identity rename
@@ -442,11 +433,11 @@ def _chain_end(body, alg, level: int, var, own, cls=None) -> tuple:
     one level deeper while that gives a value of the carrier class ``cls``
     (the size fold has none), as an occurrence that denotes a term renamed
     in through ``lam_alg`` does. Returns the level past the last binder
-    walked and the value that ends the chain. The size fold, the two
-    function carriers and the entry points of :mod:`kripkelam.algebras`
-    call it.
+    walked and the value that ends the chain. The size fold and the two
+    function carriers call it and it reads the thread's ``budget``; the
+    guarded entry hands it the budget it read.
     """
-    budget = _guard.budget
+    budget = budget or _guard.budget
     while True:
         try:
             opened = body(_IDENTITY_RENAME, var(level))
@@ -558,9 +549,9 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     folds accumulate into the enclosing count and keep its budget, whatever
     ``max_depth`` they pass. The count is per thread: each thread has one
     budget, which every top-level call there resets on entry and marks idle
-    on exit, so a call reads one thread-local and allocates nothing. Folds
-    on another thread, started or run in a copied context inside this call,
-    are top-level calls there with their own count.
+    on exit, so a call allocates nothing. Folds on another thread, started
+    or run in a copied context inside this call, are top-level calls there
+    with their own count.
 
     At top level the thunk runs once, on the calling thread, and leaves
     the interpreter's recursion limit alone until the call's tripwire
@@ -582,23 +573,37 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     limit of 1,000, such a 16-frame fold started more than about 350 frames
     deep raises ``RecursionError``.
     """
+    return _guarded(operator.call, thunk, max_depth)
+
+
+def _guarded(run, arg, max_depth=None, var=None, cls=None):
+    """``run(arg)`` under the binder guard; every guarded call enters here.
+
+    At top level it sets the thread's budget for ``max_depth`` binders and
+    clears it on exit; nested, it keeps the enclosing one. With a carrier
+    class ``cls``, ``run(arg)`` must give one, whose chain is walked from
+    level 1 with the budget read here, ``var`` and the algebra ``arg``.
+    """
     budget = _guard.budget
-    if budget.limit:
-        return thunk()
-    if max_depth is None:
-        limit = DEFAULT_MAX_NESTING
-    else:
-        limit = _integer(max_depth, "max_depth must be an integer")
+    limit = outer = budget.limit
+    if not outer:
+        limit = DEFAULT_MAX_NESTING if max_depth is None else _integer(max_depth, "max_depth must be an integer")
         if limit < 1:
             raise ValueError("max_depth must be at least 1")
-    budget.left = limit
-    budget.trip = limit - _TRIP if limit > _TRIP else 0
-    budget.raised = False
+        budget.left = limit
+        budget.trip = limit - _TRIP if limit > _TRIP else 0
+        budget.raised = False
     # Marked busy inside the try, so an interrupt cannot leave it so.
     try:
         budget.limit = limit
-        return thunk()
+        c = run(arg)
+        if cls is None:
+            return c
+        if type(c) is not cls:
+            raise _ill_formed(c)
+        return _chain_end(c.body, c.alg, 1, var, arg, cls, budget)
     finally:
-        budget.limit = 0
-        if budget.raised:
-            _restore_limit()
+        if not outer:
+            budget.limit = 0
+            if budget.raised:
+                _restore_limit()

@@ -47,6 +47,7 @@ from .encoding import (
     Rename,
     Term,
     _binder,
+    _guarded,
     _identity,
     _integer,
     _new,
@@ -54,7 +55,6 @@ from .encoding import (
     fold,
     lam_alg,
     place,
-    run_guarded,
 )
 
 __all__ = [
@@ -221,14 +221,14 @@ def hom_sides(
     the two sides are equal.
     """
     f = body_of_skeleton(skeleton, env_value)
-    lhs = run_guarded(lambda: observe(h(alg1.interpret_lam(f, _identity, alg1))))
+    lhs = _guarded(lambda body: observe(h(alg1.interpret_lam(body, _identity, alg1))), f)
 
     def adapted(mx: Rename, fresh):
         r = _new(Rename)
         r.apply = lambda a: mx.apply(h(a))
         return f(r, fresh)
 
-    rhs = run_guarded(lambda: observe(alg2.interpret_lam(adapted, _identity, alg2)))
+    rhs = _guarded(lambda body: observe(alg2.interpret_lam(body, _identity, alg2)), adapted)
     return lhs, rhs
 
 

@@ -37,7 +37,7 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
-from kripkelam import debruijn
+from kripkelam import debruijn, encoding
 from kripkelam.algebras import NameStream, names
 from kripkelam.encoding import _Lam
 from kripkelam.laws import body_of_skeleton, enumerate_skeletons
@@ -433,10 +433,10 @@ def test_a_binder_costs_few_python_calls(make, per_binder):
 @pytest.mark.parametrize(
     "run, calls",
     [
-        (size, 9),
-        (print_term, 12),
-        (to_debruijn, 10),
-        (lambda t: size(fold(lam_alg(), t)), 18),
+        (size, 8),
+        (print_term, 11),
+        (to_debruijn, 9),
+        (lambda t: size(fold(lam_alg(), t)), 17),
     ],
     ids=["size", "print", "debruijn", "size-of-lam-alg-fold"],
 )
@@ -449,6 +449,29 @@ def test_a_call_on_a_short_chain_costs_a_fixed_number_of_python_calls(run, calls
     t = db_to_hoas(chain(16, 8))
     run(t)
     assert _profiled(lambda: run(t))[0] == calls + 1
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [(size, 17), (print_term, oracle_print(chain(16, 8))), (to_debruijn, chain(16, 8))],
+    ids=["size", "print", "debruijn"],
+)
+def test_an_entry_point_reads_the_threads_budget_twice(monkeypatch, run, expected):
+    # The guarded entry reads the thread-local once and hands the budget to
+    # the chain loop; the other read is the tick of the outermost binder.
+    budget = encoding._guard.budget
+    reads = []
+
+    class Counting:
+        # Stands in for the thread-local and counts the reads of its budget.
+        @property
+        def budget(self):
+            reads.append(budget)
+            return budget
+
+    monkeypatch.setattr(encoding, "_guard", Counting())
+    assert run(db_to_hoas(chain(16, 8))) == expected
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("run", SIX_RUNS, ids=_SIX_IDS)

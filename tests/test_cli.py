@@ -269,16 +269,21 @@ def test_cli_missing_file_exits_one(monkeypatch, capsys):
     assert err.startswith("error:")
 
 
-def _cli_process(args, stdin: bytes | None, **env: str) -> subprocess.CompletedProcess:
+def _cli_env(**env: str) -> dict:
+    """This environment, with the source tree on the path, updated with ``env``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])), **env)
+
+
+def _cli_process(args, stdin: bytes | None, close_stdout: bool = False, **env: str) -> subprocess.CompletedProcess:
     """``python -m kripkelam.cli`` with ``args``, fed ``stdin`` (or with fd 0
-    closed if it is None), in this environment updated with ``env``; its
-    output as bytes."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])), **env)
+    closed if it is None, and fd 1 closed if ``close_stdout``), in this
+    environment updated with ``env``; its output as bytes."""
     command = [sys.executable, "-m", "kripkelam.cli", *args]
-    if stdin is None:
-        # As `kripkelam size <&-` starts it: sh closes fd 0 before Python starts.
-        command = ["sh", "-c", 'exec "$@" <&-', "sh", *command]
-    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=300)
+    closed = ("<&- " if stdin is None else "") + (">&-" if close_stdout else "")
+    if closed:
+        # As `kripkelam size <&-` starts it: sh closes the fd before Python starts.
+        command = ["sh", "-c", f'exec "$@" {closed}', "sh", *command]
+    return subprocess.run(command, input=stdin, capture_output=True, env=_cli_env(**env), timeout=300)
 
 
 def test_stdin_is_read_as_utf8_in_a_c_locale(tmp_path):
@@ -320,6 +325,29 @@ def test_a_process_started_with_stdin_closed_exits_one_with_one_error_line():
     done = _cli_process(["size"], None)
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr.decode() == _CLOSED_STDIN
+
+
+def test_a_process_started_with_stdout_closed_exits_one_with_one_error_line(tmp_path):
+    # Python sets sys.stdout to None when fd 1 is closed, and print to None
+    # prints nothing: the result was lost and the process exited 0.
+    src = tmp_path / "term.lam"
+    src.write_text("\\x. x", encoding="utf-8")
+    done = _cli_process(["size", str(src)], b"", close_stdout=True)
+    assert done.returncode == 1
+    assert done.stderr.decode() == "error: stdout is closed: nowhere to print the result\n"
+
+
+def test_a_reader_that_stops_reading_ends_the_process_with_no_error_line():
+    # As `kripkelam gen --count 100000 --max-depth 8 | head -1` runs it: the
+    # reader closes the pipe after one line, and the next write fails.
+    command = [sys.executable, "-m", "kripkelam.cli", "gen", "--count", "100000", "--max-depth", "8"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()) as process:
+        first = process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read()
+        code = process.wait(timeout=300)
+    assert first.startswith(b"\\ x1. ")
+    assert (code, err) == (141, b"")
 
 
 @pytest.mark.parametrize(

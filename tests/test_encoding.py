@@ -330,6 +330,21 @@ def _fields(budget):
     return budget.limit, budget.left, budget.trip, budget.raised
 
 
+@pytest.mark.parametrize("max_depth", [0, -1, 2.5, "abc"], ids=["zero", "negative", "float", "str"])
+def test_a_nested_call_runs_its_thunk_whatever_max_depth_it_passes(max_depth):
+    # Inside a guarded call run_guarded is a plain call: the enclosing
+    # budget stands, so a max_depth it would refuse at top level is ignored.
+    t = deep_term(20)
+
+    def inner():
+        return encoding.run_guarded(lambda: fold(size_alg(), t), max_depth)
+
+    assert encoding.run_guarded(inner, max_depth=30) == 21
+    with pytest.raises(DepthLimitError) as err:
+        encoding.run_guarded(inner, max_depth=10)
+    assert err.value.limit == 10
+
+
 def test_a_thread_reuses_one_budget_for_every_top_level_call():
     budget = encoding._guard.budget
     assert "__init__" not in vars(encoding._Budget)

@@ -32,7 +32,6 @@ from kripkelam import (
     size,
 )
 
-import helpers
 import test_debruijn
 from helpers import (
     SIX_RUNS,
@@ -178,8 +177,10 @@ _closure_guard_checks = [partial(check_guard_charges_k_binders, run, closure_cha
             [partial(_wrapper_sees_every_closure_binder, alg, apply) for alg, apply in _APPLIED],
         ),
         ("n = 1", "n = 0", _closure_guard_checks),
+        # Counts an in-place step as two levels: Lam(Lam(Var(0))) refutes it.
+        ("continue", "level += 1; continue", [partial(check_chains_agree_with_closures, 8)]),
     ],
-    ids=["skip-any-algebra", "skip-level-off-by-one", "step-any-algebra", "step-uncharged"],
+    ids=["skip-any-algebra", "skip-level-off-by-one", "step-any-algebra", "step-uncharged", "step-level-twice"],
 )
 def test_the_shared_chain_loop(monkeypatch, old, new, checks):
     assert not any(_fails(check) for check in checks)
@@ -220,10 +221,11 @@ def _within_the_stack(check):
         ),
         # lam_alg holds the function it was made with.
         (encoding, "_rebuild_lam", [(lam_alg(), "_interpret")], "budget.trip += 1", "pass", _lam_alg_tower_walks),
+        # The guarded entry: run_guarded and fold look it up in encoding.
         (
             encoding,
-            "run_guarded",
-            [(encoding, "run_guarded"), (algebras, "run_guarded")],
+            "_guarded",
+            [(encoding, "_guarded"), (algebras, "_guarded"), (laws, "_guarded")],
             "_restore_limit()",
             "pass",
             check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
@@ -251,9 +253,9 @@ def test_the_budget_is_cleared_on_exit(monkeypatch):
     # nested one, which spends what is left of the old budget, not its own.
     check = partial(check_guard_charges_k_binders, size, db_to_hoas(chain(60, 30)), 60)
     assert not _fails(check)
-    mutant = _with_line(encoding, "run_guarded", "budget.limit = 0", "pass")
-    for owner in (encoding, algebras, helpers):
-        monkeypatch.setattr(owner, "run_guarded", mutant)
+    mutant = _with_line(encoding, "_guarded", "budget.limit = 0", "pass")
+    for owner in (encoding, algebras, laws):
+        monkeypatch.setattr(owner, "_guarded", mutant)
     try:
         assert _fails(check)
     finally:
