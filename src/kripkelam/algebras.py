@@ -38,7 +38,7 @@ from __future__ import annotations
 import reprlib
 from operator import attrgetter
 
-from .debruijn import DbTerm, _binder_text, _canonical, _chain
+from .debruijn import DbTerm, _canonical_text, _chain
 from .encoding import Algebra, Term, _chain_end, _guarded, _ill_formed, _integer, _new, _raise_if_refused
 
 __all__ = [
@@ -163,8 +163,9 @@ class _PrintCarrier:
     Applied to a :class:`NameStream`, it walks the chain with
     :func:`_chain_end`, each binder taking the next name; applied to
     anything else, it raises ``TypeError`` naming it. Whatever ends the
-    chain is applied to the stream that is left, and the text is joined
-    once. Names are counted as ints, so no stream is built per binder.
+    chain is applied to the stream that is left, and the binders' text is
+    one slice of the canonical-name table's text, or joined once past it.
+    Names are counted as ints, so no stream is built per binder.
     """
 
     __slots__ = ("body", "alg")
@@ -176,7 +177,7 @@ class _PrintCarrier:
         n, c = _chain_end(self.body, self.alg, start, _Name, _PRINT_ALG, _PrintCarrier)
         rest = _new(NameStream)
         rest._start = n
-        return _prefixes(start, n - 1) + _applied(c, rest, str)
+        return _canonical_text(start, n - 1) + _applied(c, rest, str)
 
 
 _PRINT_ALG = Algebra(_carrier_lam(_PrintCarrier), name="print")
@@ -194,7 +195,7 @@ def print_alg() -> Algebra:
 def print_term(t: Term) -> str:
     """Render a closed term using the name stream starting at x1."""
     k, j = _unfold(t)
-    return _prefixes(1, k) + f"x{j}"
+    return _canonical_text(1, k) + f"x{j}"
 
 
 class _Level(int):
@@ -276,7 +277,3 @@ def _unfold(t: Term) -> tuple[int, int]:
         raise _ill_formed(end)
     return level - 1, end
 
-
-def _prefixes(start: int, last: int) -> str:
-    """The text of binders named x{start} to x{last}, outermost first."""
-    return _binder_text(_canonical(start, last))

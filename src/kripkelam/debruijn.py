@@ -19,33 +19,42 @@ and the chain loop that skips a chain of them live in
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
 
-Each text syntax is recognised by one regular-expression match whose
-repeats are possessive, so reading a term builds no token list and the match
-keeps no state per binder. Any whitespace may separate tokens. De Bruijn
-text reads ``Lam (Lam (Var 1))``, parentheses optional. Named text is
-``('\\' | 'λ') ident '.' term | ident`` with ``ident := [A-Za-z][A-Za-z0-9_]*``.
-A text that does not match raises :class:`ParseError` at a 1-based line and
-column: at the first character that starts no token, anywhere in the text,
-or else at one of the first tokens after the binder run or among the
-closing parentheses. The names of a named binder run are then listed by
-``str.split``, once ``\\``, ``λ`` and ``.`` are read as spaces; a run of
-4,096 characters or more is listed a chunk of about that many characters at
-a time, each ending just after a binder's ``.``, and the names are streamed
-into the term, so no list of every name is held beside them.
+Any whitespace may separate tokens. De Bruijn text reads
+``Lam (Lam (Var 1))``, parentheses optional, and is recognised by one
+regular-expression match whose repeats are possessive, so reading a term
+builds no token list and the match keeps no state per binder.
 :func:`format_db`'s own spelling, with an index of at most 18 ASCII digits,
 skips the match: ``str.count``, ``startswith``, ``isascii`` and ``isdigit``
-recognise it. Any other de Bruijn text takes the match.
+recognise it. Named text is ``('\\' | 'λ') ident '.' term | ident`` with
+``ident := [A-Za-z][A-Za-z0-9_]*``, and is read by ``str`` methods: the
+binder run ends at the last ``.``, and the rest, stripped, is the
+occurrence. The run is read a chunk at a time: whole if it is shorter than
+4,096 characters, and otherwise in chunks of about that many, each ending
+just after a binder's ``.``. In a chunk each ``λ`` is read as ``\\``; ``str.split`` lists its names, once
+``\\`` and ``.`` are read as spaces, and ``str.translate`` and
+``str.count`` check that it is all binders. The names are streamed into the
+term, so neither a copy of the whole text nor a list of every name is held
+beside them. A text that is no term raises :class:`ParseError` at a 1-based
+line and column, placed by one match of its syntax's pattern, which for
+named text only this error path compiles: at the first character that
+starts no token, anywhere in the text, or else at one of the first tokens
+after the binder run or among the closing parentheses.
 
 The canonical names ``x1``, ``x2``, ... come from one table that grows on
-demand to at most ``DEFAULT_MAX_NESTING`` names (about 0.6 MB).
-:func:`db_to_named` slices its binder names from it, and binder text is
-joined from such names in one ``str.join``; a name past the table is
-formatted per call. The oracles do not use the table.
+demand to at most ``DEFAULT_MAX_NESTING`` names. Beside the names it holds
+their binder text, ``\\ x1. \\ x2. ...``, and where each binder's text
+ends in it, and it grows all three in one step. :func:`db_to_named` slices
+its binder names from it. The binder text of x{s} to x{l}, which
+``print_term`` and the print carrier give, and of the names
+:func:`db_to_named` gives, which :func:`render_named` writes, is sliced from
+its text. A name past the table is formatted per call, and any other names'
+text is joined in one ``str.join``. The oracles do not use the table.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
@@ -276,32 +285,56 @@ def oracle_print(d: DbTerm) -> str:
 def db_to_named(d: DbTerm) -> NamedTerm:
     """Closed term to named form, binder at nesting level k named ``x{k}``."""
     k, i = _unchain_closed(d)
-    return _named(_canonical(1, k), f"x{k - i}")
+    if k <= DEFAULT_MAX_NESTING:
+        return _named(_table(k)[0][:k], f"x{k - i}")
+    return _named(tuple([f"x{n}" for n in range(1, k + 1)]), f"x{k - i}")
 
 
-# The canonical names: entry n is x{n + 1}. The table grows by doubling up
-# to DEFAULT_MAX_NESTING names, and growing rebinds it whole, so a thread
-# that reads it during another's growth still reads a correct table.
-_CANONICAL: tuple[str, ...] = ()
+# The canonical-name table: names, entry n being x{n + 1}; the binder text
+# "\\ x1. \\ x2. ..." of those names; and the offsets in that text where
+# each binder ends, entry n being the length of the first n binders' text.
+# It grows by doubling up to DEFAULT_MAX_NESTING names, and growing rebinds
+# all three as one tuple, so a thread that reads it during another's growth
+# still reads a table whose text and offsets fit its names.
+_CANONICAL: tuple[tuple[str, ...], str, array] = ((), "", array("i", [0]))
 
 
-def _canonical(start: int, last: int) -> tuple[str, ...]:
-    """The names x{start} to x{last}: a slice of the table where it holds them."""
+def _table(last: int) -> tuple[tuple[str, ...], str, array]:
+    """The canonical-name table, grown first if it holds fewer than ``last`` names."""
     global _CANONICAL
+    table = _CANONICAL
+    names, text, ends = table
+    if len(names) < last:
+        size = min(max(2 * len(names), last), DEFAULT_MAX_NESTING)
+        more = [f"x{n}" for n in range(len(names) + 1, size + 1)]
+        end = ends[-1]
+        table = _CANONICAL = (
+            names + tuple(more),
+            text + "\\ " + ". \\ ".join(more) + ". ",
+            ends + array("i", [end := end + len(name) + 4 for name in more]),
+        )
+    return table
+
+
+def _canonical_text(start: int, last: int) -> str:
+    """The text of binders named x{start} to x{last}, outermost first: a
+    slice of the table's text where it holds them."""
     if 1 <= start and last <= DEFAULT_MAX_NESTING:
-        table = _CANONICAL
-        if len(table) < last:
-            size = min(max(2 * len(table), last), DEFAULT_MAX_NESTING)
-            table += tuple([f"x{n}" for n in range(len(table) + 1, size + 1)])
-            _CANONICAL = table
-        return table[start - 1 : last]
-    return tuple([f"x{n}" for n in range(start, last + 1)])
+        _, text, ends = _table(last)
+        return text[ends[start - 1] : ends[last]]
+    return "".join([f"\\ x{n}. " for n in range(start, last + 1)])
 
 
 def _binder_text(binders: tuple[str, ...]) -> str:
-    """The binder prefixes ``\\ name. `` of ``binders``, outermost first."""
-    if not binders:
-        return ""
+    """The binder prefixes ``\\ name. `` of ``binders``, outermost first.
+
+    The first ``k`` canonical names, which :func:`db_to_named` gives, are a
+    slice of the table's text; any other names are joined.
+    """
+    names, text, ends = _CANONICAL
+    k = len(binders)
+    if binders == names[:k]:
+        return text[: ends[k]]
     return "\\ " + ". \\ ".join(binders) + ". "
 
 
@@ -410,12 +443,21 @@ def render_named(t: NamedTerm) -> str:
 # where no character can continue it: ``Var_`` is ``Var``, then an
 # unexpected ``_``.
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*+"
-_NAMED = re.compile(
-    rf"((?>\s*+[\\λ]\s*+{_IDENT}\s*+\.)*+)\s*+(?:({_IDENT})\s*+|([\\λ])\s*+(?:({_IDENT})\s*+)?)?"
+_NAMED = rf"((?>\s*+[\\λ]\s*+{_IDENT}\s*+\.)*+)\s*+(?:({_IDENT})\s*+|([\\λ])\s*+(?:({_IDENT})\s*+)?)?"
+# The skeleton of ASCII binder text: whitespace deleted, letters read as
+# "a", digits and "_" as "0", "\\" and "." kept, and any other character
+# read as "!". Characters past ASCII are kept.
+_SKELETON = str.maketrans(
+    {
+        ch: None if ch.isspace() else "a" if ch.isalpha() else "0" if ch.isalnum() or ch == "_" else "!"
+        for ch in map(chr, range(128))
+    }
+    | {"\\": "\\", ".": "."}
 )
 _NAME = re.compile(_IDENT)
 _DB = re.compile(r"([\s(]*+(?:Lam(?![^\W_])[\s(]*+)*+)(?:Var(?![^\W_])\s*+(?:(\d++)[\s)]*+)?)?")
-# Every token of each syntax, and whitespace; the error path compiles these.
+# Every token of each syntax, and whitespace; the error path compiles these
+# and _NAMED.
 _NAMED_LEXICON = rf"(?:[\s\\λ.]++|{_IDENT})*+"
 _DB_LEXICON = r"(?:[\s()]++|\d++|(?:Lam|Var)(?![^\W_]))*+"
 # Binder-run characters past which parse_named lists the names a chunk of
@@ -487,37 +529,65 @@ def parse_db(text: str) -> DbTerm:
 
 def parse_named(text: str) -> NamedTerm:
     """Parse named syntax into a named term, or raise ParseError."""
-    match = _NAMED.match(text)
-    end = match.end()
-    if match.start(2) < 0 or end < len(text):
-        if match.start(2) >= 0:
-            message = "trailing input after term"
-        elif match.start(3) < 0:  # no binder after the run
-            message = "expected a variable or a binder"
-        elif match.start(4) < 0:  # a binder with no name
-            message = "expected an identifier after the binder"
-        else:
-            message = "expected '.' after the bound name"
-        raise _syntax_error(text, _NAMED_LEXICON, end, message)
-    # A name list costs 8 bytes a name on top of the names, so a long run
-    # is listed a chunk at a time and streamed into the tuple. A short one,
-    # the common case, is copied from one list: a tuple made at its exact
-    # size is one CPython's per-size free lists recycle.
-    run = match.end(1)
+    # In a term the binder run ends at the last '.', and the rest is the
+    # occurrence. A text that is no term fails here or in a chunk of the
+    # run, and _named_error places its error. A name list costs 8 bytes a
+    # name on top of the names, so a long run is listed a chunk at a time
+    # and streamed into the tuple. A short one, the common case, is copied
+    # from one list: a tuple made at its exact size is one CPython's
+    # per-size free lists recycle.
+    run = text.rfind(".") + 1
+    occurrence = text[run:].strip()
+    if _NAME.fullmatch(occurrence) is None:
+        raise _named_error(text)
     if run < _LISTED_RUN:
         binders = tuple(_names(text, 0, run))
     else:
         binders = tuple(chain.from_iterable(_chunked_names(text, run)))
-    return _named(binders, match.group(2))
+    return _named(binders, occurrence)
+
+
+def _named_error(text: str) -> ParseError:
+    """The error of a text that is no named term, placed by one ``_NAMED`` match."""
+    match = re.compile(_NAMED).match(text)
+    if match.start(2) >= 0:
+        message = "trailing input after term"
+    elif match.start(3) < 0:  # no binder after the run
+        message = "expected a variable or a binder"
+    elif match.start(4) < 0:  # a binder with no name
+        message = "expected an identifier after the binder"
+    else:
+        message = "expected '.' after the bound name"
+    return _syntax_error(text, _NAMED_LEXICON, match.end(), message)
 
 
 def _names(text: str, start: int, end: int) -> list[str]:
-    """The names of the binders in ``text[start:end]``, which ``_NAMED`` matched.
+    """The names of the binders that are all of ``text[start:end]``, which
+    is empty or ends with a ``.``; or else the ParseError of ``text``.
 
-    Matched binder text holds only binder symbols, ``.``, names and what
-    ``\\s`` matches, which is what ``str.split`` splits at.
+    ``λ`` is read as ``\\``, one character for one, and in a chunk that is
+    then not ASCII each whitespace run as one space, which leaves binders
+    binders. The names are what ``str.split`` leaves once ``\\`` and ``.``
+    are read as spaces too. The chunk is ``n`` binders exactly when its
+    skeleton, after a leading ``.``, holds only ``\\``, ``.``, ``a`` and
+    ``0``, ``n`` of ``.\\a`` and of ``\\``, ``n + 1`` of ``.``, and there are
+    ``n`` names: then the ``n`` stretches between its dots each start with
+    ``\\a`` and hold no other ``\\``, so each is a binder symbol and a name,
+    and no whitespace splits that name in two, or there would be more names
+    than binders.
     """
-    return text[start:end].replace("\\", " ").replace("λ", " ").replace(".", " ").split()
+    chunk = text[start:end].replace("λ", "\\")
+    if not chunk.isascii():
+        chunk = " ".join(chunk.split())
+    names = chunk.replace("\\", " ").replace(".", " ").split()
+    skeleton = "." + chunk.translate(_SKELETON)
+    if (
+        skeleton.isascii()
+        and "!" not in skeleton
+        and skeleton.count(".\\a") == skeleton.count("\\") == skeleton.count(".") - 1 == len(names)
+    ):
+        return names
+    raise _named_error(text)
 
 
 def _chunked_names(text: str, run: int) -> Iterator[list[str]]:

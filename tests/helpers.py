@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 import textwrap
-from itertools import islice
+from array import array
+from itertools import accumulate, islice
 from pathlib import Path
 
 from kripkelam import (
+    DEFAULT_MAX_NESTING,
     Algebra,
     DepthLimitError,
     Lam,
@@ -34,6 +36,23 @@ from kripkelam import (
 from kripkelam.debruijn import DbTerm, NamedTerm, ParseError, _chain, _named
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def empty_name_table():
+    """A canonical-name table that holds no names, as the library starts with."""
+    return (), "", array("i", [0])
+
+
+def check_name_table(table):
+    """Assert that a canonical-name table's names, text and end offsets fit:
+    entry n is x{n + 1}, the text is those names' binder text, and each
+    offset is where that many binders' text ends."""
+    names, text, ends = table
+    assert len(names) <= DEFAULT_MAX_NESTING
+    assert all(entry == f"x{n + 1}" for n, entry in enumerate(names))
+    binders = [f"\\ {name}. " for name in names]
+    assert text == "".join(binders)
+    assert list(ends) == list(accumulate(map(len, binders), initial=0))
 
 
 def term_xy_x() -> Term:

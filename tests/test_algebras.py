@@ -48,8 +48,10 @@ from helpers import (
     chain,
     check_chains_agree_with_closures,
     check_guard_charges_k_binders,
+    check_name_table,
     closure_chain,
     deep_term,
+    empty_name_table,
     six_outcomes,
     term_x_x,
     term_xy_x,
@@ -118,14 +120,14 @@ def _printed_from(start, k, i):
 def test_the_print_carrier_names_binders_from_any_start(monkeypatch, table, start):
     # Names x1 to x{DEFAULT_MAX_NESTING} come from the canonical-name table,
     # which grows on demand; any other name is formatted per call.
-    monkeypatch.setattr(debruijn, "_CANONICAL", ())
+    monkeypatch.setattr(debruijn, "_CANONICAL", empty_name_table())
     if table == "full":
-        debruijn._canonical(1, DEFAULT_MAX_NESTING)
+        debruijn._table(DEFAULT_MAX_NESTING)
     for k in (1, 7, 20):
         for i in sorted({0, k // 2, k - 1}):
             for t in (db_to_hoas(chain(k, i)), closure_chain(k, i)):
                 assert fold(print_alg(), t)(names(start)) == _printed_from(start, k, i)
-    assert len(debruijn._CANONICAL) <= DEFAULT_MAX_NESTING
+    check_name_table(debruijn._CANONICAL)
 
 
 # ---------------------------------------------------------------- size
@@ -434,7 +436,7 @@ def test_a_binder_costs_few_python_calls(make, per_binder):
     "run, calls",
     [
         (size, 8),
-        (print_term, 11),
+        (print_term, 10),
         (to_debruijn, 9),
         (lambda t: size(fold(lam_alg(), t)), 17),
     ],

@@ -48,6 +48,8 @@ from kripkelam.debruijn import parse_named, render_named
 from helpers import (
     RenameCounter,
     chain,
+    check_name_table,
+    empty_name_table,
     reference_parse_db,
     reference_parse_named,
     renamed,
@@ -161,6 +163,18 @@ def test_db_to_named_rejects_open_terms():
 def test_named_roundtrip_on_closed_chains():
     for d in enumerate_terms(24):
         assert named_to_db(db_to_named(d)) == d
+
+
+def test_render_named_slices_the_table_only_for_its_names():
+    # The first k canonical names, as db_to_named gives them, are rendered
+    # as a slice of the canonical-name table's text; other names, even ones
+    # that start or end as the table does, are joined.
+    db_to_named(chain(7, 0))
+    for binders in [(), ("x1",), ("x1", "x2", "x3"), ("x1", "x3"), ("x2",), ("x1", "x1"), ("x1", "x2", "y")]:
+        t = Ref("x1")
+        for name in reversed(binders):
+            t = Abs(name, t)
+        assert render_named(t) == "".join([f"\\ {name}. " for name in binders]) + "x1"
 
 
 # ---------------------------------------------------------------- enumerate
@@ -532,10 +546,14 @@ def test_parsing_a_valid_db_text_keeps_nothing_per_binder():
 def test_parsing_a_valid_named_text_takes_little_beyond_its_names():
     # The names are the result; building them must not also list them, as
     # findall followed by tuple() did (85 KB over the names at 10,000).
-    term, peak = _traced(parse_named, DEEP_NAMED_TEXT)
-    assert render_named(term) == DEEP_NAMED_TEXT
-    names = sys.getsizeof(term.binders) + sum(map(sys.getsizeof, term.binders))
-    assert peak - names < 64 * 1024
+    # Nor may the text be copied whole: reading each λ as a backslash in
+    # the whole of the deep workload's spelling, where every other binder
+    # is a λ, copies 78,896 characters.
+    for text in (DEEP_NAMED_TEXT, _named_spelling(DEFAULT_MAX_NESTING, "1")):
+        term, peak = _traced(parse_named, text)
+        assert term == reference_parse_named(text)
+        names = sys.getsizeof(term.binders) + sum(map(sys.getsizeof, term.binders))
+        assert peak - names < 64 * 1024
 
 
 # What both parsers meet in the differential test below: tokens of either
@@ -664,12 +682,14 @@ def test_format_db_text_is_read_without_the_match(monkeypatch, k):
 
 
 def test_str_split_and_the_pattern_whitespace_agree_on_every_code_point():
-    # _names lists binder names with str.split(), on binder text that _NAMED
-    # separated with \s: they must read the same characters as whitespace.
+    # _names lists binder names with str.split(), and parse_named reads the
+    # occurrence with str.strip(), where the error path's _NAMED matches \s:
+    # they must read the same characters as whitespace.
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     spaces = "".join(re.findall(r"\s", every))
     assert spaces == "".join(filter(str.isspace, every))
     assert ("x" + "x".join(spaces) + "x").split() == ["x"] * (len(spaces) + 1)
+    assert (spaces + "x" + spaces).strip() == "x"
 
 
 def _binder_run(length, width):
@@ -705,6 +725,49 @@ def test_a_long_binder_run_is_read_in_chunks_that_split_no_name(length, width):
     for gap in _GAPS:
         term = parse_named(run + gap + bound[0])
         assert term.binders == tuple(bound) and term.occurrence == bound[0]
+
+
+def _spelt(k, gap):
+    """A named text of ``k`` binders, alternately ``\\`` and ``λ``, with
+    ``gap`` before, between and after its tokens."""
+    tokens = [token for j in range(1, k + 1) for token in ("\\λ"[j % 2], f"v{j}", ".")]
+    return gap + gap.join([*tokens, f"v{k // 2}"]) + gap
+
+
+def _unmade(text):
+    """Texts that are no named term, made by editing ``text``: among them
+    an edit in its last binder, which the last chunk of a long run holds,
+    and one in its first."""
+    last, first = text.rfind("."), text.find(".")
+    edits = [text + " y", text + ".", "λ" + text, text[:1] + "?" + text[1:], text[: len(text) // 2] + "?"]
+    if first >= 0:
+        edits += [text[:last] + text[last + 1 :], text[:first] + " " + text[first + 1 :], text[:last] + "λ."]
+    return edits
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 4_097, DEFAULT_MAX_NESTING])
+def test_named_text_is_read_without_the_match(monkeypatch, k):
+    # A named term is read by str methods, a chunk of its binder run at a
+    # time, and one precompiled match of its occurrence: only a text that
+    # is no term compiles _NAMED, which places its error. That holds for
+    # both binder spellings, with any whitespace between tokens, and for
+    # binder runs on either side of the length that is read in chunks.
+    texts = [_spelt(k, gap) for gap in _GAPS]
+    if k:
+        texts.append(render_named(db_to_named(chain(k, k // 2))))
+    for length in (4_095, 4_096, 4_097):
+        run, bound = _binder_run(length, 1)
+        texts += [run + gap + bound[-1] for gap in _GAPS]
+    expected = [reference_parse_named(text) for text in texts]
+
+    def no_compile(pattern, *args):
+        raise AssertionError(f"parse_named compiled {pattern[:40]!r}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(debruijn, "re", SimpleNamespace(compile=no_compile))
+        assert [debruijn.parse_named(text) for text in texts] == expected
+    for bad in _unmade(_spelt(k, " ")) + _unmade(texts[-1]):
+        assert _outcome(debruijn.parse_named, bad) == _outcome(reference_parse_named, bad)
 
 
 # ---------------------------------------------------------------- deep terms
@@ -830,8 +893,11 @@ def test_canonical_names_agree_with_the_oracle_past_the_name_table(k):
 
 
 def test_the_name_table_stays_correct_when_threads_grow_it_at_once(monkeypatch):
-    # Each thread that grows the table rebinds it whole, so however the
-    # threads interleave, every entry n is x{n + 1}.
+    # Each thread that grows the table rebinds its names, text and end
+    # offsets as one tuple, so however the threads interleave, every entry
+    # n is x{n + 1}, and a reader slices a text that fits the names it read.
+    # The chain past DEFAULT_MAX_NESTING is printed under a larger budget:
+    # its names and text are formatted per call.
     depths = [1, 3, 40, 300, 2_000, 5_000, DEFAULT_MAX_NESTING, DEFAULT_MAX_NESTING + 5]
     chains = [chain(k, k - 1) for k in depths]
     expected = [oracle_print(d) for d in chains]
@@ -839,13 +905,16 @@ def test_the_name_table_stays_correct_when_threads_grow_it_at_once(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(debruijn, "_CANONICAL", ())
+            monkeypatch.setattr(debruijn, "_CANONICAL", empty_name_table())
             start = threading.Barrier(len(chains), timeout=60)
             texts = [None] * len(chains)
+            printed = [None] * len(chains)
 
             def name(slot):
+                d = chains[slot]
                 start.wait()
-                texts[slot] = render_named(db_to_named(chains[slot]))
+                texts[slot] = render_named(db_to_named(d))
+                printed[slot] = run_guarded(partial(print_term, db_to_hoas(d)), max_depth=d.binders)
 
             threads = [threading.Thread(target=name, args=(slot,)) for slot in range(len(chains))]
             for thread in threads:
@@ -854,9 +923,8 @@ def test_the_name_table_stays_correct_when_threads_grow_it_at_once(monkeypatch):
                 thread.join(timeout=60)
                 assert not thread.is_alive()
             assert texts == expected
-            table = debruijn._CANONICAL
-            assert len(table) <= DEFAULT_MAX_NESTING
-            assert all(entry == f"x{n + 1}" for n, entry in enumerate(table))
+            assert printed == expected
+            check_name_table(debruijn._CANONICAL)
     finally:
         sys.setswitchinterval(interval)
 

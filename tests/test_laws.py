@@ -562,8 +562,8 @@ _THREE_SKELETONS = [(None, BodySkeleton(0, Slot.ENV)), (None, BodySkeleton(1, Sl
     [
         ("size", "id", 64),
         ("size", "fold", 99),
-        ("print", "id", 100),
-        ("print", "fold", 133),
+        ("print", "id", 94),
+        ("print", "fold", 127),
         ("debruijn", "id", 97),
         ("debruijn", "fold", 130),
     ],

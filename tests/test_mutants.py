@@ -42,6 +42,7 @@ from helpers import (
     check_guard_charges_k_binders,
     closure_chain,
     reference_parse_db,
+    reference_parse_named,
 )
 from test_algebras import _no_size
 from test_algebras import test_carriers_apply_at_depth_outside_the_guard as _carriers_outside_the_guard
@@ -63,6 +64,8 @@ from test_debruijn import test_a_name_the_named_syntax_cannot_spell_is_rejected 
 from test_debruijn import test_enumerate_terms_checks_its_bound_at_the_call as _bound_at_the_call
 from test_debruijn import test_format_db_rejects_a_negative_index as _format_db_negative
 from test_debruijn import test_format_db_text_is_read_without_the_match as _read_without_the_match
+from test_debruijn import test_named_text_is_read_without_the_match as _named_read_without_the_match
+from test_debruijn import test_render_named_slices_the_table_only_for_its_names as _render_slices_only_its_names
 from test_debruijn import test_gen_term_rejects_a_bound_that_is_no_integer as _depth_bound_no_integer
 from test_encoding import test_a_max_depth_that_is_no_integer_is_named as _max_depth_named
 from test_encoding import test_a_term_interpreted_outside_any_guarded_call_charges_nothing as _charges_nothing_outside
@@ -86,9 +89,13 @@ def _guard_checks():
 
 
 def _fails(check) -> bool:
+    # A check fails when it raises: an assertion, pytest.raises missing its
+    # error, or an error under the mutant, such as the ParseError of a
+    # parser that rejects a valid text. Each row first runs its checks
+    # unpatched, where any of these fails the row.
     try:
         check()
-    except (AssertionError, pytest.fail.Exception):  # pytest.raises fails with the latter
+    except (Exception, pytest.fail.Exception):
         return True
     return False
 
@@ -369,21 +376,23 @@ def test_the_chunked_name_scan(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "old, new, starts",
+    "name, old, new, starts",
     [
-        ("table[start - 1 : last]", "table[start : last]", [1, 2, 9_995]),
-        ("if 1 <= start and last", "if last", [-2, 0]),
+        ("_canonical_text", "text[ends[start - 1] : ends[last]]", "text[ends[start] : ends[last]]", [1, 2, 9_995]),
+        ("_canonical_text", "if 1 <= start and last", "if last", [-2, 0]),
+        ("_table", "end := end + len(name) + 4", "end := end + len(name) + 3", [1, 2, 9_995]),
     ],
-    ids=["slice-off-by-one", "no-start-check"],
+    ids=["slice-off-by-one", "no-start-check", "ends-off-by-one"],
 )
-def test_the_name_table(monkeypatch, old, new, starts):
+def test_the_name_table(monkeypatch, name, old, new, starts):
     # The print carrier's differential over names(start), with the table
-    # empty and full; algebras holds its own reference to _canonical.
+    # empty and full; algebras holds its own reference to _canonical_text.
     checks = [partial(_names_from_any_start, monkeypatch, table, s) for table in ("empty", "full") for s in starts]
     assert not any(_fails(check) for check in checks)
-    mutant = _with_line(debruijn, "_canonical", old, new)
-    monkeypatch.setattr(debruijn, "_canonical", mutant)
-    monkeypatch.setattr(algebras, "_canonical", mutant)
+    mutant = _with_line(debruijn, name, old, new)
+    for owner in (debruijn, algebras):
+        if hasattr(owner, name):
+            monkeypatch.setattr(owner, name, mutant)
     assert all(_fails(check) for check in checks)
 
 
@@ -394,13 +403,71 @@ _split_checks = [partial(_chunks_split_no_name, length, 1) for length in (4_095,
 
 @pytest.mark.parametrize(
     "old",
-    ['.replace("\\\\", " ")', '.replace("λ", " ")', '.replace(".", " ")'],
+    ['.replace("\\\\", " ")', '.replace("λ", "\\\\")', '.replace(".", " ")'],
     ids=["backslash-kept", "lambda-kept", "dot-kept"],
 )
 def test_the_name_split(monkeypatch, old):
     assert not any(_fails(check) for check in _split_checks)
     monkeypatch.setattr(debruijn, "_names", _with_line(debruijn, "_names", old, ""))
     assert all(_fails(check) for check in _split_checks)
+
+
+def _named_text_is_read_without_the_match(k):
+    with pytest.MonkeyPatch.context() as patch:
+        _named_read_without_the_match(patch, k)
+
+
+@pytest.mark.parametrize(
+    "name, old, new, checks",
+    [
+        # Names that start as the canonical ones do are sliced from the
+        # table's text as if they were the canonical ones.
+        ("_binder_text", "if binders == names[:k]:", 'if binders and binders[0] == "x1":', [_render_slices_only_its_names]),
+        # A λ is kept in the chunk, whose skeleton is then not ASCII, so a
+        # valid text with one takes the error path.
+        (
+            "_names",
+            '.replace("λ", "\\\\")',
+            "",
+            [partial(_named_text_is_read_without_the_match, k) for k in (2, 4_097)],
+        ),
+    ],
+    ids=["render-first-name-only", "lambda-unnormalised"],
+)
+def test_the_named_text_paths(monkeypatch, name, old, new, checks):
+    assert not any(_fails(check) for check in checks)
+    monkeypatch.setattr(debruijn, name, _with_line(debruijn, name, old, new))
+    assert all(_fails(check) for check in checks)
+
+
+def _named_agrees_with_the_reference(text):
+    assert _outcome(debruijn.parse_named, text) == _outcome(reference_parse_named, text)
+
+
+@pytest.mark.parametrize(
+    "old, new, texts",
+    [
+        # A name with a character past ASCII, or another one outside the
+        # syntax, is read as a name.
+        ("skeleton.isascii()", "True", ["\\aé. x", "λ\u3000bé. x"]),
+        ('"!" not in skeleton', "True", ["\\a?. x", "\\a-b. x"]),
+        # A name may start with a digit or "_", or stand before its binder.
+        (r'skeleton.count(".\\a") == ', "", ["\\1a. x", "\\_a. x", "a\\. x"]),
+        # A backslash, or a dot, too many.
+        (r' == skeleton.count("\\")', "", ["\\ab\\. x", "\\a. \\b\\. x"]),
+        (' == skeleton.count(".") - 1', "", ["\\a.. x", "\\a. \\b.. x"]),
+        # Whitespace splits a name in two.
+        (" == len(names)", "", ["\\a b. x", "λa. \\b\tc. x"]),
+        # Whitespace past ASCII is kept in the skeleton: valid text is refused.
+        ('chunk = " ".join(chunk.split())', "pass", ["\\\u3000a. x", "λa\x85. \\b. a"]),
+    ],
+    ids=["any-character", "any-ascii", "no-first-letter", "backslash-over", "dot-over", "name-split", "wide-space-kept"],
+)
+def test_the_binder_skeleton(monkeypatch, old, new, texts):
+    checks = [partial(_named_agrees_with_the_reference, text) for text in texts]
+    assert not any(_fails(check) for check in checks)
+    monkeypatch.setattr(debruijn, "_names", _with_line(debruijn, "_names", old, new))
+    assert all(_fails(check) for check in checks)
 
 
 def _db_agrees_with_the_reference(text):
