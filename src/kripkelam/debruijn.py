@@ -42,8 +42,8 @@ after the binder run or among the closing parentheses.
 
 The canonical names ``x1``, ``x2``, ... come from one table that grows on
 demand to at most ``DEFAULT_MAX_NESTING`` names. Beside the names it holds
-their binder text, ``\\ x1. \\ x2. ...``, and where each binder's text
-ends in it, and it grows all three in one step. :func:`db_to_named` slices
+their binder text, ``\\ x1. \\ x2. ...``, and it grows both in one step;
+where each binder's text ends in it is computed. :func:`db_to_named` slices
 its binder names from it. The binder text of x{s} to x{l}, which
 ``print_term`` and the print carrier give, and of the names
 :func:`db_to_named` gives, which :func:`render_named` writes, is sliced from
@@ -54,7 +54,6 @@ text is joined in one ``str.join``. The oracles do not use the table.
 from __future__ import annotations
 
 import re
-from array import array
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
@@ -290,38 +289,39 @@ def db_to_named(d: DbTerm) -> NamedTerm:
     return _named(tuple([f"x{n}" for n in range(1, k + 1)]), f"x{k - i}")
 
 
-# The canonical-name table: names, entry n being x{n + 1}; the binder text
-# "\\ x1. \\ x2. ..." of those names; and the offsets in that text where
-# each binder ends, entry n being the length of the first n binders' text.
-# It grows by doubling up to DEFAULT_MAX_NESTING names, and growing rebinds
-# all three as one tuple, so a thread that reads it during another's growth
-# still reads a table whose text and offsets fit its names.
-_CANONICAL: tuple[tuple[str, ...], str, array] = ((), "", array("i", [0]))
+# The canonical-name table: names, entry n being x{n + 1}, and the binder
+# text "\\ x1. \\ x2. ..." of those names. It grows by doubling up to
+# DEFAULT_MAX_NESTING names, and growing rebinds both as one tuple, so a
+# thread that reads it during another's growth still reads a table whose
+# text fits its names.
+_CANONICAL: tuple[tuple[str, ...], str] = ((), "")
 
 
-def _table(last: int) -> tuple[tuple[str, ...], str, array]:
+def _table(last: int) -> tuple[tuple[str, ...], str]:
     """The canonical-name table, grown first if it holds fewer than ``last`` names."""
     global _CANONICAL
     table = _CANONICAL
-    names, text, ends = table
+    names, text = table
     if len(names) < last:
         size = min(max(2 * len(names), last), DEFAULT_MAX_NESTING)
         more = [f"x{n}" for n in range(len(names) + 1, size + 1)]
-        end = ends[-1]
-        table = _CANONICAL = (
-            names + tuple(more),
-            text + "\\ " + ". \\ ".join(more) + ". ",
-            ends + array("i", [end := end + len(name) + 4 for name in more]),
-        )
+        table = _CANONICAL = (names + tuple(more), text + "\\ " + ". \\ ".join(more) + ". ")
     return table
 
 
 def _canonical_text(start: int, last: int) -> str:
     """The text of binders named x{start} to x{last}, outermost first: a
-    slice of the table's text where it holds them."""
+    slice of the table's text where it holds them.
+
+    The binder text of x{m} is 5 characters and m's digits, and the m up to
+    n have ``(n + 1)d - (10**d - 1) / 9`` digits in all, d being the digits
+    of n: so the first n binders' text ends at 5n plus that.
+    """
     if 1 <= start and last <= DEFAULT_MAX_NESTING:
-        _, text, ends = _table(last)
-        return text[ends[start - 1] : ends[last]]
+        n = start - 1
+        d, e = len(str(n)), len(str(last))
+        begin = 5 * n + (n + 1) * d - (10**d - 1) // 9
+        return _table(last)[1][begin : 5 * last + (last + 1) * e - (10**e - 1) // 9]
     return "".join([f"\\ x{n}. " for n in range(start, last + 1)])
 
 
@@ -331,10 +331,10 @@ def _binder_text(binders: tuple[str, ...]) -> str:
     The first ``k`` canonical names, which :func:`db_to_named` gives, are a
     slice of the table's text; any other names are joined.
     """
-    names, text, ends = _CANONICAL
+    names = _CANONICAL[0]
     k = len(binders)
     if binders == names[:k]:
-        return text[: ends[k]]
+        return _canonical_text(1, k)
     return "\\ " + ". \\ ".join(binders) + ". "
 
 

@@ -398,8 +398,11 @@ class _Budget:
 
 # Charges that may nest before a top-level guarded call raises the recursion
 # limit; run_guarded's docstring gives the headroom that costs a call near
-# the caller's limit. A guarded call of the law suites makes at most 8.
-_TRIP = 40
+# the caller's limit. A guarded call of the law suites makes at most 8. A
+# lower trip point fires sooner, so a fold of many frames a binder gets its
+# raised limit before it runs out of the caller's, but opens the CPython
+# 3.11 window of run_guarded's docstring for shallower folds.
+_TRIP = 16
 
 
 class _Guard(threading.local):
@@ -555,7 +558,7 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
 
     At top level the thunk runs once, on the calling thread, and leaves
     the interpreter's recursion limit alone until the call's tripwire
-    fires: after about 40 binder interpretations or ``lam_alg`` layers,
+    fires: after about 16 binder interpretations or ``lam_alg`` layers,
     which may nest. Binders skipped or stepped in place by the library's
     folds nest nothing and never fire it. Then the call raises the limit
     to what ``max_depth`` binders need. The limit is process-wide: it stays
@@ -565,13 +568,15 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     raised limit also lets another thread's deep C recursion (``repr`` of
     a deeply nested list, say) overflow the C stack and crash the process,
     so that window stays open while a call whose tripwire fired is in
-    flight. A call started near the caller's limit must fire its tripwire
-    before it runs out of frames, so it needs about 41 times its frames per
-    nested binder below that limit: a 100-binder fold of an algebra that
-    recurses once per binder needs 130 frames at 3 frames a binder and 650
-    at the 16 a binder that the raised limit budgets for. So at the default
-    limit of 1,000, such a 16-frame fold started more than about 350 frames
-    deep raises ``RecursionError``.
+    flight; a foreign fold of 17 binders or more opens it. A call started
+    near the caller's limit must fire its tripwire before it runs out of
+    frames, so it needs about 17 times its frames per nested binder below
+    that limit: a 100-binder fold of an algebra that recurses once per
+    binder needs 55 frames at 3 frames a binder and 265 at the 16 a binder
+    that the raised limit budgets for. So at the default limit of 1,000,
+    such a 16-frame fold started more than about 735 frames deep raises
+    ``RecursionError``, and one started at the top level fires the
+    tripwire in time at up to 61 frames a binder.
     """
     return _guarded(operator.call, thunk, max_depth)
 

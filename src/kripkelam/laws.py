@@ -17,20 +17,21 @@ from a finite family of skeletons, the candidate family is fixed to the
 algebra type with the identity embedding (the only instantiation the rest
 of this library uses), and results are compared at observable carriers,
 applying function carriers to a canonical argument first. A reported
-failure is a real counterexample and comes with the skeleton (and seed, if
-generated) that produced it; a pass covers only the instances that ran.
+failure is a real counterexample and comes with the skeleton that produced
+it, which alone determines the instance; a pass covers only the instances
+that ran.
 
 A :class:`BodySkeleton` is checked once, when it is made, so a law
 instance pays only for the law: :func:`body_of_skeleton` checks nothing.
 The skeletons the library makes itself (:func:`enumerate_skeletons`,
-:func:`gen_skeleton`) are valid by construction, and are made without
+:func:`skeleton_pool`) are valid by construction, and are made without
 ``__init__`` by the rule for the library's own objects in
 :mod:`kripkelam.encoding`.
 
 :func:`hom_sides` evaluates one instance and returns both observed sides.
 The suites (:func:`check_hom` and the three laws built on it) run it over
-``(seed, skeleton)`` pairs as :func:`skeleton_pool` returns them, with seed
-None for an enumerated skeleton, and record each refuted pair as a
+any iterable of skeletons, such as :func:`enumerate_skeletons` or
+:func:`skeleton_pool` returns, and record each refuted skeleton as a
 :class:`Witness`.
 """
 
@@ -69,7 +70,6 @@ __all__ = [
     "check_hom",
     "check_id_hom",
     "enumerate_skeletons",
-    "gen_skeleton",
     "hom_sides",
     "identity_term",
     "render_reports",
@@ -233,22 +233,17 @@ def hom_sides(
 
 
 class Witness(_Frozen):
-    """A refuted instance, reproducible from the skeleton (and seed)."""
+    """A refuted instance, reproducible from its skeleton."""
 
-    __slots__ = __match_args__ = ("skeleton", "seed", "lhs", "rhs")
+    __slots__ = __match_args__ = ("skeleton", "lhs", "rhs")
 
-    def __init__(self, skeleton: BodySkeleton, seed: Union[int, None], lhs: Any, rhs: Any):
+    def __init__(self, skeleton: BodySkeleton, lhs: Any, rhs: Any):
         _set(self, "skeleton", skeleton)
-        _set(self, "seed", seed)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
 
     def describe(self) -> str:
-        origin = f"seed {self.seed}" if self.seed is not None else "enumerated"
-        return (
-            f"{self.skeleton.describe()} ({origin}): "
-            f"lhs {self.lhs!r} != rhs {self.rhs!r}"
-        )
+        return f"{self.skeleton.describe()}: lhs {self.lhs!r} != rhs {self.rhs!r}"
 
 
 class Report(_Record):
@@ -271,32 +266,27 @@ class Report(_Record):
         return f"{self.suite}: {self.checked} checked, {len(self.failures)} failures [{status}]"
 
 
-# A skeleton as :func:`skeleton_pool` returns it: tagged with the seed that
-# generated it, or None if it was enumerated.
-_PoolItem = tuple[Union[int, None], BodySkeleton]
-
-
 def check_hom(
     alg1: Algebra,
     alg2: Algebra,
     h: Callable[[Any], Any],
-    skeletons: Iterable[_PoolItem],
+    skeletons: Iterable[BodySkeleton],
     *,
     env_value,
     observe: Callable[[Any], Any],
     suite: str = "hom",
 ) -> Report:
-    """Check one candidate homomorphism on every ``(seed, skeleton)`` pair."""
+    """Check one candidate homomorphism on every skeleton."""
     report = Report(suite)
-    for seed, skeleton in skeletons:
+    for skeleton in skeletons:
         lhs, rhs = hom_sides(alg1, alg2, h, skeleton, env_value, observe)
         report.checked += 1
         if lhs != rhs:
-            report.failures.append(Witness(skeleton, seed, lhs, rhs))
+            report.failures.append(Witness(skeleton, lhs, rhs))
     return report
 
 
-def check_id_hom(alg: Algebra, skeletons: Iterable[_PoolItem], *, env_value, observe) -> Report:
+def check_id_hom(alg: Algebra, skeletons: Iterable[BodySkeleton], *, env_value, observe) -> Report:
     """The identity function is a homomorphism from ``alg`` to itself."""
     label = alg.name or "alg"
     return check_hom(
@@ -316,7 +306,7 @@ def check_compose_hom(
     alg3: Algebra,
     h1: Callable[[Any], Any],
     h2: Callable[[Any], Any],
-    skeletons: Iterable[_PoolItem],
+    skeletons: Iterable[BodySkeleton],
     *,
     env_value,
     observe: Callable[[Any], Any],
@@ -340,7 +330,7 @@ def identity_term() -> Term:
     return closed(lambda _outer, x: place(x))
 
 
-def check_fold_hom(alg: Algebra, skeletons: Iterable[_PoolItem], *, observe) -> Report:
+def check_fold_hom(alg: Algebra, skeletons: Iterable[BodySkeleton], *, observe) -> Report:
     """Folding with ``alg`` is a homomorphism from ``lam_alg()`` to ``alg``.
 
     The environment value lives at the term carrier, so it is a term: the
@@ -371,29 +361,28 @@ def enumerate_skeletons(max_binders: int) -> list[BodySkeleton]:
     return [_skeleton(j, leaf) for j in range(max_binders + 1) for leaf in (Slot.ENV, Slot.FRESH, *range(j))]
 
 
-def gen_skeleton(seed: int, max_binders: int) -> BodySkeleton:
-    """Seeded pseudo-random skeleton, same splitmix64 scheme as gen_term."""
-    seed = _integer(seed, "a seed is an integer")
-    max_binders = _integer(max_binders, "a binder bound is an integer")
-    if max_binders < 0:
-        raise ValueError("max_binders must be nonnegative")
-    draw0, state = splitmix64(seed)
-    draw1, _ = splitmix64(state)
-    binders = draw0 % (max_binders + 1)
-    choice = draw1 % (binders + 2)
-    return _skeleton(binders, Slot.ENV if choice == 0 else Slot.FRESH if choice == 1 else choice - 2)
+def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[BodySkeleton]:
+    """Every skeleton up to ``max_binders``, then ``samples`` drawn ones with
+    up to ``4 * max_binders`` binders, one per seed ``seed``, ``seed + 1``, ...
 
-
-def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[_PoolItem]:
-    """Every skeleton up to ``max_binders`` tagged None, then ``samples``
-    generated ones with up to ``4 * max_binders`` binders, tagged with their
-    seeds ``seed``, ``seed + 1``, ..."""
+    A seed draws as ``gen_term`` does, two splitmix64 outputs: the binder
+    count is ``draw0 mod (4 * max_binders + 1)``, and ``draw1 mod (binders
+    + 2)`` picks the leaf, 0 the env slot, 1 the fresh one and ``2 + i``
+    local ``i``.
+    """
     samples = _integer(samples, "a sample count is an integer")
     seed = _integer(seed, "a seed is an integer")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    pool: list[_PoolItem] = [(None, s) for s in enumerate_skeletons(max_binders)]
-    pool.extend((seed + i, gen_skeleton(seed + i, 4 * max_binders)) for i in range(samples))
+    max_binders = _integer(max_binders, "a binder bound is an integer")
+    pool = enumerate_skeletons(max_binders)
+    bound = 4 * max_binders + 1
+    for s in range(seed, seed + samples):
+        draw0, state = splitmix64(s)
+        draw1, _ = splitmix64(state)
+        binders = draw0 % bound
+        choice = draw1 % (binders + 2)
+        pool.append(_skeleton(binders, Slot.ENV if choice == 0 else Slot.FRESH if choice == 1 else choice - 2))
     return pool
 
 

@@ -5,9 +5,10 @@ import re
 import subprocess
 import sys
 import textwrap
-from array import array
-from itertools import accumulate, islice
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from kripkelam import (
     DEFAULT_MAX_NESTING,
@@ -33,26 +34,38 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
-from kripkelam.debruijn import DbTerm, NamedTerm, ParseError, _chain, _named
+from kripkelam.debruijn import DbTerm, NamedTerm, ParseError, _canonical_text, _chain, _named
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def empty_name_table():
     """A canonical-name table that holds no names, as the library starts with."""
-    return (), "", array("i", [0])
+    return (), ""
 
 
 def check_name_table(table):
-    """Assert that a canonical-name table's names, text and end offsets fit:
-    entry n is x{n + 1}, the text is those names' binder text, and each
-    offset is where that many binders' text ends."""
-    names, text, ends = table
+    """Assert that the canonical-name table ``table``, which the library
+    holds, fits its names, and that the offsets computed into its text do:
+    entry n is x{n + 1}, the text is those names' binder text, and the
+    slice for each binder alone is its text."""
+    names, text = table
     assert len(names) <= DEFAULT_MAX_NESTING
     assert all(entry == f"x{n + 1}" for n, entry in enumerate(names))
     binders = [f"\\ {name}. " for name in names]
     assert text == "".join(binders)
-    assert list(ends) == list(accumulate(map(len, binders), initial=0))
+    assert [_canonical_text(n, n) for n in range(1, len(names) + 1)] == binders
+
+
+def reference_splitmix64(state: int) -> tuple[int, int]:
+    """splitmix64's (output, next state), evaluated independently of the
+    library with numpy's wrapping uint64 arithmetic."""
+    with np.errstate(over="ignore"):
+        state = np.uint64(state) + np.uint64(0x9E3779B97F4A7C15)
+        z = state
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return int(z ^ (z >> np.uint64(31))), int(state)
 
 
 def term_xy_x() -> Term:

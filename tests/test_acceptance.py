@@ -175,11 +175,7 @@ def test_criterion_6_cli_end_to_end(monkeypatch, capsys):
 
 def test_criterion_7_checker_refutes_wrong_homomorphism():
     start = time.perf_counter()
-    skeletons = [
-        (None, BodySkeleton(0, Slot.FRESH)),
-        (None, BodySkeleton(0, Slot.ENV)),
-        (None, BodySkeleton(1, 0)),
-    ]
+    skeletons = [BodySkeleton(0, Slot.FRESH), BodySkeleton(0, Slot.ENV), BodySkeleton(1, 0)]
     report = check_hom(
         size_alg(),
         size_alg(),

@@ -52,6 +52,7 @@ from helpers import (
     empty_name_table,
     reference_parse_db,
     reference_parse_named,
+    reference_splitmix64,
     renamed,
     run_fresh,
 )
@@ -215,25 +216,13 @@ def test_enumerate_terms_checks_its_bound_at_the_call():
 
 
 def test_splitmix64_matches_independent_arithmetic():
-    # same algorithm evaluated with numpy's wrapping uint64 arithmetic
-    def reference(state):
-        state = np.uint64(state) + np.uint64(0x9E3779B97F4A7C15)
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return int(z ^ (z >> np.uint64(31))), int(state)
-
-    old = np.seterr(over="ignore")
-    try:
-        state = 0
-        ref_state = 0
-        for _ in range(500):
-            out, state = splitmix64(state)
-            ref_out, ref_state = reference(ref_state)
-            assert out == ref_out
-            assert state == ref_state
-    finally:
-        np.seterr(**old)
+    state = 0
+    ref_state = 0
+    for _ in range(500):
+        out, state = splitmix64(state)
+        ref_out, ref_state = reference_splitmix64(ref_state)
+        assert out == ref_out
+        assert state == ref_state
 
 
 def test_splitmix64_known_values():
@@ -893,8 +882,8 @@ def test_canonical_names_agree_with_the_oracle_past_the_name_table(k):
 
 
 def test_the_name_table_stays_correct_when_threads_grow_it_at_once(monkeypatch):
-    # Each thread that grows the table rebinds its names, text and end
-    # offsets as one tuple, so however the threads interleave, every entry
+    # Each thread that grows the table rebinds its names and text as one
+    # tuple, so however the threads interleave, every entry
     # n is x{n + 1}, and a reader slices a text that fits the names it read.
     # The chain past DEFAULT_MAX_NESTING is printed under a larger budget:
     # its names and text are formatted per call.

@@ -613,8 +613,8 @@ def test_a_foreign_fold_started_near_the_recursion_limit_fires_the_tripwire_in_t
     # (interpret, interpret_lam and the algebra); _nest(11, ...) adds 13,
     # the 16 a binder that _FRAMES_PER_LEVEL budgets for. The tripwire must
     # fire before a 100-binder fold runs out of the frames left below the
-    # caller's limit: it fires within 41 binders, about 130 frames in all
-    # at 3 frames a binder and about 650 at 16.
+    # caller's limit: it fires within 17 binders, about 55 frames in all
+    # at 3 frames a binder and about 265 at 16.
     limit = sys.getrecursionlimit()
     recursing = Algebra(interpret)
     t = deep_term(100)
@@ -626,6 +626,33 @@ def test_a_foreign_fold_started_near_the_recursion_limit_fires_the_tripwire_in_t
 
     assert descend(_frames_left() - below) == 101
     assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("frames", [25, 40])
+def test_a_foreign_fold_from_the_top_level_fires_the_tripwire_before_the_default_limit(frames):
+    # A 1,000-binder fold at 25 or 40 frames a binder, started at the top
+    # of a new interpreter with the default limit of 1,000. When the
+    # tripwire fired after 40 nested charges, these raised RecursionError
+    # at 40 and 25 binders: 40 binders' frames were the whole limit.
+    out = run_fresh(f"""
+        import sys
+        from kripkelam import Algebra, Rename, closed, fold, lam, place
+
+        def nest(n, thunk):
+            return nest(n - 1, thunk) if n else thunk()
+
+        # interpret, interpret_lam, the algebra, nest's calls and the thunk
+        recursing = Algebra(
+            lambda body, embed, alg: nest({frames - 5}, lambda: 1 + body(Rename.identity(), 1).interpret(alg))
+        )
+
+        def level(j):
+            return lambda mx, fresh: place(fresh) if j == 1_000 else lam(level(j + 1))
+
+        before = sys.getrecursionlimit()
+        print(fold(recursing, closed(level(1))), before, sys.getrecursionlimit())
+    """)
+    assert out == "1001 1000 1000\n"
 
 
 def test_calls_that_nest_nothing_leave_the_recursion_limit_alone():

@@ -23,7 +23,6 @@ from kripkelam import (
     enumerate_skeletons,
     fold,
     format_db,
-    gen_skeleton,
     hom_sides,
     identity_term,
     lam,
@@ -39,13 +38,8 @@ from kripkelam import (
 from kripkelam import encoding
 from kripkelam.laws import render_reports
 
-from helpers import Poison, RenameCounter, renamed
+from helpers import Poison, RenameCounter, reference_splitmix64, renamed
 from test_algebras import _profiled
-
-
-def skeletons_to(depth):
-    """Every skeleton up to ``depth`` binders, tagged as enumerated."""
-    return [(None, s) for s in enumerate_skeletons(depth)]
 
 
 # ---------------------------------------------------------------- skeletons
@@ -65,9 +59,9 @@ def test_enumerate_skeletons_counts_by_the_closed_formula():
 
 
 def test_the_library_makes_the_skeletons_the_public_constructor_makes():
-    # enumerate_skeletons and gen_skeleton make theirs without __init__.
-    made = enumerate_skeletons(16) + [gen_skeleton(seed, 32) for seed in range(300)]
-    made += [gen_skeleton(True, np.int64(3)), gen_skeleton(np.int64(5), True)]
+    # enumerate_skeletons and skeleton_pool make theirs without __init__.
+    made = enumerate_skeletons(16) + skeleton_pool(8, 300, 0)
+    made += skeleton_pool(True, np.int64(3), np.int64(5)) + skeleton_pool(np.int64(3), True, True)
     for s in made:
         twin = BodySkeleton(s.binders, s.leaf)
         assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
@@ -102,21 +96,21 @@ def test_skeleton_validation():
 
 # ------------------------------------------------------------------ records
 
-_WITNESS = Witness(BodySkeleton(2, Slot.ENV), 3, 1, 2)
+_WITNESS = Witness(BodySkeleton(2, Slot.ENV), 1, 2)
 
 # Each record with the repr it has always had; the values pickle.
 _RECORDS = [
     (BodySkeleton(2, Slot.ENV), "BodySkeleton(binders=2, leaf=<Slot.ENV: 'env'>)"),
     (BodySkeleton(3, 1), "BodySkeleton(binders=3, leaf=1)"),
-    (_WITNESS, "Witness(skeleton=BodySkeleton(binders=2, leaf=<Slot.ENV: 'env'>), seed=3, lhs=1, rhs=2)"),
+    (_WITNESS, "Witness(skeleton=BodySkeleton(binders=2, leaf=<Slot.ENV: 'env'>), lhs=1, rhs=2)"),
     (
-        Witness(BodySkeleton(0, Slot.FRESH), None, "a", "b"),
-        "Witness(skeleton=BodySkeleton(binders=0, leaf=<Slot.FRESH: 'fresh'>), seed=None, lhs='a', rhs='b')",
+        Witness(BodySkeleton(0, Slot.FRESH), "a", "b"),
+        "Witness(skeleton=BodySkeleton(binders=0, leaf=<Slot.FRESH: 'fresh'>), lhs='a', rhs='b')",
     ),
     (
         Report("id_hom[size]", 1, [_WITNESS]),
         "Report(suite='id_hom[size]', checked=1, failures=[Witness(skeleton=BodySkeleton(binders=2, "
-        "leaf=<Slot.ENV: 'env'>), seed=3, lhs=1, rhs=2)])",
+        "leaf=<Slot.ENV: 'env'>), lhs=1, rhs=2)])",
     ),
     (Report("fold_hom[print]"), "Report(suite='fold_hom[print]', checked=0, failures=[])"),
     (
@@ -143,7 +137,7 @@ def test_a_law_record_copies_pickles_and_shows_as_it_always_has(record, shown):
 def test_a_law_record_is_made_by_position_or_keyword_and_matched_by_position():
     skeleton = BodySkeleton(binders=2, leaf=Slot.ENV)
     assert skeleton == BodySkeleton(2, Slot.ENV)
-    assert Witness(skeleton=skeleton, seed=3, lhs=1, rhs=2) == _WITNESS
+    assert Witness(skeleton=skeleton, lhs=1, rhs=2) == _WITNESS
     # The form perfbench/selftest.py uses.
     report = Report("stub", checked=1, failures=[_WITNESS])
     assert (report.suite, report.checked, report.failures) == ("stub", 1, [_WITNESS])
@@ -152,7 +146,7 @@ def test_a_law_record_is_made_by_position_or_keyword_and_matched_by_position():
     match skeleton, _WITNESS, report, context:
         case (
             BodySkeleton(2, Slot.ENV),
-            Witness(BodySkeleton(2, Slot.ENV), 3, 1, 2),
+            Witness(BodySkeleton(2, Slot.ENV), 1, 2),
             Report("stub", 1, [Witness()]),
             CarrierContext("size", None, 1, observe),
         ):
@@ -164,7 +158,7 @@ def test_a_law_record_is_made_by_position_or_keyword_and_matched_by_position():
 def test_the_frozen_law_records_hash_and_refuse_assignment():
     for record, twin in (
         (BodySkeleton(3, 1), BodySkeleton(np.int64(3), True)),
-        (_WITNESS, Witness(BodySkeleton(2, Slot.ENV), 3, 1, 2)),
+        (_WITNESS, Witness(BodySkeleton(2, Slot.ENV), 1, 2)),
         (CarrierContext("size", None, 1, abs), CarrierContext("size", None, 1, abs)),
     ):
         assert record == twin and hash(record) == hash(twin)
@@ -173,7 +167,7 @@ def test_the_frozen_law_records_hash_and_refuse_assignment():
                 setattr(record, name, 0)
             with pytest.raises(AttributeError):
                 delattr(record, name)
-    assert BodySkeleton(3, 1) != BodySkeleton(3, 2) and BodySkeleton(1, 0) != Witness(BodySkeleton(1, 0), None, 1, 1)
+    assert BodySkeleton(3, 1) != BodySkeleton(3, 2) and BodySkeleton(1, 0) != Witness(BodySkeleton(1, 0), 1, 1)
 
 
 def test_a_report_is_unhashable_and_counts_into_its_own_new_list():
@@ -189,7 +183,7 @@ def test_a_report_is_unhashable_and_counts_into_its_own_new_list():
 
 @pytest.mark.parametrize("binders", [1.5, 1.0, "1", None])
 def test_a_binder_count_or_bound_that_is_no_integer_is_rejected(binders):
-    # gen_skeleton(1, 1.5) once built a skeleton of 1.0 binders, and
+    # A drawn skeleton with a bound of 1.5 once had 1.0 binders, and
     # hom_sides on BodySkeleton(1.5, Slot.ENV) observed (3.5, 3.5).
     with pytest.raises(TypeError) as err:
         BodySkeleton(binders, Slot.ENV).validate()
@@ -197,15 +191,15 @@ def test_a_binder_count_or_bound_that_is_no_integer_is_rejected(binders):
     with pytest.raises(TypeError, match="a skeleton's binder count is an integer"):
         hom_sides(size_alg(), size_alg(), lambda n: n, BodySkeleton(binders, Slot.ENV), 1, lambda n: n)
     with pytest.raises(TypeError) as err:
-        gen_skeleton(1, binders)
+        skeleton_pool(binders, 1, 1)
     assert str(err.value) == f"a binder bound is an integer, not {binders!r}"
     # enumerate_skeletons("1") once raised a bare '<' and 1.5 one from range;
-    # gen_skeleton(1.5, 1) raised one from splitmix64's arithmetic.
+    # a seed of 1.5 raised one from splitmix64's arithmetic.
     with pytest.raises(TypeError) as err:
         enumerate_skeletons(binders)
     assert str(err.value) == f"a binder bound is an integer, not {binders!r}"
     with pytest.raises(TypeError) as err:
-        gen_skeleton(binders, 1)
+        skeleton_pool(1, 1, binders)
     assert str(err.value) == f"a seed is an integer, not {binders!r}"
 
 
@@ -225,21 +219,36 @@ def test_body_of_skeleton_rejects_malformed():
         body_of_skeleton(BodySkeleton(1, 1), 0)
 
 
-def test_gen_skeleton_is_deterministic_and_well_formed():
-    for seed in range(300):
-        s = gen_skeleton(seed, 16)
+def test_skeleton_pool_is_deterministic_and_well_formed():
+    pool = skeleton_pool(4, 300, 0)
+    assert pool == skeleton_pool(4, 300, 0)
+    for s in pool:
         s.validate()
-        assert s == gen_skeleton(seed, 16)
         assert s.binders <= 16
 
 
 def test_skeleton_pool_mixes_enumerated_and_generated():
     pool = skeleton_pool(3, 10, seed=7)
-    enumerated = [item for item in pool if item[0] is None]
-    generated = [item for item in pool if item[0] is not None]
-    assert len(enumerated) == len(enumerate_skeletons(3))
-    assert len(generated) == 10
-    assert [seed for seed, _ in generated] == list(range(7, 17))
+    enumerated = enumerate_skeletons(3)
+    assert len(pool) == len(enumerated) + 10
+    assert pool[: len(enumerated)] == enumerated
+    # One drawn skeleton per seed: the pool from seed 8 is the tail from seed 7.
+    assert skeleton_pool(3, 9, seed=8)[len(enumerated) :] == pool[len(enumerated) + 1 :]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63])
+def test_the_pool_tail_is_drawn_by_splitmix64(seed):
+    # Recomputed with the tests' numpy splitmix64: two draws per seed give
+    # draw0 mod (4 * 32 + 1) binders and the leaf draw1 mod (binders + 2),
+    # read as env, fresh, then local 0, 1, ...
+    expected = []
+    for s in range(seed, seed + 300):
+        draw0, state = reference_splitmix64(s)
+        draw1, _ = reference_splitmix64(state)
+        binders = draw0 % 129
+        choice = draw1 % (binders + 2)
+        expected.append(BodySkeleton(binders, [Slot.ENV, Slot.FRESH, *range(binders)][choice]))
+    assert skeleton_pool(32, 300, seed)[len(enumerate_skeletons(32)) :] == expected
 
 
 def test_negative_pool_bounds_are_rejected():
@@ -248,7 +257,7 @@ def test_negative_pool_bounds_are_rejected():
     with pytest.raises(ValueError, match="max_binders must be nonnegative"):
         skeleton_pool(-1, 0, seed=0)
     with pytest.raises(ValueError, match="max_binders must be nonnegative"):
-        gen_skeleton(0, -1)
+        skeleton_pool(-1, 5, seed=0)
     with pytest.raises(ValueError, match="samples must be nonnegative"):
         skeleton_pool(2, -1, seed=0)
     with pytest.raises(ValueError):
@@ -273,11 +282,10 @@ def test_a_bool_or_numpy_count_bound_or_seed_is_its_int():
         sides = hom_sides(size_alg(), size_alg(), lambda n: n, BodySkeleton(three, one), 1, lambda n: n)
         assert sides == (5, 5) and all(type(side) is int for side in sides)
         assert enumerate_skeletons(three) == enumerate_skeletons(3)
-        assert gen_skeleton(three, one) == gen_skeleton(3, 1)
-        assert gen_skeleton(one, three) == gen_skeleton(1, 3)
+        assert skeleton_pool(three, one, one) == skeleton_pool(3, 1, 1)
         pool = skeleton_pool(one, three, three)
         assert pool == skeleton_pool(1, 3, 3)
-        assert all(type(seed) is int for seed, _ in pool if seed is not None)
+        assert all(type(s.binders) is int for s in pool)
         assert run_all_laws(one, three, three) == run_all_laws(1, 3, 3)
 
 
@@ -338,13 +346,13 @@ def test_body_of_skeleton_renames_only_the_leaf():
 
 
 def test_identity_is_a_homomorphism_on_every_skeleton():
-    for _, s in skeletons_to(6):
+    for s in enumerate_skeletons(6):
         lhs, rhs = hom_sides(size_alg(), size_alg(), lambda x: x, s, 1, lambda n: n)
         assert lhs == rhs
 
 
 def test_fold_is_a_homomorphism_from_lam_alg():
-    for _, s in skeletons_to(6):
+    for s in enumerate_skeletons(6):
         lhs, rhs = hom_sides(
             lam_alg(),
             size_alg(),
@@ -381,15 +389,15 @@ def test_hom_sides_are_observables():
 def test_id_hom_suite_passes_for_all_standard_carriers():
     for ctx in standard_contexts():
         report = check_id_hom(
-            ctx.alg, skeletons_to(8), env_value=ctx.env_value, observe=ctx.observe
+            ctx.alg, enumerate_skeletons(8), env_value=ctx.env_value, observe=ctx.observe
         )
         assert report.ok, render_reports([report])
-        assert report.checked == len(skeletons_to(8))
+        assert report.checked == len(enumerate_skeletons(8))
 
 
 def test_fold_hom_suite_passes_for_all_standard_carriers():
     for ctx in standard_contexts():
-        report = check_fold_hom(ctx.alg, skeletons_to(8), observe=ctx.observe)
+        report = check_fold_hom(ctx.alg, enumerate_skeletons(8), observe=ctx.observe)
         assert report.ok, render_reports([report])
 
 
@@ -401,7 +409,7 @@ def test_compose_hom_of_fold_and_identity():
             ctx.alg,
             lambda t, alg=ctx.alg: fold(alg, t),
             lambda x: x,
-            skeletons_to(8),
+            enumerate_skeletons(8),
             env_value=identity_term(),
             observe=ctx.observe,
         )
@@ -412,8 +420,8 @@ def test_a_wrong_first_leg_is_refuted_by_the_compose_suite():
     # Sending every term to the identity term agrees with folding only on
     # the identity body, so the compose suite refutes every other skeleton,
     # while the fold suite, which has no first leg, passes on the same pool.
-    pool = skeletons_to(8)
-    refutable = [s for _, s in pool if s != BodySkeleton(0, Slot.FRESH)]
+    pool = enumerate_skeletons(8)
+    refutable = [s for s in pool if s != BodySkeleton(0, Slot.FRESH)]
     for ctx in standard_contexts():
         report = check_compose_hom(
             lam_alg(),
@@ -446,7 +454,7 @@ def test_compose_of_identities_passes():
         size_alg(),
         lambda x: x,
         lambda x: x,
-        skeletons_to(5),
+        enumerate_skeletons(5),
         env_value=1,
         observe=lambda n: n,
     )
@@ -460,7 +468,7 @@ def test_broken_second_leg_is_reported_with_witness():
         size_alg(),
         lambda x: x,
         lambda x: x + 1,  # deliberately wrong
-        skeletons_to(4),
+        enumerate_skeletons(4),
         env_value=1,
         observe=lambda n: n,
     )
@@ -472,8 +480,8 @@ def test_broken_second_leg_is_reported_with_witness():
     assert witness.lhs != witness.rhs
 
 
-def test_check_hom_with_generated_witness_records_seed():
-    pool = [(seed, gen_skeleton(seed, 8)) for seed in range(20)]
+def test_check_hom_refutes_the_successor_on_every_leaf_but_the_env_slot():
+    pool = skeleton_pool(2, 20, 0)
     report = check_hom(
         size_alg(),
         size_alg(),
@@ -484,10 +492,9 @@ def test_check_hom_with_generated_witness_records_seed():
         suite="succ",
     )
     assert not report.ok
-    assert all(w.seed in range(20) for w in report.failures)
     # successor shifts the environment value on both sides equally, so the
     # counterexamples are exactly the non-env leaves
-    non_env = [s for _, s in pool if s.leaf is not Slot.ENV]
+    non_env = [s for s in pool if s.leaf is not Slot.ENV]
     assert len(report.failures) == len(non_env)
     assert all(w.skeleton.leaf is not Slot.ENV for w in report.failures)
 
@@ -499,7 +506,7 @@ def test_empty_skeleton_set_is_a_vacuous_pass():
 
 
 def test_report_rendering_mentions_counts():
-    report = check_id_hom(size_alg(), skeletons_to(2), env_value=1, observe=lambda n: n)
+    report = check_id_hom(size_alg(), enumerate_skeletons(2), env_value=1, observe=lambda n: n)
     text = render_reports([report])
     assert "id_hom[size]" in text
     assert "9 checked" in text
@@ -509,7 +516,7 @@ def test_report_rendering_mentions_counts():
 def test_report_rendering_shows_five_witnesses_and_counts_the_rest():
     # The successor refutes every skeleton whose leaf is no env slot.
     report = check_hom(
-        size_alg(), size_alg(), lambda n: n + 1, skeletons_to(2), env_value=1, observe=lambda n: n, suite="succ"
+        size_alg(), size_alg(), lambda n: n + 1, enumerate_skeletons(2), env_value=1, observe=lambda n: n, suite="succ"
     )
     lines = render_reports([report]).splitlines()
     assert len(report.failures) == 6
@@ -543,7 +550,7 @@ def test_check_hom_validates_no_skeleton_of_its_pool(monkeypatch):
         return real(skeleton)
 
     monkeypatch.setattr(BodySkeleton, "validate", counting)
-    pool = skeleton_pool(3, 20, 5) + [(None, BodySkeleton(4, 2))]
+    pool = skeleton_pool(3, 20, 5) + [BodySkeleton(4, 2)]
     assert len(validated) == 1
     for ctx in standard_contexts():
         report = check_hom(
@@ -554,7 +561,7 @@ def test_check_hom_validates_no_skeleton_of_its_pool(monkeypatch):
     assert len(validated) == 1
 
 
-_THREE_SKELETONS = [(None, BodySkeleton(0, Slot.ENV)), (None, BodySkeleton(1, Slot.FRESH)), (None, BodySkeleton(2, 0))]
+_THREE_SKELETONS = [BodySkeleton(0, Slot.ENV), BodySkeleton(1, Slot.FRESH), BodySkeleton(2, 0)]
 
 
 @pytest.mark.parametrize(

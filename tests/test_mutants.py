@@ -33,6 +33,7 @@ from kripkelam import (
 )
 
 import test_debruijn
+import test_laws
 from helpers import (
     SIX_RUNS,
     chain,
@@ -76,6 +77,7 @@ from test_laws import test_a_binder_count_or_bound_that_is_no_integer_is_rejecte
 from test_laws import test_a_skeleton_is_checked_when_it_is_made as _checked_when_made
 from test_laws import test_body_of_skeleton_rejects_malformed as _body_rejects_malformed
 from test_laws import test_negative_pool_bounds_are_rejected as _pool_bounds
+from test_laws import test_the_pool_tail_is_drawn_by_splitmix64 as _pool_tail_drawn
 
 
 def _guard_checks():
@@ -378,9 +380,9 @@ def test_the_chunked_name_scan(monkeypatch):
 @pytest.mark.parametrize(
     "name, old, new, starts",
     [
-        ("_canonical_text", "text[ends[start - 1] : ends[last]]", "text[ends[start] : ends[last]]", [1, 2, 9_995]),
+        ("_canonical_text", "n = start - 1", "n = start", [1, 2, 9_995]),
         ("_canonical_text", "if 1 <= start and last", "if last", [-2, 0]),
-        ("_table", "end := end + len(name) + 4", "end := end + len(name) + 3", [1, 2, 9_995]),
+        ("_canonical_text", ": 5 * last +", ": 4 * last +", [1, 2, 9_995]),
     ],
     ids=["slice-off-by-one", "no-start-check", "ends-off-by-one"],
 )
@@ -560,6 +562,17 @@ def test_the_input_checks(monkeypatch, module, name, patched, old, new, checks):
     mutant = _with_line(module, name, old, new)
     for owner, attribute in patched:
         monkeypatch.setattr(owner, attribute, mutant)
+    assert all(_fails(check) for check in checks)
+
+
+def test_the_pool_draw(monkeypatch):
+    # A drawn leaf never names the outermost local binder; test_laws calls
+    # the skeleton_pool it imported.
+    checks = [partial(_pool_tail_drawn, seed) for seed in (0, 7)]
+    assert not any(_fails(check) for check in checks)
+    mutant = _with_line(laws, "skeleton_pool", "draw1 % (binders + 2)", "draw1 % (binders + 1)")
+    for owner in (laws, test_laws):
+        monkeypatch.setattr(owner, "skeleton_pool", mutant)
     assert all(_fails(check) for check in checks)
 
 
