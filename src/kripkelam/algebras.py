@@ -36,10 +36,9 @@ a fold. Tests check that each entry point agrees with its algebra's fold.
 from __future__ import annotations
 
 import reprlib
-from operator import attrgetter
 
 from .debruijn import DbTerm, _canonical_text, _chain
-from .encoding import Algebra, Term, _chain_end, _guarded, _ill_formed, _integer, _new, _raise_if_refused
+from .encoding import Algebra, Term, _Frozen, _chain_end, _guarded, _ill_formed, _integer, _new, _raise_if_refused, _set
 
 __all__ = [
     "NameStream",
@@ -53,38 +52,28 @@ __all__ = [
 ]
 
 
-class NameStream:
+class NameStream(_Frozen):
     """Infinite supply of canonical names x{n}, x{n+1}, ... by index.
 
     ``start`` may be any integer, zero and negative ones too, and a
     ``bool`` counts as its ``int``. Anything else raises ``TypeError``
-    naming it.
+    naming it. A stream is a one-field frozen record of
+    :mod:`kripkelam.encoding`: compared and hashed by ``start``, shown as
+    ``NameStream(start=n)``, and copied and pickled as it is.
     """
 
-    __slots__ = ("_start",)
-    start = property(attrgetter("_start"))
+    __slots__ = __match_args__ = ("start",)
 
     def __init__(self, start: int = 1):
-        self._start = _integer(start, "a name stream starts at an integer")
+        _set(self, "start", _integer(start, "a name stream starts at an integer"))
 
     @property
     def head(self) -> str:
-        return f"x{self._start}"
+        return f"x{self.start}"
 
     @property
     def rest(self) -> "NameStream":
-        return NameStream(self._start + 1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._start == other._start
-
-    def __hash__(self):
-        return hash((self._start,))
-
-    def __repr__(self):
-        return f"NameStream(start={self._start!r})"
+        return NameStream(self.start + 1)
 
 
 def names(start: int = 1) -> NameStream:
@@ -173,10 +162,10 @@ class _PrintCarrier:
     def __call__(self, stream: NameStream) -> str:
         if not isinstance(stream, NameStream):
             raise TypeError(f"a print carrier value takes a NameStream, not {reprlib.repr(stream)}")
-        start = stream._start
+        start = stream.start
         n, c = _chain_end(self.body, self.alg, start, _Name, _PRINT_ALG, _PrintCarrier)
         rest = _new(NameStream)
-        rest._start = n
+        _set(rest, "start", n)
         return _canonical_text(start, n - 1) + _applied(c, rest, str)
 
 

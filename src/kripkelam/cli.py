@@ -10,7 +10,10 @@ guard tripped: one fold interpreted more binders than its limit
 (``DEFAULT_MAX_NESTING``), which also bounds how deeply they nest, 141
 (128 + SIGPIPE) the reader of stdout stopped reading. Only ``check-laws``
 imports :mod:`kripkelam.laws`, when it runs, so the other commands start
-without it.
+without it. ``check-laws`` checks every law skeleton with up to
+``--max-depth`` binders (default 32) and takes no seed. A numeric flag
+below its least value is bad input, refused by the check the library's
+own bounds use.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .debruijn import (
     parse_named,
     render_named,
 )
-from .encoding import DepthLimitError
+from .encoding import DepthLimitError, _at_least
 
 __all__ = ["main", "parse_named", "render_named"]
 
@@ -89,9 +92,7 @@ def _cmd_term(args) -> int:
 def _require(args, **least: int) -> None:
     """Reject the first numeric flag below its least value, naming the flag."""
     for dest, low in least.items():
-        if getattr(args, dest) < low:
-            bound = f"at least {low}" if low else "nonnegative"
-            raise ValueError(f"--{dest.replace('_', '-')} must be {bound}")
+        _at_least(getattr(args, dest), f"--{dest.replace('_', '-')}", low)
 
 
 def _cmd_roundtrip(args) -> int:
@@ -114,10 +115,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check_laws(args) -> int:
-    _require(args, max_depth=0, samples=0)
+    _require(args, max_depth=0)
     from . import laws
 
-    reports = laws.run_all_laws(args.max_depth, args.samples, args.seed)
+    reports = laws.run_all_laws(args.max_depth)
     print(laws.render_reports(reports))
     return 0 if all(r.ok for r in reports) else 2
 
@@ -146,9 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen)
 
     p = commands.add_parser("check-laws", help="run the homomorphism law suites")
-    p.add_argument("--max-depth", type=int, default=8, metavar="K")
-    p.add_argument("--samples", type=int, default=1000, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--max-depth", type=int, default=32, metavar="K")
     p.set_defaults(handler=_cmd_check_laws)
 
     return parser

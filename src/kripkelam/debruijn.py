@@ -58,7 +58,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterator
 
-from .encoding import DEFAULT_MAX_NESTING, Term, TermBody, _binder, _integer, _new
+from .encoding import DEFAULT_MAX_NESTING, Term, TermBody, _at_least, _binder, _integer, _new
 
 __all__ = [
     "Abs",
@@ -376,9 +376,7 @@ def enumerate_terms(max_depth: int) -> Iterator[DbTerm]:
     Yields exactly ``max_depth * (max_depth + 1) // 2`` terms. The bound is
     read and checked at the call, not when the terms are first asked for.
     """
-    max_depth = _integer(max_depth, "a depth bound is an integer")
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    max_depth = _at_least(_integer(max_depth, "a depth bound is an integer"), "max_depth", 1)
     return (_chain(k, i) for k in range(1, max_depth + 1) for i in range(k))
 
 
@@ -408,9 +406,7 @@ def gen_term(seed: int, max_depth: int) -> DbTerm:
     ``TypeError`` naming it.
     """
     seed = _integer(seed, "a seed is an integer")
-    max_depth = _integer(max_depth, "a depth bound is an integer")
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    max_depth = _at_least(_integer(max_depth, "a depth bound is an integer"), "max_depth", 1)
     draw0, state = splitmix64(seed & _MASK64)
     draw1, _ = splitmix64(state)
     k = 1 + draw0 % max_depth

@@ -109,8 +109,51 @@ _FRAME_HEADROOM = 2048
 # (terms, renames, placed values, chain nodes, name streams, law skeletons)
 # are made with object.__new__ and slot stores, never a class call: a class
 # call enters a Python __init__ from C each time. Public constructors keep
-# their checks.
+# their checks. The value records (name streams, law records) share the
+# record base below; a frozen one's slots are stored with _set.
 _new = object.__new__
+
+# Stores a field of a frozen record, past its __setattr__.
+_set = object.__setattr__
+
+
+class _Record:
+    """A record of the fields its ``__slots__`` name, in order, read as the
+    tuple of their values: compared by class and that tuple, shown as
+    ``Name(field=value, ...)``, and pickled and copied by calling the class
+    on it. Each record class also names its fields in ``__match_args__``,
+    for a positional ``match``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by its constructor, and hashed."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DepthLimitError(RuntimeError):
@@ -292,6 +335,19 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{what}, not {reprlib.repr(value)}") from None
+
+
+def _at_least(n: int, name: str, least: int) -> int:
+    """``n``, an integer :func:`_integer` has read, if it is at least ``least``.
+
+    Otherwise ``ValueError``: ``name`` must be at least ``least``, or must
+    be nonnegative when ``least`` is 0. Every depth, binder and sample
+    bound a caller gives the library, and every numeric flag of the CLI,
+    is checked here.
+    """
+    if n < least:
+        raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
+    return n
 
 
 def identity_embed() -> Embed:
@@ -592,9 +648,9 @@ def _guarded(run, arg, max_depth=None, var=None, cls=None):
     budget = _guard.budget
     limit = outer = budget.limit
     if not outer:
-        limit = DEFAULT_MAX_NESTING if max_depth is None else _integer(max_depth, "max_depth must be an integer")
-        if limit < 1:
-            raise ValueError("max_depth must be at least 1")
+        limit = DEFAULT_MAX_NESTING
+        if max_depth is not None:
+            limit = _at_least(_integer(max_depth, "max_depth must be an integer"), "max_depth", 1)
         budget.left = limit
         budget.trip = limit - _TRIP if limit > _TRIP else 0
         budget.raised = False

@@ -32,7 +32,13 @@ The skeletons the library makes itself (:func:`enumerate_skeletons`,
 The suites (:func:`check_hom` and the three laws built on it) run it over
 any iterable of skeletons, such as :func:`enumerate_skeletons` or
 :func:`skeleton_pool` returns, and record each refuted skeleton as a
-:class:`Witness`.
+:class:`Witness`. :func:`run_all_laws` checks every skeleton up to a
+binder bound by default, and seeded samples only when asked for them.
+
+The law records (:class:`BodySkeleton`, :class:`Witness`, :class:`Report`,
+:class:`CarrierContext`) are built on the slotted record base of
+:mod:`kripkelam.encoding`, which :class:`~kripkelam.algebras.NameStream`
+shares.
 """
 
 from __future__ import annotations
@@ -47,11 +53,15 @@ from .encoding import (
     Algebra,
     Rename,
     Term,
+    _Frozen,
+    _Record,
+    _at_least,
     _binder,
     _guarded,
     _identity,
     _integer,
     _new,
+    _set,
     closed,
     fold,
     lam_alg,
@@ -84,49 +94,6 @@ class Slot(enum.Enum):
 
     ENV = "env"  # the environment value, renamed into the leaf's world
     FRESH = "fresh"  # the body's own bound variable
-
-
-# Stores a field of a frozen record, past its __setattr__.
-_set = object.__setattr__
-
-
-class _Record:
-    """A record of the fields its ``__slots__`` name, in order, read as the
-    tuple of their values: compared by class and that tuple, shown as
-    ``Name(field=value, ...)``, and pickled and copied by calling the class
-    on it. Each record class also names its fields in ``__match_args__``,
-    for a positional ``match``.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({shown})"
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-
-class _Frozen(_Record):
-    """A record whose fields are set once, by its constructor, and hashed."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class BodySkeleton(_Frozen):
@@ -355,9 +322,7 @@ def enumerate_skeletons(max_binders: int) -> list[BodySkeleton]:
     yields sum over j of (j + 2) skeletons, in (binders, leaf) order with
     slots first.
     """
-    max_binders = _integer(max_binders, "a binder bound is an integer")
-    if max_binders < 0:
-        raise ValueError("max_binders must be nonnegative")
+    max_binders = _at_least(_integer(max_binders, "a binder bound is an integer"), "max_binders", 0)
     return [_skeleton(j, leaf) for j in range(max_binders + 1) for leaf in (Slot.ENV, Slot.FRESH, *range(j))]
 
 
@@ -372,8 +337,7 @@ def skeleton_pool(max_binders: int, samples: int, seed: int) -> list[BodySkeleto
     """
     samples = _integer(samples, "a sample count is an integer")
     seed = _integer(seed, "a seed is an integer")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    _at_least(samples, "samples", 0)
     max_binders = _integer(max_binders, "a binder bound is an integer")
     pool = enumerate_skeletons(max_binders)
     bound = 4 * max_binders + 1
@@ -416,9 +380,16 @@ def standard_contexts() -> list[CarrierContext]:
     ]
 
 
-def run_all_laws(max_binders: int = 8, samples: int = 1000, seed: int = 0) -> list[Report]:
+def run_all_laws(max_binders: int = 32, samples: int = 0, seed: int = 0) -> list[Report]:
     """Run the identity, composition (``fold(lam_alg(), _)`` then
-    ``fold(alg, _)``) and fold suites on every standard carrier ``alg``."""
+    ``fold(alg, _)``) and fold suites on every standard carrier ``alg``.
+
+    Each suite checks :func:`skeleton_pool`: by default every skeleton with
+    up to 32 binders, 594 of them, which holds every skeleton a pool
+    ``skeleton_pool(8, samples, seed)`` draws. With ``samples`` each pool
+    also draws that many skeletons, the first carrier's from ``seed`` on
+    and each next one's from the seed after the last one's.
+    """
     samples = _integer(samples, "a sample count is an integer")
     seed = _integer(seed, "a seed is an integer")
     reports = []

@@ -240,7 +240,7 @@ _CODE_GENERATION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     [
         ["-c", "import kripkelam.laws"],
         ["-c", "from kripkelam import size; import sys; assert 'kripkelam.laws' in sys.modules"],
-        ["-m", "kripkelam.cli", "check-laws", "--max-depth", "2", "--samples", "10"],
+        ["-m", "kripkelam.cli", "check-laws", "--max-depth", "2"],
     ],
     ids=["import-laws", "root-lookup", "check-laws"],
 )
@@ -256,11 +256,12 @@ def test_the_law_module_loads_no_code_generation(bare_interpreter_imports, args)
 
 
 def test_a_fresh_check_laws_process_passes_every_suite():
-    done = run_python("-m", "kripkelam.cli", "check-laws", "--samples", "10")
+    # At its default bound of 32 binders: all 594 skeletons, no seed.
+    done = run_python("-m", "kripkelam.cli", "check-laws")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 9
-    assert all(line.endswith(" [ok]") for line in lines)
+    assert all(line.endswith(": 594 checked, 0 failures [ok]") for line in lines)
 
 
 def test_cli_missing_file_exits_one(monkeypatch, capsys):
@@ -355,9 +356,11 @@ def test_a_reader_that_stops_reading_ends_the_process_with_no_error_line():
     [
         (["gen", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
         ([], "the following arguments are required: command"),
-        (["check-laws", "--samples", "1e3"], "argument --samples: invalid int value: '1e3'"),
+        (["check-laws", "--max-depth", "1e3"], "argument --max-depth: invalid int value: '1e3'"),
+        # check-laws checks every skeleton up to its bound and takes no seed.
+        (["check-laws", "--samples", "10"], "unrecognized arguments: --samples 10"),
     ],
-    ids=["gen-count-no-integer", "no-command", "check-laws-samples-no-integer"],
+    ids=["gen-count-no-integer", "no-command", "check-laws-max-depth-no-integer", "check-laws-samples"],
 )
 def test_a_usage_error_exits_one(capsys, argv, message):
     # Exit 2 is a check suite that reported failures; a usage error is bad
@@ -464,7 +467,7 @@ def test_cli_check_laws_green(monkeypatch, capsys):
     code, out, _ = run_cli(
         monkeypatch,
         capsys,
-        ["check-laws", "--max-depth", "3", "--samples", "10", "--seed", "1"],
+        ["check-laws", "--max-depth", "3"],
     )
     assert code == 0
     for suite in ("id_hom", "compose_hom", "fold_hom"):
@@ -476,7 +479,7 @@ def test_cli_check_laws_output_one_line_per_suite(monkeypatch, capsys):
     code, out, _ = run_cli(
         monkeypatch,
         capsys,
-        ["check-laws", "--max-depth", "2", "--samples", "5", "--seed", "0"],
+        ["check-laws", "--max-depth", "2"],
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 9
@@ -498,8 +501,7 @@ def test_cli_rejects_nonpositive_depth_bounds(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--max-depth", "-1", "--samples", "0"], "--max-depth must be nonnegative"),
-        (["--max-depth", "2", "--samples", "-1"], "--samples must be nonnegative"),
+        (["--max-depth", "-1"], "--max-depth must be nonnegative"),
     ],
 )
 def test_cli_check_laws_rejects_negative_bounds(monkeypatch, capsys, argv, message):
@@ -512,7 +514,8 @@ def test_cli_check_laws_rejects_negative_bounds(monkeypatch, capsys, argv, messa
 def test_cli_check_laws_failure_exits_two(monkeypatch, capsys):
     from kripkelam.laws import BodySkeleton, Report, Slot, Witness
 
-    def stub(max_binders, samples, seed):
+    def stub(max_binders):
+        assert max_binders == 32
         witness = Witness(BodySkeleton(0, Slot.FRESH), 1, 2)
         return [Report("id_hom[size]", checked=1, failures=[witness])]
 

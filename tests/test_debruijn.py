@@ -277,9 +277,11 @@ def test_gen_term_rejects_a_bound_that_is_no_integer(bound):
     with pytest.raises(TypeError) as err:
         enumerate_terms(bound)
     assert str(err.value) == f"a depth bound is an integer, not {bound!r}"
-    with pytest.raises(TypeError) as err:
-        gen_term(bound, 3)
-    assert str(err.value) == f"a seed is an integer, not {bound!r}"
+    # The seed is read first, so a bad seed is named before a bad bound.
+    for depth in (3, 0):
+        with pytest.raises(TypeError) as err:
+            gen_term(bound, depth)
+        assert str(err.value) == f"a seed is an integer, not {bound!r}"
 
 
 def test_a_bool_or_numpy_seed_or_depth_bound_is_its_int():

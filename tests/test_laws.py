@@ -260,6 +260,13 @@ def test_negative_pool_bounds_are_rejected():
         skeleton_pool(-1, 5, seed=0)
     with pytest.raises(ValueError, match="samples must be nonnegative"):
         skeleton_pool(2, -1, seed=0)
+    # Two bad arguments: the sample count is checked after the seed is
+    # read, and before the binder bound.
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        skeleton_pool(-1, -1, 0)
+    with pytest.raises(TypeError) as err:
+        skeleton_pool(8, -1, "x")
+    assert str(err.value) == "a seed is an integer, not 'x'"
     with pytest.raises(ValueError):
         run_all_laws(max_binders=-1, samples=0)
     # run_all_laws(1, 1, "3") once raised "can only concatenate str (not
@@ -533,9 +540,13 @@ def test_run_all_laws_is_green():
 def test_the_law_suites_trip_no_guarded_call(monkeypatch):
     # A law instance folds at most 8 binders, and the chain skip nests
     # nothing: no guarded call of the suites raises the recursion limit.
+    # At the default bound a skeleton has up to 32 binders, and its chain
+    # is still skipped in one charge.
     trips = []
     monkeypatch.setattr(encoding, "_raise_limit", trips.append)
     assert all(r.ok for r in run_all_laws(max_binders=8, samples=1_000, seed=0))
+    reports = run_all_laws()
+    assert all(r.ok for r in reports) and [r.checked for r in reports] == [594] * 9
     assert trips == []
 
 

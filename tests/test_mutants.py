@@ -12,6 +12,7 @@ from functools import partial
 
 import pytest
 
+import kripkelam.cli as cli
 from kripkelam import (
     Algebra,
     DepthLimitError,
@@ -22,7 +23,10 @@ from kripkelam import (
     db_to_hoas,
     debruijn,
     encoding,
+    enumerate_skeletons,
+    enumerate_terms,
     fold,
+    gen_term,
     lam_alg,
     laws,
     names,
@@ -30,6 +34,7 @@ from kripkelam import (
     print_alg,
     run_guarded,
     size,
+    skeleton_pool,
 )
 
 import test_debruijn
@@ -58,6 +63,7 @@ from test_algebras import test_the_print_carrier_names_binders_from_any_start as
 from test_algebras import test_a_name_stream_rejects_a_start_that_is_no_integer as _start_no_integer
 from test_algebras import test_a_de_bruijn_carrier_value_reads_a_bool_or_numpy_depth_as_its_int as _bool_depth
 from test_algebras import test_entry_points_equal_their_folds_at_the_canonical_argument as _entries_equal_folds
+from test_algebras import test_name_streams_are_immutable_values as _name_streams_immutable
 from test_debruijn import _outcome
 from test_debruijn import test_a_de_bruijn_index_that_is_no_integer_is_rejected as _index_no_integer
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
@@ -73,10 +79,13 @@ from test_encoding import test_a_term_interpreted_outside_any_guarded_call_charg
 from test_encoding import (
     test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit as _lam_alg_tower_walks,
 )
+from test_laws import _RECORDS
 from test_laws import test_a_binder_count_or_bound_that_is_no_integer_is_rejected as _binders_no_integer
+from test_laws import test_a_law_record_copies_pickles_and_shows_as_it_always_has as _record_copies
 from test_laws import test_a_skeleton_is_checked_when_it_is_made as _checked_when_made
 from test_laws import test_body_of_skeleton_rejects_malformed as _body_rejects_malformed
 from test_laws import test_negative_pool_bounds_are_rejected as _pool_bounds
+from test_laws import test_the_frozen_law_records_hash_and_refuse_assignment as _frozen_refuse_assignment
 from test_laws import test_the_pool_tail_is_drawn_by_splitmix64 as _pool_tail_drawn
 
 
@@ -562,6 +571,59 @@ def test_the_input_checks(monkeypatch, module, name, patched, old, new, checks):
     mutant = _with_line(module, name, old, new)
     for owner, attribute in patched:
         monkeypatch.setattr(owner, attribute, mutant)
+    assert all(_fails(check) for check in checks)
+
+
+# The copy and pickle checks of the frozen law records and of a name stream.
+_frozen_copies = [partial(_record_copies, r, shown) for r, shown in _RECORDS if isinstance(r, encoding._Frozen)]
+
+
+@pytest.mark.parametrize(
+    "owner, name, old, new, checks",
+    [
+        # A frozen record is then rebuilt field by field, through the
+        # __setattr__ that refuses every assignment.
+        ("_Record", "__reduce__", None, None, [*_frozen_copies, _name_streams_immutable]),
+        # An assignment to a field of a frozen record is stored.
+        (
+            "_Frozen",
+            "__setattr__",
+            'raise AttributeError(f"cannot assign to field {name!r}")',
+            "_set(self, name, value)",
+            [_frozen_refuse_assignment, _name_streams_immutable],
+        ),
+    ],
+    ids=["record-reduce-deleted", "frozen-assignment-stored"],
+)
+def test_the_record_base(monkeypatch, owner, name, old, new, checks):
+    # The law records and NameStream share encoding's record base.
+    assert not any(_fails(check) for check in checks)
+    if old is None:
+        monkeypatch.delattr(getattr(encoding, owner), name)
+    else:
+        monkeypatch.setattr(getattr(encoding, owner), name, _with_line(encoding, f"{owner}.{name}", old, new))
+    assert all(_fails(check) for check in checks)
+
+
+def _gen_count_zero():
+    assert cli.main(["gen", "--count", "0"]) == 0
+
+
+def test_the_bound_check(monkeypatch):
+    # A call right at each bound is refused when the bound is read as
+    # exclusive; every module that checks a bound imported _at_least by name.
+    checks = [
+        partial(run_guarded, int, 1),
+        partial(enumerate_terms, 1),
+        partial(gen_term, 5, 1),
+        partial(enumerate_skeletons, 0),
+        partial(skeleton_pool, 2, 0, 5),
+        _gen_count_zero,
+    ]
+    assert not any(_fails(check) for check in checks)
+    mutant = _with_line(encoding, "_at_least", "if n < least:", "if n <= least:")
+    for owner in (encoding, debruijn, laws, cli):
+        monkeypatch.setattr(owner, "_at_least", mutant)
     assert all(_fails(check) for check in checks)
 
 
