@@ -52,14 +52,15 @@ each body twice trips it at 14 binders.
 
 Each top-level guarded call runs once, on the calling thread, and leaves
 the recursion limit alone until its tripwire fires; :func:`run_guarded`
-says when, how long the raised limit stays, what it risks on CPython 3.11
-and the headroom it costs near the caller's limit. This relies on
-CPython 3.11 and later, where a Python-to-Python call takes no C stack, so
-a 10,000-binder fold fits even a thread started with a 256 KiB stack. An
-algebra whose per-binder recursion passes through a C function (a
-generator inside ``sum``, say) takes C stack per binder: a deep fold of it
-raises ``RecursionError`` on 3.12 and later, or can overflow a small thread
-stack and crash the interpreter.
+says when, how far the call's measured stack raises it and for how long,
+what that risks on CPython 3.11 and the headroom it costs near the
+caller's limit. This relies on CPython 3.11 and later, where a
+Python-to-Python call takes no C stack, so a 10,000-binder fold fits
+even a thread started with a 256 KiB stack. An algebra whose per-binder
+recursion passes through a C function (a generator inside ``sum``, say)
+takes C stack per binder: a deep fold of it raises ``RecursionError`` on
+3.12 and later, or can overflow a small thread stack and crash the
+interpreter.
 
 The guard's budget is per thread, made the first time the thread touches
 the guard; a limit of 0 marks it idle. ``fold``, ``run_guarded`` and the
@@ -97,13 +98,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_NESTING = 10_000
-
-# Python frames allowed per binder while folding. The library's folds loop;
-# a foreign algebra recursing per binder takes 3 or more (interpret,
-# interpret_lam and the algebra), and a lam_alg tower 1 per layer. The rest
-# is margin for user algebras.
-_FRAMES_PER_LEVEL = 16
-_FRAME_HEADROOM = 2048
 
 # The objects the library makes for itself once per term, binder or call
 # (terms, renames, placed values, chain nodes, name streams, law skeletons)
@@ -443,22 +437,25 @@ class _Budget:
     point ``trip`` starts ``_TRIP`` below ``limit`` and moves down with
     every charge that nests nothing and up with every ``lam_alg`` layer, so
     ``left`` falls below it once the call has made more than ``_TRIP``
-    interpretations and layers, which may nest. The tripwire then fires:
-    the call raises the recursion limit (``raised``). :func:`_guarded`
-    sets all four for each top-level call; only the thread that owns the
-    budget can reach it, so nothing here takes a lock.
+    interpretations and layers, units which may nest. The tripwire then
+    fires (:func:`_trip`): it sets ``units``, 0 until then, and moves the
+    trip point to ``units`` below ``left``, to fire again after ``units``
+    + 1 more. :func:`_guarded` sets all four for each top-level call; only
+    the thread that owns the budget can reach it, so nothing here takes a
+    lock.
     """
 
-    __slots__ = ("left", "limit", "trip", "raised")
+    __slots__ = ("left", "limit", "trip", "units")
 
 
-# Charges that may nest before a top-level guarded call raises the recursion
-# limit; run_guarded's docstring gives the headroom that costs a call near
-# the caller's limit. A guarded call of the law suites makes at most 8. A
-# lower trip point fires sooner, so a fold of many frames a binder gets its
-# raised limit before it runs out of the caller's, but opens the CPython
-# 3.11 window of run_guarded's docstring for shallower folds.
-_TRIP = 16
+# Units that may nest before a top-level guarded call first measures its
+# stack; run_guarded's docstring gives the headroom that costs a call near
+# the caller's limit. A guarded call of the law suites nests at most 8.
+_TRIP = 9
+
+# A tripped call raises the recursion limit to this many times the stack it
+# measured, which keeps it ahead of a stack that doubles before the next look.
+_STACK_MULTIPLE = 4
 
 
 class _Guard(threading.local):
@@ -467,8 +464,7 @@ class _Guard(threading.local):
 
     def __init__(self):
         budget = self.budget = _new(_Budget)
-        budget.left = budget.limit = budget.trip = 0
-        budget.raised = False
+        budget.left = budget.limit = budget.trip = budget.units = 0
 
 
 _guard = _Guard()
@@ -560,35 +556,46 @@ def _trip(budget: _Budget, n: int) -> None:
     Past the limit it raises :class:`DepthLimitError` (a ``lam_alg``
     layer, ``n == 0``, charges nothing and raises nothing) and leaves
     ``left`` where the charge of the binder that crossed the limit left
-    it. Otherwise the tripwire fires: the trip point drops to 0, where
-    only the limit check is left, and the recursion limit is raised for
-    the call.
+    it. Otherwise the tripwire fires: it measures the thread's stack and
+    raises the recursion limit to ``_STACK_MULTIPLE`` times that, until
+    the call ends, if that is higher. Then it re-arms to look again once
+    the call has made about as many units again, so a fold that nests
+    ``k`` units looks O(log k) times.
     """
+    global _in_flight, _limit_before, _limit_set
     if budget.left < 0 and n:
         budget.left = min(budget.left + n, 0) - 1
         raise DepthLimitError(budget.limit)
-    budget.trip = 0
-    if not budget.raised:
-        _raise_limit(budget)
-
-
-def _raise_limit(budget: _Budget) -> None:
-    """Raise the recursion limit to what ``budget.limit`` binders need, until the call ends."""
-    global _in_flight, _limit_before, _limit_set
-    # The interpreter stores its recursion limit in a C int.
-    need = min(budget.limit * _FRAMES_PER_LEVEL + _FRAME_HEADROOM, 2**31 - 1)
+    # The power of two past the stack's depth, in log2(depth) + 1 calls.
+    depth = 1
+    try:
+        while sys._getframe(depth):
+            depth *= 2
+    except ValueError:
+        pass
+    need = _STACK_MULTIPLE * depth
+    # Look again after as many units again as the call has made, but after
+    # no more than half as many as the power of two has frames: units that
+    # did not nest (folds run one after another in one call) must not let
+    # the next ones nest past the limit, which is 3 such powers above the
+    # stack, room for half of one at 6 frames a unit.
+    units = min(2 * budget.units + 1, depth // 2) if budget.units else _TRIP + 1
     with _limit_lock:
-        if _in_flight == 0:
-            _limit_before = _limit_set = sys.getrecursionlimit()
+        if not budget.units:
+            if _in_flight == 0:
+                _limit_before = _limit_set = sys.getrecursionlimit()
+            _in_flight += 1
+        # Stored next to the count, so an interrupt cannot leave the call
+        # counted in flight with nothing to restore.
+        budget.units = units
         if need > sys.getrecursionlimit():
             sys.setrecursionlimit(need)
             _limit_set = need
-        _in_flight += 1
-        budget.raised = True
+    budget.trip = budget.left - units if budget.left > units else 0
 
 
 def _restore_limit() -> None:
-    """Undo one ``_raise_limit``; the last call in flight puts the limit back."""
+    """End one tripped call; the last call in flight puts the limit back."""
     global _in_flight
     with _limit_lock:
         _in_flight -= 1
@@ -614,25 +621,20 @@ def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
 
     At top level the thunk runs once, on the calling thread, and leaves
     the interpreter's recursion limit alone until the call's tripwire
-    fires: after about 16 binder interpretations or ``lam_alg`` layers,
-    which may nest. Binders skipped or stepped in place by the library's
-    folds nest nothing and never fire it. Then the call raises the limit
-    to what ``max_depth`` binders need. The limit is process-wide: it stays
-    raised while any such call is in flight, and when the last one ends it
-    goes back to what it was before the first, unless it was set to
-    another value in the meantime: that setting stays. On CPython 3.11 a
-    raised limit also lets another thread's deep C recursion (``repr`` of
-    a deeply nested list, say) overflow the C stack and crash the process,
-    so that window stays open while a call whose tripwire fired is in
-    flight; a foreign fold of 17 binders or more opens it. A call started
-    near the caller's limit must fire its tripwire before it runs out of
-    frames, so it needs about 17 times its frames per nested binder below
-    that limit: a 100-binder fold of an algebra that recurses once per
-    binder needs 55 frames at 3 frames a binder and 265 at the 16 a binder
-    that the raised limit budgets for. So at the default limit of 1,000,
-    such a 16-frame fold started more than about 735 frames deep raises
-    ``RecursionError``, and one started at the top level fires the
-    tripwire in time at up to 61 frames a binder.
+    fires: after 10 binder interpretations or ``lam_alg`` layers, which
+    may nest. Binders skipped or stepped in place by the library's folds
+    nest nothing and never fire it. A fire measures the thread's stack and
+    raises the limit to 4 to 8 times its depth if that is higher; the next
+    fire comes once the call has made about as many such steps again. The
+    limit is process-wide: it stays raised while any tripped call is in
+    flight, and when the last one ends it goes back to what it was before
+    the first, unless it was set to another value in the meantime: that
+    setting stays. On CPython 3.11 a raised limit also lets another
+    thread's deep C recursion (``repr`` of a deeply nested list, say)
+    overflow the C stack and crash the process. A call started near the
+    caller's limit must fire its tripwire before it runs out of frames: at
+    the default limit of 1,000, one started at the top level fires it in
+    time at up to 110 frames a nested binder.
     """
     return _guarded(operator.call, thunk, max_depth)
 
@@ -653,7 +655,7 @@ def _guarded(run, arg, max_depth=None, var=None, cls=None):
             limit = _at_least(_integer(max_depth, "max_depth must be an integer"), "max_depth", 1)
         budget.left = limit
         budget.trip = limit - _TRIP if limit > _TRIP else 0
-        budget.raised = False
+        budget.units = 0
     # Marked busy inside the try, so an interrupt cannot leave it so.
     try:
         budget.limit = limit
@@ -666,5 +668,5 @@ def _guarded(run, arg, max_depth=None, var=None, cls=None):
     finally:
         if not outer:
             budget.limit = 0
-            if budget.raised:
+            if budget.units:
                 _restore_limit()

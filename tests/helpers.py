@@ -34,6 +34,7 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
+from kripkelam import encoding
 from kripkelam.debruijn import DbTerm, NamedTerm, ParseError, _canonical_text, _chain, _named
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -193,39 +194,43 @@ def check_guard_charges_k_binders(run, t: Term, k: int) -> None:
 
 
 def _limit_inside(thunk):
-    """``thunk()`` run as a top-level guarded call, and the recursion limit
-    read inside that call after it."""
-    return run_guarded(lambda: (thunk(), sys.getrecursionlimit()))
+    """``thunk()`` run as a top-level guarded call, the recursion limit read
+    inside that call after it, and the budget's ``units`` there, 0 unless
+    the call's tripwire fired."""
+    return run_guarded(lambda: (thunk(), sys.getrecursionlimit(), encoding._guard.budget.units))
 
 
 def check_calls_that_nest_nothing_leave_the_limit_alone() -> None:
-    """Assert that guarded calls which nest nothing read the caller's recursion limit inside.
+    """Assert that guarded calls which nest nothing never fire their
+    tripwire and read the caller's recursion limit inside.
 
     The six runs of a 10,000-binder ``db_to_hoas`` chain, which the chain
     loop skips, and of its ``closure_chain`` twin, which it steps in place,
-    and a call that folds nothing: none trips the guard.
+    and a call that folds nothing.
     """
     before = sys.getrecursionlimit()
     d = chain(10_000, 5_000)
     for t in (db_to_hoas(d), closure_chain(10_000, 5_000)):
         for run in SIX_RUNS:
-            assert _limit_inside(lambda: run(t))[1] == before, run
-    assert _limit_inside(lambda: None) == (None, before)
+            assert _limit_inside(lambda: run(t))[1:] == (before, 0), run
+    assert _limit_inside(lambda: None) == (None, before, 0)
 
 
-def _recording_term(depth: int, seen: list) -> Term:
-    """``deep_term(depth)`` whose innermost body appends the recursion limit to ``seen``."""
+def _visiting_term(depth: int, visit) -> Term:
+    """``deep_term(depth)`` whose body at binder ``j`` calls ``visit(j)`` first."""
 
     def level(j):
         def body(mx, fresh):
-            if j == depth:
-                seen.append(sys.getrecursionlimit())
-                return place(fresh)
-            return lam(level(j + 1))
+            visit(j)
+            return place(fresh) if j == depth else lam(level(j + 1))
 
         return body
 
     return closed(level(1))
+
+
+# An algebra that recurses once per binder: interpret, interpret_lam and it.
+_RECURSING = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
 
 
 def check_a_deep_foreign_fold_raises_the_limit_while_it_runs() -> None:
@@ -234,13 +239,63 @@ def check_a_deep_foreign_fold_raises_the_limit_while_it_runs() -> None:
     caller's limit is back after it."""
     before = sys.getrecursionlimit()
     seen = []
-    recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
     try:
-        value = fold(recursing, _recording_term(2_000, seen))
+        value = fold(_RECURSING, _visiting_term(2_000, lambda j: j == 2_000 and seen.append(sys.getrecursionlimit())))
     except RecursionError:
         raise AssertionError("a 2,000-binder foreign fold ran out of stack") from None
     assert value == 2_001
     assert seen[0] > before
+    assert sys.getrecursionlimit() == before
+
+
+def check_a_limit_set_inside_a_tripped_call_stays() -> None:
+    """Assert that a recursion limit set at the innermost binder of a
+    2,000-binder foreign fold, which trips the guard, is still set after it."""
+    before = sys.getrecursionlimit()
+    seen = []
+
+    def visit(j):
+        if j == 2_000:
+            seen.append(sys.getrecursionlimit() + 1)
+            sys.setrecursionlimit(seen[0])
+
+    try:
+        assert fold(_RECURSING, _visiting_term(2_000, visit)) == 2_001
+        assert seen[0] > before + 1 and sys.getrecursionlimit() == seen[0]
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def _stack_depth() -> int:
+    """How many frames the calling thread's stack holds below this call."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def check_a_tripped_call_keeps_its_limit_near_its_stack() -> None:
+    """Assert that at every binder of a 3,000-binder fold of an algebra that
+    recurses once per binder, the recursion limit is at least twice the
+    stack's depth there, and less than 8 times it wherever the call raised it."""
+    before = sys.getrecursionlimit()
+    n = 3_000
+    limits = []
+    innermost = []
+
+    def visit(j):
+        limits.append(sys.getrecursionlimit())
+        if j == n:
+            innermost.append(_stack_depth())
+
+    assert fold(_RECURSING, _visiting_term(n, visit)) == n + 1
+    assert len(limits) == n and limits[-1] > before
+    for j, limit in enumerate(limits, 1):
+        # Each binder out from the innermost takes interpret, interpret_lam
+        # and the algebra off the stack.
+        depth = innermost[0] - 3 * (n - j)
+        assert 2 * depth <= limit and (limit == before or limit < 8 * depth), (j, depth, limit)
     assert sys.getrecursionlimit() == before
 
 

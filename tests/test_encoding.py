@@ -1,4 +1,5 @@
 import contextvars
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,8 @@ from helpers import (
     Poison,
     chain,
     check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+    check_a_limit_set_inside_a_tripped_call_stays,
+    check_a_tripped_call_keeps_its_limit_near_its_stack,
     check_calls_that_nest_nothing_leave_the_limit_alone,
     deep_term,
     run_fresh,
@@ -327,7 +330,7 @@ def test_a_max_depth_that_is_no_integer_is_named():
 
 
 def _fields(budget):
-    return budget.limit, budget.left, budget.trip, budget.raised
+    return budget.limit, budget.left, budget.trip, budget.units
 
 
 @pytest.mark.parametrize("max_depth", [0, -1, 2.5, "abc"], ids=["zero", "negative", "float", "str"])
@@ -610,11 +613,10 @@ def _nest(n, thunk):
 )
 def test_a_foreign_fold_started_near_the_recursion_limit_fires_the_tripwire_in_time(interpret, below):
     # An algebra that recurses once per binder takes 3 frames a binder
-    # (interpret, interpret_lam and the algebra); _nest(11, ...) adds 13,
-    # the 16 a binder that _FRAMES_PER_LEVEL budgets for. The tripwire must
-    # fire before a 100-binder fold runs out of the frames left below the
-    # caller's limit: it fires within 17 binders, about 55 frames in all
-    # at 3 frames a binder and about 265 at 16.
+    # (interpret, interpret_lam and the algebra); _nest(11, ...) adds 13.
+    # The tripwire must fire before a 100-binder fold runs out of the
+    # frames left below the caller's limit: it fires within 10 binders,
+    # about 35 frames in all at 3 frames a binder and about 165 at 16.
     limit = sys.getrecursionlimit()
     recursing = Algebra(interpret)
     t = deep_term(100)
@@ -628,12 +630,13 @@ def test_a_foreign_fold_started_near_the_recursion_limit_fires_the_tripwire_in_t
     assert sys.getrecursionlimit() == limit
 
 
-@pytest.mark.parametrize("frames", [25, 40])
+@pytest.mark.parametrize("frames", [25, 40, 100])
 def test_a_foreign_fold_from_the_top_level_fires_the_tripwire_before_the_default_limit(frames):
-    # A 1,000-binder fold at 25 or 40 frames a binder, started at the top
-    # of a new interpreter with the default limit of 1,000. When the
-    # tripwire fired after 40 nested charges, these raised RecursionError
-    # at 40 and 25 binders: 40 binders' frames were the whole limit.
+    # A 1,000-binder fold at 25, 40 or 100 frames a binder, started at the
+    # top of a new interpreter with the default limit of 1,000. When the
+    # tripwire fired after 40 nested charges, the first two raised
+    # RecursionError at 40 and 25 binders: 40 binders' frames were the
+    # whole limit. When it fired after 17, the third ran out at 10 binders.
     out = run_fresh(f"""
         import sys
         from kripkelam import Algebra, Rename, closed, fold, lam, place
@@ -663,14 +666,155 @@ def test_a_deep_foreign_fold_raises_the_recursion_limit_only_while_it_runs():
     check_a_deep_foreign_fold_raises_the_limit_while_it_runs()
 
 
-def test_a_tripped_call_caps_the_recursion_limit_at_a_c_int():
-    # 10**9 binders would need more frames than a recursion limit can hold;
-    # a fold that trips the guard raises the limit to the largest it can.
+def test_a_tripped_calls_recursion_limit_does_not_depend_on_max_depth():
+    # The limit follows the stack the call uses, not the binders it may
+    # interpret: a budget of 10**9 binders reads the default's limit inside.
     before = sys.getrecursionlimit()
     recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
-    inside = encoding.run_guarded(lambda: (fold(recursing, deep_term(100)), sys.getrecursionlimit()), 10**9)
-    assert inside == (101, 2**31 - 1)
+    t = deep_term(2_000)
+    inside = [
+        encoding.run_guarded(lambda: (fold(recursing, t), sys.getrecursionlimit()), max_depth)
+        for max_depth in (None, 10**9)
+    ]
+    assert inside[0] == inside[1] and inside[0][0] == 2_001 and inside[0][1] > before
     assert sys.getrecursionlimit() == before
+
+
+def test_a_tripped_call_keeps_its_recursion_limit_near_its_stack():
+    check_a_tripped_call_keeps_its_limit_near_its_stack()
+
+
+def test_a_limit_set_inside_a_tripped_call_stays():
+    check_a_limit_set_inside_a_tripped_call_stays()
+
+
+@pytest.mark.parametrize("frames", [17, 30, 60])
+def test_a_deep_foreign_fold_of_many_frames_a_binder_completes(frames):
+    # 10,000 binders at 17, 30 or 60 frames a binder, from the top level of
+    # a new interpreter. When the limit was raised to 16 frames for each
+    # binder the budget allowed, each raised RecursionError.
+    out = run_fresh(f"""
+        import sys
+        from kripkelam import Algebra, Rename, closed, fold, lam, place
+
+        def nest(n, thunk):
+            return nest(n - 1, thunk) if n else thunk()
+
+        # interpret, interpret_lam, the algebra, nest's calls and the thunk
+        recursing = Algebra(
+            lambda body, embed, alg: nest({frames - 5}, lambda: 1 + body(Rename.identity(), 1).interpret(alg))
+        )
+
+        def level(j):
+            return lambda mx, fresh: place(fresh) if j == 10_000 else lam(level(j + 1))
+
+        print(fold(recursing, closed(level(1))), sys.getrecursionlimit())
+    """)
+    assert out == "10001 1000\n"
+
+
+def test_a_shallow_foreign_fold_from_the_top_level_leaves_the_limit_alone():
+    # 40 binders at 3 frames a binder fire the tripwire, but the stack they
+    # use is far below the caller's limit, so the call raises nothing.
+    out = run_fresh("""
+        import sys
+        from kripkelam import Algebra, Rename, closed, fold, lam, place
+
+        seen = []
+        recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+
+        def level(j):
+            def body(mx, fresh):
+                if j < 40:
+                    return lam(level(j + 1))
+                seen.append(sys.getrecursionlimit())
+                return place(fresh)
+
+            return body
+
+        print(fold(recursing, closed(level(1))), seen, sys.getrecursionlimit())
+    """)
+    assert out == "41 [1000] 1000\n"
+
+
+@pytest.mark.parametrize("binders", [40, 200])
+def test_a_deep_repr_on_another_thread_during_a_tripped_call_raises_recursion_error(binders):
+    # A foreign fold held open at its innermost binder on one thread while
+    # the main thread takes repr of a 150,000-deep list. On CPython 3.11
+    # the limit raised for any tripped call let that repr overflow the C
+    # stack and kill the process; a limit raised as far as the fold's own
+    # stack needs stops it with RecursionError.
+    out = run_fresh(f"""
+        import threading
+        from kripkelam import Algebra, Rename, closed, fold, lam, place
+
+        entered, done = threading.Event(), threading.Event()
+
+        def level(j):
+            def body(mx, fresh):
+                if j < {binders}:
+                    return lam(level(j + 1))
+                entered.set()
+                done.wait()
+                return place(fresh)
+
+            return body
+
+        recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+        holder = threading.Thread(target=fold, args=(recursing, closed(level(1))))
+        holder.start()
+        entered.wait()
+        nested = []
+        for _ in range(150_000):
+            nested = [nested]
+        try:
+            repr(nested)
+        except RecursionError:
+            print("RecursionError")
+        finally:
+            done.set()
+            holder.join()
+    """)
+    assert out == "RecursionError\n"
+
+
+def test_a_deep_fold_after_many_shallow_ones_in_one_call_gets_its_limit_in_time():
+    # Folds run one after another in one guarded call make units that do
+    # not nest: 100 ten-binder foreign folds make 1,000. The 2,000-binder
+    # fold after them nests every unit, and the tripwire must look at its
+    # stack before it outgrows the caller's limit.
+    before = sys.getrecursionlimit()
+    recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+    shallow, deep = deep_term(10), deep_term(2_000)
+
+    def folds():
+        assert [fold(recursing, shallow) for _ in range(100)] == [11] * 100
+        return fold(recursing, deep)
+
+    assert encoding.run_guarded(folds) == 2_001
+    assert sys.getrecursionlimit() == before
+
+
+def test_a_tripped_call_measures_its_stack_a_logarithmic_number_of_times(monkeypatch):
+    # The trip point moves out geometrically: a 10,000-binder foreign fold
+    # and a walk of a 2,000-layer lam_alg tower each fire the tripwire at
+    # most ceil(log2(n / (_TRIP + 1))) + 1 times.
+    fires = []
+    trip = encoding._trip
+
+    def counting(budget, n):
+        fires.append(n)
+        trip(budget, n)
+
+    recursing = Algebra(lambda body, embed, alg: 1 + body(Rename.identity(), 1).interpret(alg))
+    tower = db_to_hoas(chain(10, 3))
+    for _ in range(2_000):
+        tower = fold(lam_alg(), tower)
+    monkeypatch.setattr(encoding, "_trip", counting)
+    for n, run in ((10_000, lambda: fold(recursing, deep_term(10_000))), (2_000, lambda: size(tower))):
+        fires.clear()
+        run()
+        assert 1 < len(fires) <= math.ceil(math.log2(n / (encoding._TRIP + 1))) + 1, (n, len(fires))
 
 
 def test_a_deep_repr_on_another_thread_during_a_guarded_call_raises_recursion_error():

@@ -539,11 +539,12 @@ def test_run_all_laws_is_green():
 
 def test_the_law_suites_trip_no_guarded_call(monkeypatch):
     # A law instance folds at most 8 binders, and the chain skip nests
-    # nothing: no guarded call of the suites raises the recursion limit.
+    # nothing: no guarded call of the suites fires its tripwire.
     # At the default bound a skeleton has up to 32 binders, and its chain
     # is still skipped in one charge.
     trips = []
-    monkeypatch.setattr(encoding, "_raise_limit", trips.append)
+    trip = encoding._trip
+    monkeypatch.setattr(encoding, "_trip", lambda budget, n: (trips.append(n), trip(budget, n)))
     assert all(r.ok for r in run_all_laws(max_binders=8, samples=1_000, seed=0))
     reports = run_all_laws()
     assert all(r.ok for r in reports) and [r.checked for r in reports] == [594] * 9

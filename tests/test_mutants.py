@@ -43,6 +43,8 @@ from helpers import (
     SIX_RUNS,
     chain,
     check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+    check_a_limit_set_inside_a_tripped_call_stays,
+    check_a_tripped_call_keeps_its_limit_near_its_stack,
     check_calls_that_nest_nothing_leave_the_limit_alone,
     check_chains_agree_with_closures,
     check_guard_charges_k_binders,
@@ -74,6 +76,9 @@ from test_debruijn import test_format_db_text_is_read_without_the_match as _read
 from test_debruijn import test_named_text_is_read_without_the_match as _named_read_without_the_match
 from test_debruijn import test_render_named_slices_the_table_only_for_its_names as _render_slices_only_its_names
 from test_debruijn import test_gen_term_rejects_a_bound_that_is_no_integer as _depth_bound_no_integer
+from test_encoding import (
+    test_a_deep_fold_after_many_shallow_ones_in_one_call_gets_its_limit_in_time as _deep_after_shallow,
+)
 from test_encoding import test_a_max_depth_that_is_no_integer_is_named as _max_depth_named
 from test_encoding import test_a_term_interpreted_outside_any_guarded_call_charges_nothing as _charges_nothing_outside
 from test_encoding import (
@@ -248,8 +253,64 @@ def _within_the_stack(check):
             "pass",
             check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
         ),
+        # The tripwire fires once and never again, so a deep fold keeps the
+        # limit of its first, shallow measurement.
+        (
+            encoding,
+            "_trip",
+            [(encoding, "_trip")],
+            "budget.trip = budget.left - units if budget.left > units else 0",
+            "budget.trip = 0",
+            check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+        ),
+        # The next look waits for as many units again as the call made,
+        # also when they did not nest.
+        (
+            encoding,
+            "_trip",
+            [(encoding, "_trip")],
+            "min(2 * budget.units + 1, depth // 2)",
+            "2 * budget.units + 1",
+            _deep_after_shallow,
+        ),
+        (
+            encoding,
+            "_trip",
+            [(encoding, "_trip")],
+            "need = _STACK_MULTIPLE * depth",
+            "need = 2 * depth",
+            check_a_tripped_call_keeps_its_limit_near_its_stack,
+        ),
+        # A call counted in flight at each of its fires leaves the count
+        # above 0 when it ends, so the limit is never put back.
+        (
+            encoding,
+            "_trip",
+            [(encoding, "_trip")],
+            "if not budget.units:",
+            "if True:",
+            check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
+        ),
+        (
+            encoding,
+            "_restore_limit",
+            [(encoding, "_restore_limit")],
+            "sys.getrecursionlimit() == _limit_set",
+            "True",
+            check_a_limit_set_inside_a_tripped_call_stays,
+        ),
     ],
-    ids=["tick-trips-at-zero", "charge-keeps-the-trip-point", "shifted-untick", "no-restore"],
+    ids=[
+        "tick-trips-at-zero",
+        "charge-keeps-the-trip-point",
+        "shifted-untick",
+        "no-restore",
+        "no-rearm",
+        "no-stack-cap",
+        "multiple-two",
+        "in-flight-every-fire",
+        "any-limit-is-ours",
+    ],
 )
 def test_the_trip(monkeypatch, module, name, patched, old, new, check):
     check = _within_the_stack(check)
