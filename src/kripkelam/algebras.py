@@ -23,10 +23,14 @@ The entry points ``size``, ``print_term`` and ``to_debruijn`` fold
 ``to_debruijn_alg`` and run the same loop over its value in the guarded
 entry, with the budget it read, but apply nothing: the chain must end in
 the variable of a binder the loop walked, which is that binder's level,
-and each entry point builds its result from the count and that level. A
-chain that ends in anything else is an ill-formed term, and so is one
-whose end, applied by a carrier, gives no text or de Bruijn term: one
-``TypeError`` from the three entry points and the two applied carriers. The folds of the three algebras raise
+and each entry point builds its result from the count and that level. An
+applied carrier whose chain ends in such a variable reads its result the
+same way, from the level reached and the variable, so it calls no
+variable and makes no name stream; only another end, such as a placed
+function, is applied. A chain that ends in anything else is an ill-formed
+term for the entry points, and so is one whose end, applied by a carrier,
+gives no text or de Bruijn term: one ``TypeError`` from the three entry
+points and the two applied carriers. The folds of the three algebras raise
 it too for a body that returns no open term or cannot take a rename and a
 variable, and a ``size_alg`` fold for an occurrence that denotes no ``int``.
 The guard counts every binder once, however the loop takes it, as for
@@ -123,8 +127,10 @@ def size(t: Term) -> int:
 class _Name(int):
     """A bound variable's denotation in ``print_alg``: the number n of its name x{n}.
 
-    Called with any stream, it gives that name. An ``int`` subclass with no
-    slots of its own, so making one runs in C.
+    Called with any stream, it gives that name. The print carrier reads the
+    name of one that ends its chain without calling it; a foreign algebra,
+    or a placed function that ends the chain, may call it. An ``int``
+    subclass with no slots of its own, so making one runs in C.
     """
 
     __slots__ = ()
@@ -151,10 +157,12 @@ class _PrintCarrier:
 
     Applied to a :class:`NameStream`, it walks the chain with
     :func:`_chain_end`, each binder taking the next name; applied to
-    anything else, it raises ``TypeError`` naming it. Whatever ends the
-    chain is applied to the stream that is left, and the binders' text is
+    anything else, it raises ``TypeError`` naming it. The binders' text is
     one slice of the canonical-name table's text, or joined once past it.
-    Names are counted as ints, so no stream is built per binder.
+    A bound variable that ends the chain gives its own name, read from it;
+    anything else that ends it is applied to the stream that is left, the
+    one stream the call makes. Names are counted as ints, so no stream is
+    built per binder.
     """
 
     __slots__ = ("body", "alg")
@@ -164,6 +172,8 @@ class _PrintCarrier:
             raise TypeError(f"a print carrier value takes a NameStream, not {reprlib.repr(stream)}")
         start = stream.start
         n, c = _chain_end(self.body, self.alg, start, _Name, _PRINT_ALG, _PrintCarrier)
+        if type(c) is _Name:
+            return _canonical_text(start, n - 1) + f"x{c}"
         rest = _new(NameStream)
         _set(rest, "start", n)
         return _canonical_text(start, n - 1) + _applied(c, rest, str)
@@ -192,8 +202,11 @@ class _Level(int):
 
     Called with the depth ``n`` of an occurrence, it gives the index of
     the binder, ``Var(n - self)``, made without ``Var``'s check: the
-    carrier that calls it has read ``n`` as an ``int``. An ``int`` subclass
-    with no slots of its own, so making one runs in C.
+    carrier that calls it has read ``n`` as an ``int``. The de Bruijn
+    carrier reads the index of one that ends its chain without calling it;
+    a foreign algebra, or a placed function that ends the chain, may call
+    it. An ``int`` subclass with no slots of its own, so making one runs
+    in C.
     """
 
     __slots__ = ()
@@ -208,9 +221,11 @@ class _DepthCarrier:
     Applied to a depth ``v``, it walks the chain with :func:`_chain_end`
     from level ``v + 1``, one level deeper per binder. ``v`` may be any
     integer, and a ``bool`` counts as its ``int``; anything else raises
-    ``TypeError`` naming it. Whatever ends the chain is applied to the
-    depth reached, and the binders walked are put around its term in one
-    step.
+    ``TypeError`` naming it. A bound variable that ends the chain, the
+    level ``c`` of its binder, gives the index ``n - c`` at the depth ``n``
+    reached, read without calling it; anything else that ends it is
+    applied to that depth. The binders walked are put around the term in
+    one step.
     """
 
     __slots__ = ("body", "alg")
@@ -219,6 +234,8 @@ class _DepthCarrier:
         if type(v) is not int:
             v = _integer(v, "a de Bruijn carrier value takes an integer depth")
         level, c = _chain_end(self.body, self.alg, v + 1, _Level, _TO_DEBRUIJN_ALG, _DepthCarrier)
+        if type(c) is _Level:
+            return _chain(level - 1 - v, level - 1 - c)
         inner = _applied(c, level - 1, DbTerm)
         return _chain(level - 1 - v + inner.binders, inner.occurrence)
 

@@ -311,7 +311,8 @@ def _table(last: int) -> tuple[tuple[str, ...], str]:
 
 def _canonical_text(start: int, last: int) -> str:
     """The text of binders named x{start} to x{last}, outermost first: a
-    slice of the table's text where it holds them.
+    slice of the table's text where it can hold them, read in place once it
+    holds ``last`` names and grown first otherwise.
 
     The binder text of x{m} is 5 characters and m's digits, and the m up to
     n have ``(n + 1)d - (10**d - 1) / 9`` digits in all, d being the digits
@@ -321,7 +322,10 @@ def _canonical_text(start: int, last: int) -> str:
         n = start - 1
         d, e = len(str(n)), len(str(last))
         begin = 5 * n + (n + 1) * d - (10**d - 1) // 9
-        return _table(last)[1][begin : 5 * last + (last + 1) * e - (10**e - 1) // 9]
+        table = _CANONICAL
+        if len(table[0]) < last:
+            table = _table(last)
+        return table[1][begin : 5 * last + (last + 1) * e - (10**e - 1) // 9]
     return "".join([f"\\ x{n}. " for n in range(start, last + 1)])
 
 

@@ -22,7 +22,10 @@ it, which alone determines the instance; a pass covers only the instances
 that ran.
 
 A :class:`BodySkeleton` is checked once, when it is made, so a law
-instance pays only for the law: :func:`body_of_skeleton` checks nothing.
+instance pays only for the law: :func:`body_of_skeleton` checks nothing,
+and a function carrier observed at its canonical argument reads the bound
+variable that ends its chain, with no call of that variable and no name
+stream made for it.
 The skeletons the library makes itself (:func:`enumerate_skeletons`,
 :func:`skeleton_pool`) are valid by construction, and are made without
 ``__init__`` by the rule for the library's own objects in
@@ -243,7 +246,11 @@ def check_hom(
     observe: Callable[[Any], Any],
     suite: str = "hom",
 ) -> Report:
-    """Check one candidate homomorphism on every skeleton."""
+    """Check one candidate homomorphism on every skeleton.
+
+    Each instance is one call of :func:`hom_sides`, looked up in this
+    module at the call, so a wrapper put in its place sees every instance.
+    """
     report = Report(suite)
     for skeleton in skeletons:
         lhs, rhs = hom_sides(alg1, alg2, h, skeleton, env_value, observe)

@@ -25,6 +25,7 @@ from kripkelam import (
     lam,
     lam_alg,
     names,
+    oracle_print,
     place,
     print_alg,
     print_term,
@@ -110,7 +111,7 @@ def deep_term(depth: int) -> Term:
     return closed(level(1))
 
 
-def closure_chain(k: int, i: int) -> Term:
+def closure_chain(k: int, i: int, leaf=place) -> Term:
     """The chain of ``k`` binders around ``Var(i)``, built from ``lam``/``place`` closures.
 
     The binder the occurrence names captures its fresh variable, and each
@@ -118,7 +119,8 @@ def closure_chain(k: int, i: int) -> Term:
     ``db_to_hoas`` term does. No binder is a chain binder, so no fold or
     chain loop skips any of them: each binder's body is called, under the
     library's algebras by the chain loop's in-place step and under any
-    other through ``interpret_lam``.
+    other through ``interpret_lam``. The innermost body returns
+    ``leaf(value)``, ``value`` being the variable the occurrence names.
     """
     named = k - i
 
@@ -131,12 +133,32 @@ def closure_chain(k: int, i: int) -> Term:
             else:
                 value = mx.apply(target)
             if j == k:
-                return place(value)
+                return leaf(value)
             return lam(level(j + 1, value))
 
         return body
 
     return closed(level(1, None))
+
+
+def _applying(value):
+    """An occurrence that applies the variable ``value`` to what it is applied to."""
+    return place(lambda arg: value(arg))
+
+
+def check_applied_variables_agree(max_depth: int):
+    """The applied carriers agree with the oracles on every closed chain up
+    to ``max_depth`` binders whose occurrence applies its variable.
+
+    Such a chain ends in no bound variable but in a function that calls
+    one, so each carrier applies it, and the variable's denotation is
+    called: ``print_alg``'s with the name stream that is left,
+    ``to_debruijn_alg``'s with the depth reached.
+    """
+    for d in enumerate_terms(max_depth):
+        t = closure_chain(d.binders, d.index, _applying)
+        assert fold(print_alg(), t)(names(1)) == oracle_print(d)
+        assert fold(to_debruijn_alg(), t)(1) == d
 
 
 # What a term gives to the three entry points, the size_alg fold and both

@@ -37,7 +37,8 @@ from kripkelam import (
     to_debruijn,
     to_debruijn_alg,
 )
-from kripkelam import debruijn, encoding
+from kripkelam import algebras, debruijn, encoding
+from kripkelam.debruijn import _canonical_text
 from kripkelam.algebras import NameStream, names
 from kripkelam.encoding import _Lam
 from kripkelam.laws import body_of_skeleton, enumerate_skeletons
@@ -46,6 +47,7 @@ from helpers import (
     SIX_RUNS,
     Poison,
     chain,
+    check_applied_variables_agree,
     check_chains_agree_with_closures,
     check_guard_charges_k_binders,
     check_name_table,
@@ -128,6 +130,35 @@ def test_the_print_carrier_names_binders_from_any_start(monkeypatch, table, star
             for t in (db_to_hoas(chain(k, i)), closure_chain(k, i)):
                 assert fold(print_alg(), t)(names(start)) == _printed_from(start, k, i)
     check_name_table(debruijn._CANONICAL)
+
+
+def test_a_print_carrier_ending_in_a_bound_variable_makes_no_name_stream(monkeypatch):
+    # Where the chain ends in a bound variable the carrier reads its name:
+    # the text is what the variable's denotation gives the stream that is
+    # left, and no stream is made for it.
+    values = []
+    for k in (1, 7, 20):
+        for i in sorted({0, k // 2, k - 1}):
+            d = chain(k, i)
+            for t in (db_to_hoas(d), closure_chain(k, i), fold(lam_alg(), db_to_hoas(d))):
+                values.append((k, i, fold(print_alg(), t)))
+    made = []
+
+    def recording(cls):
+        made.append(cls)
+        return object.__new__(cls)
+
+    monkeypatch.setattr(algebras, "_new", recording)
+    for start in (-2, 1, 9_995, DEFAULT_MAX_NESTING + 1):
+        for k, i, value in values:
+            last = start + k - 1
+            named = algebras._Name(last - i)
+            assert value(names(start)) == _canonical_text(start, last) + named(names(last + 1))
+    assert NameStream not in made
+
+
+def test_an_occurrence_that_applies_its_variable_is_applied_by_each_carrier():
+    check_applied_variables_agree(12)
 
 
 # ---------------------------------------------------------------- size
@@ -436,7 +467,7 @@ def test_a_binder_costs_few_python_calls(make, per_binder):
     "run, calls",
     [
         (size, 8),
-        (print_term, 10),
+        (print_term, 9),
         (to_debruijn, 9),
         (lambda t: size(fold(lam_alg(), t)), 17),
     ],
@@ -447,7 +478,8 @@ def test_a_call_on_a_short_chain_costs_a_fixed_number_of_python_calls(run, calls
     # guarded call allocates no budget, and the library makes its own terms,
     # renames and name streams without entering an __init__. calls counts
     # run and every Python call under it; the lambda around it adds one.
-    # The first call may grow the table of canonical names.
+    # The first call may grow the table of canonical names; later ones read
+    # it in place.
     t = db_to_hoas(chain(16, 8))
     run(t)
     assert _profiled(lambda: run(t))[0] == calls + 1

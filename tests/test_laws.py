@@ -27,6 +27,7 @@ from kripkelam import (
     identity_term,
     lam,
     lam_alg,
+    print_alg,
     print_term,
     run_all_laws,
     size,
@@ -34,8 +35,11 @@ from kripkelam import (
     skeleton_pool,
     standard_contexts,
     to_debruijn,
+    to_debruijn_alg,
 )
-from kripkelam import encoding
+from kripkelam import algebras, encoding
+from kripkelam.algebras import names
+from kripkelam.debruijn import DbTerm, _canonical_text, _chain
 from kripkelam.laws import render_reports
 
 from helpers import Poison, RenameCounter, reference_splitmix64, renamed
@@ -581,27 +585,87 @@ _THREE_SKELETONS = [BodySkeleton(0, Slot.ENV), BodySkeleton(1, Slot.FRESH), Body
     [
         ("size", "id", 64),
         ("size", "fold", 99),
-        ("print", "id", 94),
-        ("print", "fold", 127),
-        ("debruijn", "id", 97),
-        ("debruijn", "fold", 130),
+        ("size", "compose", 137),
+        ("print", "id", 80),
+        ("print", "fold", 109),
+        ("print", "compose", 147),
+        ("debruijn", "id", 79),
+        ("debruijn", "fold", 112),
+        ("debruijn", "compose", 150),
     ],
-    ids=["size-id", "size-fold", "print-id", "print-fold", "debruijn-id", "debruijn-fold"],
+    ids=[
+        "size-id",
+        "size-fold",
+        "size-compose",
+        "print-id",
+        "print-fold",
+        "print-compose",
+        "debruijn-id",
+        "debruijn-fold",
+        "debruijn-compose",
+    ],
 )
 def test_a_law_instance_costs_a_fixed_number_of_python_calls(label, suite, calls):
     # calls is what three instances cost on top of a suite's fixed cost: the
     # Python calls of a suite over the three skeletons twice, less those over
     # them once. An instance builds its body from the skeleton's fields and
-    # checks nothing, observes with one shared name stream, and makes its de
-    # Bruijn variables without Var's check.
+    # checks nothing, and makes its de Bruijn variables without Var's check.
+    # An applied carrier whose chain ends in a bound variable reads the
+    # observation from the variable and the level: it calls no variable and
+    # makes no name stream.
     ctx = next(c for c in standard_contexts() if c.label == label)
     if suite == "id":
         run = partial(check_id_hom, ctx.alg, env_value=ctx.env_value, observe=ctx.observe)
-    else:
+    elif suite == "fold":
         run = partial(check_fold_hom, ctx.alg, observe=ctx.observe)
+    else:
+        run = partial(
+            check_compose_hom,
+            lam_alg(),
+            lam_alg(),
+            ctx.alg,
+            partial(fold, lam_alg()),
+            partial(fold, ctx.alg),
+            env_value=identity_term(),
+            observe=ctx.observe,
+        )
     assert run(_THREE_SKELETONS).ok
     twice, once = (_profiled(partial(run, _THREE_SKELETONS * n))[0] for n in (2, 1))
     assert twice - once == calls
+
+
+def _read_by_applying(value):
+    """The observation of a standard carrier's ``value`` with the end of its
+    chain applied, as it is for an end that is no bound variable: the name
+    stream that is left, or the depth reached, handed to the end."""
+    if type(value) is algebras._PrintCarrier:
+        n, c = encoding._chain_end(value.body, value.alg, 1, algebras._Name, print_alg(), algebras._PrintCarrier)
+        return _canonical_text(1, n - 1) + algebras._applied(c, names(n), str)
+    if type(value) is algebras._DepthCarrier:
+        level, c = encoding._chain_end(
+            value.body, value.alg, 2, algebras._Level, to_debruijn_alg(), algebras._DepthCarrier
+        )
+        inner = algebras._applied(c, level - 1, DbTerm)
+        return _chain(level - 2 + inner.binders, inner.occurrence)
+    return value
+
+
+@pytest.mark.parametrize("ctx", standard_contexts(), ids=lambda ctx: ctx.label)
+def test_a_carrier_reads_a_bound_variable_as_applying_it_would(ctx):
+    # Both sides of every instance of the identity, composition and fold
+    # suites, observed by the context and by applying the chain's end.
+    def both(value):
+        return ctx.observe(value), _read_by_applying(value)
+
+    suites = [
+        (ctx.alg, lambda x: x, ctx.env_value),
+        (lam_alg(), lambda t: fold(ctx.alg, fold(lam_alg(), t)), identity_term()),
+        (lam_alg(), partial(fold, ctx.alg), identity_term()),
+    ]
+    for skeleton in enumerate_skeletons(8):
+        for alg1, h, env_value in suites:
+            lhs, rhs = hom_sides(alg1, ctx.alg, h, skeleton, env_value, both)
+            assert lhs[0] == lhs[1] == rhs[0] == rhs[1]
 
 
 def test_run_all_laws_reports_are_reproducible():

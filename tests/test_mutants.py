@@ -45,6 +45,7 @@ from helpers import (
     check_a_deep_foreign_fold_raises_the_limit_while_it_runs,
     check_a_limit_set_inside_a_tripped_call_stays,
     check_a_tripped_call_keeps_its_limit_near_its_stack,
+    check_applied_variables_agree,
     check_calls_that_nest_nothing_leave_the_limit_alone,
     check_chains_agree_with_closures,
     check_guard_charges_k_binders,
@@ -85,6 +86,7 @@ from test_encoding import (
     test_walking_a_term_folded_through_lam_alg_many_times_relies_on_the_raised_limit as _lam_alg_tower_walks,
 )
 from test_laws import _RECORDS
+from test_laws import test_a_carrier_reads_a_bound_variable_as_applying_it_would as _reads_as_applying
 from test_laws import test_a_binder_count_or_bound_that_is_no_integer_is_rejected as _binders_no_integer
 from test_laws import test_a_law_record_copies_pickles_and_shows_as_it_always_has as _record_copies
 from test_laws import test_a_skeleton_is_checked_when_it_is_made as _checked_when_made
@@ -699,11 +701,38 @@ def test_the_pool_draw(monkeypatch):
     assert all(_fails(check) for check in checks)
 
 
+# The applied carriers over chains whose occurrence applies its variable:
+# only there is a variable's denotation called.
+_applied_variables = partial(check_applied_variables_agree, 8)
+
+# The law instances' differential of each function carrier's read of a
+# bound variable against applying it.
+_law_reads = {ctx.label: partial(_reads_as_applying, ctx) for ctx in laws.standard_contexts()}
+
+
 def test_the_de_bruijn_variable(monkeypatch):
-    # An applied de Bruijn carrier gives a variable the index of the binder
-    # one further out.
-    checks = [_entries_equal_folds, _bool_depth]
+    # An applied de Bruijn variable gives the index of the binder one
+    # further out.
+    checks = [_applied_variables]
     assert not any(_fails(check) for check in checks)
     mutant = _with_line(algebras, "_Level.__call__", "_chain(0, n - self)", "_chain(0, n - self + 1)")
     monkeypatch.setattr(algebras._Level, "__call__", mutant)
+    assert all(_fails(check) for check in checks)
+
+
+@pytest.mark.parametrize(
+    "owner, old, new, checks",
+    [
+        # An applied print variable gives the name of the binder one further in.
+        ("_Name", 'f"x{self}"', 'f"x{self + 1}"', [_applied_variables]),
+        # A carrier whose chain ends in a bound variable reads the name of
+        # the binder one further in, or the index of the one further out.
+        ("_PrintCarrier", 'f"x{c}"', 'f"x{c + 1}"', [_entries_equal_folds, _law_reads["print"]]),
+        ("_DepthCarrier", "level - 1 - c", "level - c", [_entries_equal_folds, _bool_depth, _law_reads["debruijn"]]),
+    ],
+    ids=["name-applied-off-by-one", "print-read-off-by-one", "depth-read-off-by-one"],
+)
+def test_the_variable_reads(monkeypatch, owner, old, new, checks):
+    assert not any(_fails(check) for check in checks)
+    monkeypatch.setattr(getattr(algebras, owner), "__call__", _with_line(algebras, f"{owner}.__call__", old, new))
     assert all(_fails(check) for check in checks)
