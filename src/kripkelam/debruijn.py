@@ -23,13 +23,15 @@ Any whitespace may separate tokens. De Bruijn text reads
 ``Lam (Lam (Var 1))``, parentheses optional, and is recognised by one
 regular-expression match whose repeats are possessive, so reading a term
 builds no token list and the match keeps no state per binder.
-:func:`format_db`'s own spelling, with an index of at most 18 ASCII digits,
-skips the match: ``str.count``, ``startswith``, ``isascii`` and ``isdigit``
-recognise it. Named text is ``('\\' | 'λ') ident '.' term | ident`` with
+:func:`format_db`'s own spelling, with an index of at most 18 decimal
+digits, skips the match: ``str.find`` places its one ``V``, ``startswith``
+compares its ``Lam (`` and ``)`` runs a block of 1,024 binders at a time,
+and ``str.count`` counts the rest, so nothing is built per binder. Named
+text is ``('\\' | 'λ') ident '.' term | ident`` with
 ``ident := [A-Za-z][A-Za-z0-9_]*``, and is read by ``str`` methods: the
 binder run ends at the last ``.``, and the rest, stripped, is the
 occurrence. The run is read a chunk at a time: whole if it is shorter than
-4,096 characters, and otherwise in chunks of about that many, each ending
+8,192 characters, and otherwise in chunks of about that many, each ending
 just after a binder's ``.``. In a chunk each ``λ`` is read as ``\\``; ``str.split`` lists its names, once
 ``\\`` and ``.`` are read as spaces, and ``str.translate`` and
 ``str.count`` check that it is all binders. The names are streamed into the
@@ -461,8 +463,16 @@ _DB = re.compile(r"([\s(]*+(?:Lam(?![^\W_])[\s(]*+)*+)(?:Var(?![^\W_])\s*+(?:(\d
 _NAMED_LEXICON = rf"(?:[\s\\λ.]++|{_IDENT})*+"
 _DB_LEXICON = r"(?:[\s()]++|\d++|(?:Lam|Var)(?![^\W_]))*+"
 # Binder-run characters past which parse_named lists the names a chunk of
-# about this many characters at a time, instead of all at once.
-_LISTED_RUN = 4096
+# about this many characters at a time, instead of all at once. Each chunk
+# has a fixed cost, and so has streaming the chunks' names, so a 1,000-binder
+# run is read whole; a chunk's copy and names list take about 26 KB beyond
+# the names at 10,000 binders.
+_LISTED_RUN = 8192
+# format_db's binder and closing-paren runs, compared a block of this many
+# binders at a time.
+_BLOCK = 1024
+_LAM_BLOCK = "Lam (" * _BLOCK
+_CLOSER_BLOCK = ")" * _BLOCK
 
 
 def _error_at(text: str, pos: int, message: str) -> ParseError:
@@ -483,18 +493,33 @@ def _syntax_error(text: str, lexicon: str, pos: int, message: str) -> ParseError
 def parse_db(text: str) -> DbTerm:
     """Parse the de Bruijn text format; whitespace between tokens is free."""
     # format_db's spelling, "Lam (" * k + "Var " + digits + ")" * k, by str
-    # methods, with any whitespace around it, as a saved line has. "Lam ("
+    # methods, with any whitespace around it, as a saved line has. Its one V
+    # is at 5 * k, and its index runs up to its k closing parens. "Lam ("
     # cannot overlap itself, so k of them in the first 5 * k characters are
-    # the whole prefix; then the line's k closing parens are its last k
-    # characters. At most 18 digits: a longer index takes the match, which
-    # reports one too long for int().
+    # the whole prefix. Runs of a block or more are compared a block at a
+    # time, so no pass counts the whole line and nothing is built per
+    # binder; shorter ones are counted here, since a call to _in_blocks
+    # would add about a fifth to a short text's read. At most 18 digits: a
+    # longer index takes the match, which reports one too long for int().
+    # Decimal digits of any script read as int() reads them, which is how
+    # the match reads them too.
     line = text.strip()
-    k = line.count(")")
-    start, stop = 5 * k + 4, len(line) - k
-    if stop - start <= 18 and line.startswith("Var ", 5 * k) and line.count("Lam (", 0, 5 * k) == k:
+    at = line.find("V")
+    k = at // 5
+    start, stop = at + 4, len(line) - k
+    if (
+        at == 5 * k
+        and stop - start <= 18
+        and line.startswith("Var ", at)
+        and (line.count("Lam (", 0, at) == line.count(")", stop) == k if k < _BLOCK else _in_blocks(line, stop, k))
+    ):
         digits = line[start:stop]
-        if digits.isascii() and digits.isdigit():
-            return _chain(k, int(digits))
+        if digits.isdecimal():
+            # Built in place: a call to _chain is about 5% of a short read.
+            t = _new(Lam if k else Var)
+            t._binders = k
+            t._occurrence = int(digits)
+            return t
     # Chains only: a run of Lam and ( markers, one Var and its index, then
     # as many closing parens as the run opened.
     match = _DB.match(text)
@@ -525,6 +550,17 @@ def parse_db(text: str) -> DbTerm:
     if end < len(text):
         fail(end, "trailing input after term")
     return _chain(text.count("Lam", 0, markers), index)
+
+
+def _in_blocks(line: str, stop: int, k: int) -> bool:
+    """Whether ``line`` opens with ``"Lam (" * k`` and holds ``")" * k`` from
+    ``stop`` on: the first ``k % _BLOCK`` of each run counted, then the
+    rest compared a block at a time. A run shorter than a block is counted
+    whole, as ``parse_db`` does itself."""
+    rest = k % _BLOCK
+    return line.count("Lam (", 0, 5 * rest) == line.count(")", stop, stop + rest) == rest and all(
+        line.startswith(_LAM_BLOCK, 5 * j) and line.startswith(_CLOSER_BLOCK, stop + j) for j in range(rest, k, _BLOCK)
+    )
 
 
 def parse_named(text: str) -> NamedTerm:

@@ -43,7 +43,7 @@ from kripkelam import (
     to_debruijn_alg,
 )
 from kripkelam import debruijn
-from kripkelam.debruijn import parse_named, render_named
+from kripkelam.debruijn import _LISTED_RUN, parse_named, render_named
 
 from helpers import (
     RenameCounter,
@@ -527,11 +527,13 @@ def test_tokenizing_a_valid_text_builds_no_word_list(parse, text, unparse):
 
 
 def test_parsing_a_valid_db_text_keeps_nothing_per_binder():
-    # One match of possessive repeats, then three counts over the text: a
-    # greedy repeat kept a backtracking frame per binder and peaked at 4.3 MB.
+    # format_db's spelling is compared a block at a time against two
+    # constants, which slices and builds nothing per binder: 788 bytes in
+    # all at 10,000 binders. The regex path's greedy repeat once kept a
+    # backtracking frame per binder and peaked at 4.3 MB.
     term, peak = _traced(parse_db, DEEP_DB_TEXT)
     assert term == chain(10_000, 0)
-    assert peak < 64 * 1024
+    assert peak < 1024
 
 
 def test_parsing_a_valid_named_text_takes_little_beyond_its_names():
@@ -656,7 +658,7 @@ def test_parsers_agree_with_the_token_walk_reference(text):
         assert _outcome(parse, text) == _outcome(reference, text)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 7, 4_097, DEFAULT_MAX_NESTING])
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 1_023, 1_024, 1_025, 2_049, 4_097, DEFAULT_MAX_NESTING])
 def test_format_db_text_is_read_without_the_match(monkeypatch, k):
     # Every index format_db writes in at most 18 digits takes the str-method
     # path, open terms' too, and so does the text with whitespace around
@@ -670,6 +672,32 @@ def test_format_db_text_is_read_without_the_match(monkeypatch, k):
         text = format_db(d)
         for line in (text, text + "\n", "\u3000" + text + "\x85"):
             assert debruijn.parse_db(line) == d
+
+
+def _block_edges(k, i):
+    """``format_db(chain(k, i))``, then each text made from it by one character
+    deleted, doubled or replaced by ``x`` at the edges of 1,024-binder blocks
+    counted from either end of each run: at the ``L`` and the ``(`` of those
+    binders, and at their closing parens counted from the index and from
+    the end of the line."""
+    text = format_db(chain(k, i))
+    stop, r = len(text) - k, k % 1_024
+    binders = {b for b in (0, 1_023, 1_024, r - 1, r, k - 1_025, k - 1_024, k - 1) if 0 <= b < k}
+    spots = sorted({p for b in binders for p in (5 * b, 5 * b + 4, stop + b, len(text) - 1 - b)})
+    edits = [(text[:p], text[p + 1 :], text[p]) for p in spots]
+    return [text] + [head + new + tail for head, tail, ch in edits for new in ("", 2 * ch, "x")]
+
+
+@pytest.mark.parametrize("k", [1_023, 1_024, 1_025, 2_048, 2_049, DEFAULT_MAX_NESTING])
+def test_format_db_text_agrees_with_the_reference_at_block_edges(k):
+    # parse_db compares format_db's runs a block of 1,024 binders at a time
+    # and counts the rest: a block or a rest read one binder off leaves a
+    # character unread, or reads one twice.
+    for i in (0, k - 1):
+        text = format_db(chain(k, i))
+        assert _outcome(parse_db, text) == _outcome(reference_parse_db, text) == (Lam, chain(k, i))
+    for text in _block_edges(k, k // 2):
+        assert _outcome(parse_db, text) == _outcome(reference_parse_db, text)
 
 
 def test_str_split_and_the_pattern_whitespace_agree_on_every_code_point():
@@ -705,12 +733,18 @@ def _binder_run(length, width):
     return "".join(parts), bound
 
 
+# Runs of about half a chunk and a chunk, and of about one and a half
+# chunks and three, each of a length on either side of its round figure.
 @pytest.mark.parametrize("width", [1, 300])
-@pytest.mark.parametrize("length", [4_095, 4_096, 4_097, 3 * 4_096 - 3, 3 * 4_096, 3 * 4_096 + 3])
+@pytest.mark.parametrize(
+    "length",
+    [n + d for n in (_LISTED_RUN // 2, _LISTED_RUN) for d in (-1, 0, 1)]
+    + [3 * n + d for n in (_LISTED_RUN // 2, _LISTED_RUN) for d in (-3, 0, 3)],
+)
 def test_a_long_binder_run_is_read_in_chunks_that_split_no_name(length, width):
-    # Past 4,096 characters the names of a binder run are listed a chunk at
-    # a time, each chunk ending just after a binder's '.': a chunk cut at a
-    # fixed width would split a name in two.
+    # From _LISTED_RUN characters on, the names of a binder run are listed a
+    # chunk at a time, each chunk ending just after a binder's '.': a chunk
+    # cut at a fixed width would split a name in two.
     run, bound = _binder_run(length, width)
     assert len(run) == length
     for gap in _GAPS:
@@ -746,7 +780,7 @@ def test_named_text_is_read_without_the_match(monkeypatch, k):
     texts = [_spelt(k, gap) for gap in _GAPS]
     if k:
         texts.append(render_named(db_to_named(chain(k, k // 2))))
-    for length in (4_095, 4_096, 4_097):
+    for length in (_LISTED_RUN - 1, _LISTED_RUN, _LISTED_RUN + 1):
         run, bound = _binder_run(length, 1)
         texts += [run + gap + bound[-1] for gap in _GAPS]
     expected = [reference_parse_named(text) for text in texts]

@@ -438,7 +438,7 @@ def test_the_ill_formed_checks(monkeypatch, module, name, patched, old, new, che
 
 # The long binder-run scan with its chunks cut at a fixed width: on a run of
 # three chunks or more, one of the cuts falls inside a 300-character name.
-_chunk_checks = [partial(_chunks_split_no_name, 3 * 4_096 + d, 300) for d in (-3, 0, 3)]
+_chunk_checks = [partial(_chunks_split_no_name, 3 * debruijn._LISTED_RUN + d, 300) for d in (-3, 0, 3)]
 
 
 def test_the_chunked_name_scan(monkeypatch):
@@ -470,9 +470,9 @@ def test_the_name_table(monkeypatch, name, old, new, starts):
     assert all(_fails(check) for check in checks)
 
 
-# Both branches of the name listing: a run under 4,096 characters is split
-# in one go, a longer one a chunk at a time.
-_split_checks = [partial(_chunks_split_no_name, length, 1) for length in (4_095, 4_097)]
+# Both branches of the name listing: a run shorter than _LISTED_RUN
+# characters is split in one go, a longer one a chunk at a time.
+_split_checks = [partial(_chunks_split_no_name, debruijn._LISTED_RUN + d, 1) for d in (-1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -553,27 +553,94 @@ def _db_text_is_read_without_the_match(k):
         _read_without_the_match(patch, k)
 
 
+def _db_edits_agree(k_values, at, new):
+    """For each k, the reference check on ``format_db(chain(k, k // 2))``
+    with its character at ``at(k)`` (from the end if negative) replaced by
+    ``new``: nothing, two characters or another one."""
+    checks = []
+    for k in k_values:
+        text = debruijn.format_db(chain(k, k // 2))
+        p = at(k) % len(text)
+        checks.append(partial(_db_agrees_with_the_reference, text[:p] + new + text[p + 1 :]))
+    return checks
+
+
 @pytest.mark.parametrize(
-    "old, new, checks",
+    "name, old, new, checks",
     [
         # The prefix then only has to be five characters a binder long.
         (
-            ' and line.count("Lam (", 0, 5 * k) == k',
+            "parse_db",
+            'line.count("Lam (", 0, at) == ',
             "",
-            [partial(_db_agrees_with_the_reference, t) for t in ("Lam(xVar 0)", "Lam((Lam (Var 0))")],
+            [partial(_db_agrees_with_the_reference, t) for t in ("Lam(xVar 0)", "Lam((Lam (Var 0))")]
+            + _db_edits_agree([1_023], lambda k: 0, "x"),
         ),
         # The digits run into a closing paren: format_db text takes the match.
-        ("len(line) - k", "len(line) - k + 1", [partial(_db_text_is_read_without_the_match, k) for k in (0, 7)]),
+        ("parse_db", "len(line) - k", "len(line) - k + 1", [partial(_db_text_is_read_without_the_match, k) for k in (0, 7)]),
         # The last digit is read as a closing paren.
-        ("len(line) - k", "len(line) - k - 1", [partial(_db_agrees_with_the_reference, "Lam (Var 12)")]),
+        ("parse_db", "len(line) - k", "len(line) - k - 1", [partial(_db_agrees_with_the_reference, "Lam (Var 12)")]),
         # 5,000 leading zeros are more digits than int() converts.
-        ('digits.lstrip("0") or "0"', "digits", [partial(_db_agrees_with_the_reference, f"Lam (Var {'0' * 5_000})")]),
+        (
+            "parse_db",
+            'digits.lstrip("0") or "0"',
+            "digits",
+            [partial(_db_agrees_with_the_reference, f"Lam (Var {'0' * 5_000})")],
+        ),
+        # The V need not be where k binders end: a doubled ( is read past.
+        (
+            "parse_db",
+            "at == 5 * k",
+            "True",
+            [partial(_db_agrees_with_the_reference, "Lam (xVar 0)")]
+            + _db_edits_agree([1_023, 1_024, 1_025, 2_048, 2_049], lambda k: 5 * k - 1, "(("),
+        ),
+        # One binder fewer than the V's place: the last binder and paren go unread.
+        (
+            "parse_db",
+            "_in_blocks(line, stop, k)",
+            "_in_blocks(line, stop, k - 1)",
+            _db_edits_agree([1_024, 1_025, 2_048, 2_049], lambda k: -1, "x"),
+        ),
+        # The last block of each run goes unread.
+        (
+            "_in_blocks",
+            "range(rest, k, _BLOCK)",
+            "range(rest, k - _BLOCK, _BLOCK)",
+            _db_edits_agree([1_024, 1_025, 2_048, 2_049], lambda k: 5 * (k - 1), "x"),
+        ),
+        # The paren blocks start where the counted parens do, so the last
+        # rest parens go unread (with no rest, the offset is right).
+        (
+            "_in_blocks",
+            "stop + j)",
+            "stop + j - rest)",
+            _db_edits_agree([1_025, 2_049], lambda k: -1, "x"),
+        ),
+        # No count of the rest: with its first ")" dropped, a text is read
+        # as k binders around an index one digit shorter.
+        (
+            "_in_blocks",
+            'line.count("Lam (", 0, 5 * rest) == line.count(")", stop, stop + rest) == rest and ',
+            "",
+            _db_edits_agree([1_025, 2_049], lambda k: -k, ""),
+        ),
     ],
-    ids=["no-prefix-check", "closers-one-short", "closers-one-over", "no-lstrip"],
+    ids=[
+        "no-prefix-check",
+        "closers-one-short",
+        "closers-one-over",
+        "no-lstrip",
+        "no-multiple-of-five",
+        "k-off-by-one",
+        "blocks-one-short",
+        "closer-blocks-offset",
+        "rest-uncounted",
+    ],
 )
-def test_the_de_bruijn_parser(monkeypatch, old, new, checks):
+def test_the_de_bruijn_parser(monkeypatch, name, old, new, checks):
     assert not any(_fails(check) for check in checks)
-    monkeypatch.setattr(debruijn, "parse_db", _with_line(debruijn, "parse_db", old, new))
+    monkeypatch.setattr(debruijn, name, _with_line(debruijn, name, old, new))
     assert all(_fails(check) for check in checks)
 
 

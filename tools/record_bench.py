@@ -1,11 +1,11 @@
-"""Record one point of the benchmark trajectory in ``BENCH_36.json``.
+"""Record one point of the benchmark trajectory in ``BENCH_37.json``.
 
 Run from the root of a checkout, with no arguments:
 
     python3 tools/record_bench.py
 
 It measures the checkout it lives in and adds one record to
-``BENCH_36.json`` at the checkout's root. A record holds:
+``BENCH_37.json`` at the checkout's root. A record holds:
 
 - the commit, whether ``src/`` differs from it, a hash of the library's
   source, the Python version and the machine's CPU count;
@@ -17,8 +17,8 @@ It measures the checkout it lives in and adds one record to
   ``tracemalloc`` peak of ``run_all_laws(8, 1000, 0)``, of ``run_all_laws()``,
   of one instance (one ``hom_sides`` call) of each of the nine suites
   ``run_all_laws`` runs, and of ``size``, ``print_term``, ``to_debruijn``,
-  ``parse_named``, ``named_to_db`` and ``db_to_hoas`` on a chain of 10, 100,
-  1,000 and 10,000 binders around index ``k // 2``.
+  ``parse_named``, ``parse_db``, ``named_to_db`` and ``db_to_hoas`` on a
+  chain of 10, 100, 1,000 and 10,000 binders around index ``k // 2``.
 
 A record replaces one of the same source tree and keeps the others, so the
 file, copied from one checkout to another and recorded again, holds both.
@@ -39,8 +39,8 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# This trajectory point; the next one is BENCH_37.json.
-OUT = ROOT / "BENCH_36.json"
+# This trajectory point; the next one is BENCH_38.json.
+OUT = ROOT / "BENCH_37.json"
 SEEDS = (1, 2, 3)
 DEPTHS = (10, 100, 1_000, 10_000)
 # The skeleton of the one instance each suite is counted on.
@@ -182,9 +182,11 @@ def counts() -> dict:
             instances[suite] = counted(partial(hom_sides, alg1, ctx.alg, h, skeleton, env_value, ctx.observe))
     out["instance"] = {"skeleton": skeleton.describe(), "suites": instances}
 
-    layers = {name: {} for name in ("size", "print_term", "to_debruijn", "parse_named", "named_to_db", "db_to_hoas")}
+    names = ("size", "print_term", "to_debruijn", "parse_named", "parse_db", "named_to_db", "db_to_hoas")
+    layers = {name: {} for name in names}
     for k in DEPTHS:
-        d = parse_db("Lam (" * k + f"Var {k // 2}" + ")" * k)
+        db_text = "Lam (" * k + f"Var {k // 2}" + ")" * k
+        d = parse_db(db_text)
         t = db_to_hoas(d)
         named = db_to_named(d)
         text = render_named(named)
@@ -193,6 +195,7 @@ def counts() -> dict:
             ("print_term", partial(print_term, t)),
             ("to_debruijn", partial(to_debruijn, t)),
             ("parse_named", partial(parse_named, text)),
+            ("parse_db", partial(parse_db, db_text)),
             ("named_to_db", partial(named_to_db, named)),
             ("db_to_hoas", partial(db_to_hoas, d)),
         ):
