@@ -4,37 +4,19 @@ Each algebra interprets one binder node. The size algebra works at an
 integer carrier directly. The other two use function carriers (name stream
 to text, nesting depth to tree) whose values are defunctionalized: a
 binder's value holds its body and algebra, and applying it walks the rest
-of the chain. A size fold and an applied carrier walk it in one loop that
-all three share, so none recurses at any depth. The loop, ``_chain_end``,
-lives in :mod:`kripkelam.encoding`, beside the ``lam`` nodes and chain
-binders it walks and the guard it charges. While a binder's algebra
-is the library's own, the loop steps a ``lam`` node its body returns in
-place: it charges the guard for one binder and calls that node's body
-next. A ``db_to_hoas`` binder is its own body and records the ``B``
-binders under it and which one the occurrence names: the loop skips its
-chain in O(1), charging the guard for its ``B + 1`` binders in one step
-and reading the occurrence from the binder. So a size fold of such a
-chain takes constant time, and of any chain keeps nothing alive per
-binder. Any other algebra, such as one that wraps these, is handed each
+of the chain with the chain loop of :mod:`kripkelam.encoding`, as a size
+fold does. Any other algebra, such as one that wraps these, is handed each
 binder through ``interpret`` and ``interpret_lam``, as the Mendler
-interface requires, and recurses once per binder if it does.
+interface requires.
 
 The entry points ``size``, ``print_term`` and ``to_debruijn`` fold
-``to_debruijn_alg`` and run the same loop over its value in the guarded
-entry, with the budget it read, but apply nothing: the chain must end in
-the variable of a binder the loop walked, which is that binder's level,
-and each entry point builds its result from the count and that level. An
-applied carrier whose chain ends in such a variable reads its result the
-same way, from the level reached and the variable, so it calls no
-variable and makes no name stream; only another end, such as a placed
-function, is applied. A chain that ends in anything else is an ill-formed
-term for the entry points, and so is one whose end, applied by a carrier,
-gives no text or de Bruijn term: one ``TypeError`` from the three entry
-points and the two applied carriers. The folds of the three algebras raise
-it too for a body that returns no open term or cannot take a rename and a
-variable, and a ``size_alg`` fold for an occurrence that denotes no ``int``.
-The guard counts every binder once, however the loop takes it, as for
-a fold. Tests check that each entry point agrees with its algebra's fold.
+``to_debruijn_alg`` and walk its value in the guarded entry, applying
+nothing: the chain must end in the variable of a binder the loop walked,
+and each entry point builds its result from the binder count and that
+variable's level. Anything else that ends the chain makes the term
+ill-formed, one ``TypeError`` that names what it holds; so does a body that
+returns no open term, and an end that an applied carrier cannot apply or
+that gives no text or de Bruijn term.
 """
 
 from __future__ import annotations
@@ -81,6 +63,7 @@ class NameStream(_Frozen):
 
 
 def names(start: int = 1) -> NameStream:
+    """The name stream ``x{start}``, ``x{start + 1}``, ...: ``NameStream(start)``."""
     return NameStream(start)
 
 

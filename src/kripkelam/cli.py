@@ -4,16 +4,10 @@ Input is a single term, read from a positional file argument or stdin, as
 UTF-8 either way: in named syntax, or in de Bruijn syntax for ``from-db``.
 Both syntaxes, and ``parse_named``/``render_named`` (imported here for
 callers that use them from this module), live in
-:mod:`kripkelam.debruijn`. Exit codes: 0 success, 1 bad input (a usage
-error, a closed stdin or stdout too), 2 a check suite failed, 3 the binder
-guard tripped: one fold interpreted more binders than its limit
-(``DEFAULT_MAX_NESTING``), which also bounds how deeply they nest, 141
-(128 + SIGPIPE) the reader of stdout stopped reading. Only ``check-laws``
-imports :mod:`kripkelam.laws`, when it runs, so the other commands start
-without it. ``check-laws`` checks every law skeleton with up to
-``--max-depth`` binders (default 32) and takes no seed. A numeric flag
-below its least value is bad input, refused by the check the library's
-own bounds use.
+:mod:`kripkelam.debruijn`. Only ``check-laws`` imports
+:mod:`kripkelam.laws`, when it runs, so the other commands start without
+it. README's CLI section shows each command's output and lists the exit
+codes :func:`main` returns.
 """
 
 from __future__ import annotations
@@ -154,6 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code, one of those README's CLI section lists; a usage
+    error or ``--help`` raises ``SystemExit`` with it instead."""
     try:
         args = _build_parser().parse_args(argv)
         # Python sets stdout to None when fd 1 is closed.

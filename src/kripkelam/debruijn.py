@@ -6,51 +6,26 @@ occurrence, and that pair is what a first-order term stores: a
 :class:`DbTerm` its binder count and de Bruijn index, a :class:`NamedTerm`
 its binder names (outermost first) and occurrence name. ``Lam``/``Var`` and
 ``Abs``/``Ref`` build and view them one node at a time; ``Lam(d)`` and
-``d.body`` cost O(1). ``==``, ``hash``, ``repr``, the oracles and the
-conversions read the two fields and never recurse, so they work at any
-depth, which the differential tests for the encoding rely on.
-
-The bridge to the encoding, :func:`db_to_hoas`, uses the chain shape too:
-it makes the outermost binder of the converted term, a chain binder, and
-each chain binder makes the next when its body is called. The chain binder
-and the chain loop that skips a chain of them live in
-:mod:`kripkelam.encoding`, beside the binder guard the loop charges.
+``d.body`` cost O(1). Nothing here recurses, so every operation works at
+any depth. :func:`db_to_hoas`, the bridge to the encoding, makes the
+outermost chain binder of :mod:`kripkelam.encoding`, and each makes the next.
 
 De Bruijn convention: indices are 0-based and count binders between an
 occurrence and its binder, innermost binder = 0.
 
 Any whitespace may separate tokens. De Bruijn text reads
-``Lam (Lam (Var 1))``, parentheses optional, and is recognised by one
-regular-expression match whose repeats are possessive, so reading a term
-builds no token list and the match keeps no state per binder.
-:func:`format_db`'s own spelling, with an index of at most 18 decimal
-digits, skips the match: ``str.find`` places its one ``V``, ``startswith``
-compares its ``Lam (`` and ``)`` runs a block of 1,024 binders at a time,
-and ``str.count`` counts the rest, so nothing is built per binder. Named
-text is ``('\\' | 'λ') ident '.' term | ident`` with
-``ident := [A-Za-z][A-Za-z0-9_]*``, and is read by ``str`` methods: the
-binder run ends at the last ``.``, and the rest, stripped, is the
-occurrence. The run is read a chunk at a time: whole if it is shorter than
-8,192 characters, and otherwise in chunks of about that many, each ending
-just after a binder's ``.``. In a chunk each ``λ`` is read as ``\\``; ``str.split`` lists its names, once
-``\\`` and ``.`` are read as spaces, and ``str.translate`` and
-``str.count`` check that it is all binders. The names are streamed into the
-term, so neither a copy of the whole text nor a list of every name is held
-beside them. A text that is no term raises :class:`ParseError` at a 1-based
-line and column, placed by one match of its syntax's pattern, which for
-named text only this error path compiles: at the first character that
-starts no token, anywhere in the text, or else at one of the first tokens
-after the binder run or among the closing parentheses.
+``Lam (Lam (Var 1))``, parentheses optional. Named text is
+``('\\' | 'λ') ident '.' term | ident`` with
+``ident := [A-Za-z][A-Za-z0-9_]*``. Named text, and :func:`format_db`'s own
+spelling of de Bruijn text, are read with ``str`` methods; other de Bruijn
+text takes one regular-expression match, which keeps no state per binder.
+A text that is no term raises :class:`ParseError` at a 1-based line and
+column, placed by one match of its syntax's pattern: a character that
+starts no token outranks any syntax error.
 
 The canonical names ``x1``, ``x2``, ... come from one table that grows on
-demand to at most ``DEFAULT_MAX_NESTING`` names. Beside the names it holds
-their binder text, ``\\ x1. \\ x2. ...``, and it grows both in one step;
-where each binder's text ends in it is computed. :func:`db_to_named` slices
-its binder names from it. The binder text of x{s} to x{l}, which
-``print_term`` and the print carrier give, and of the names
-:func:`db_to_named` gives, which :func:`render_named` writes, is sliced from
-its text. A name past the table is formatted per call, and any other names'
-text is joined in one ``str.join``. The oracles do not use the table.
+demand to at most ``DEFAULT_MAX_NESTING`` names, beside their binder text,
+which the print paths slice. The oracles do not use the table.
 """
 
 from __future__ import annotations

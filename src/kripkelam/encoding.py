@@ -18,59 +18,15 @@ algebra) forwards them.
 
 Python cannot enforce the world abstraction statically. The contract is by
 API opacity: a body must treat its fresh-variable argument as opaque, using
-it only through ``place`` and through renames. Algebras that respect purity
-may be folded concurrently; all values here are immutable after
-construction.
+it only through ``place`` and through renames.
 
-Chain binders: :func:`kripkelam.debruijn.db_to_hoas` converts a first-order
-chain into chain binders. Only the denotation of the binder the occurrence
-names is carried inward. It is captured when that binder is entered and
-renamed once by each binder inside it, so folding a converted term takes
-time and memory linear in its depth. Each binder of a converted term is one
-small object that is both the ``lam`` node and its own body, so a fold keeps
-one GC-tracked object alive per binder. The chain loop here, which the size
-fold, the entry points and the applied carriers of
-:mod:`kripkelam.algebras` share, skips such a chain in O(1). It charges the
-guard inline, as the tick in ``Algebra.interpret_lam`` and a ``lam_alg``
-layer do, so every charge is made in this module.
-
-Deep terms: no fold of a library algebra recurses per binder. A
-``size_alg`` fold, the entry points of :mod:`kripkelam.algebras` and the
-values of its two function carriers when applied walk the chain in one
-loop, which steps a ``lam`` node in place and skips a chain from
-``db_to_hoas`` in O(1), charged to the guard as its ``B + 1`` binders.
-Only two things still recurse: a fold with a foreign algebra (a wrapper
-or subclass of a library algebra too), which goes through ``interpret``,
-``interpret_lam`` and the algebra once per binder, and a term folded
-through ``lam_alg`` many times, whose first body calls one body per layer.
-The guard counts every binder interpreted, stepped or skipped in one
-top-level guarded call; passing the active limit
-(default ``DEFAULT_MAX_NESTING``) raises :class:`DepthLimitError` instead
-of exhausting the interpreter stack. A binder is interpreted before those
-inside it, so this bounds nesting too, but an algebra that interprets
-each body twice trips it at 14 binders.
-
-Each top-level guarded call runs once, on the calling thread, and leaves
-the recursion limit alone until its tripwire fires; :func:`run_guarded`
-says when, how far the call's measured stack raises it and for how long,
-what that risks on CPython 3.11 and the headroom it costs near the
-caller's limit. This relies on CPython 3.11 and later, where a
-Python-to-Python call takes no C stack, so a 10,000-binder fold fits
-even a thread started with a 256 KiB stack. An algebra whose per-binder
-recursion passes through a C function (a generator inside ``sum``, say)
-takes C stack per binder: a deep fold of it raises ``RecursionError`` on
-3.12 and later, or can overflow a small thread stack and crash the
-interpreter.
-
-The guard's budget is per thread, made the first time the thread touches
-the guard; a limit of 0 marks it idle. ``fold``, ``run_guarded`` and the
-entry points enter through one function, which reads it once, resets it
-at top level and hands it to the chain loop, so a call allocates nothing.
-Folds on another thread are top-level calls there with their own count,
-whether that thread was started inside a guarded call or runs a context
-copied inside one. A guarded thunk is synchronous, so an
-asyncio task runs during the call only if the thunk drives an event loop
-on its own thread, and then the task shares the call's count.
+This module also holds the binder guard (:func:`run_guarded`) and the one
+chain loop, :func:`_chain_end`, that the size fold, the entry points and
+the applied carriers of :mod:`kripkelam.algebras` walk. The loop steps a
+``lam`` node in place and skips in O(1) a chain of the chain binders that
+:func:`kripkelam.debruijn.db_to_hoas` makes, so every charge to the guard is
+made here. README's "Deep terms" section states what the guard and the loop
+promise, each with the test that pins it.
 """
 
 from __future__ import annotations
@@ -449,8 +405,10 @@ class _Budget:
 
 
 # Units that may nest before a top-level guarded call first measures its
-# stack; run_guarded's docstring gives the headroom that costs a call near
-# the caller's limit. A guarded call of the law suites nests at most 8.
+# stack: a call started near the caller's limit must fire its tripwire
+# before it runs out of frames, so from the top level at the default limit
+# of 1,000 a fold fires it in time at up to 110 frames a nested binder. A
+# guarded call of the law suites nests at most 8.
 _TRIP = 9
 
 # A tripped call raises the recursion limit to this many times the stack it
@@ -607,34 +565,19 @@ def _restore_limit() -> None:
 def run_guarded(thunk: Callable[[], Any], max_depth: int | None = None):
     """Run ``thunk`` under the binder guard and return its result.
 
-    The guard counts the binders interpreted while ``thunk`` runs, which
-    bounds their nesting too, and raises :class:`DepthLimitError` past
-    ``max_depth``, an integer of at least 1 (default
-    ``DEFAULT_MAX_NESTING``); anything else raises ``TypeError`` naming it.
-    Inside an already-guarded computation this is a plain call, so nested
-    folds accumulate into the enclosing count and keep its budget, whatever
-    ``max_depth`` they pass. The count is per thread: each thread has one
-    budget, which every top-level call there resets on entry and marks idle
-    on exit, so a call allocates nothing. Folds on another thread, started
-    or run in a copied context inside this call, are top-level calls there
-    with their own count.
+    The guard counts the binders interpreted while ``thunk`` runs and raises
+    :class:`DepthLimitError` past ``max_depth``, an integer of at least 1
+    (default ``DEFAULT_MAX_NESTING``); anything else raises ``TypeError``
+    naming it. Inside a guarded call on the same thread this is a plain
+    call: its folds count against the enclosing budget, whatever
+    ``max_depth`` it passes. Folds on another thread are top-level calls
+    there.
 
-    At top level the thunk runs once, on the calling thread, and leaves
-    the interpreter's recursion limit alone until the call's tripwire
-    fires: after 10 binder interpretations or ``lam_alg`` layers, which
-    may nest. Binders skipped or stepped in place by the library's folds
-    nest nothing and never fire it. A fire measures the thread's stack and
-    raises the limit to 4 to 8 times its depth if that is higher; the next
-    fire comes once the call has made about as many such steps again. The
-    limit is process-wide: it stays raised while any tripped call is in
-    flight, and when the last one ends it goes back to what it was before
-    the first, unless it was set to another value in the meantime: that
-    setting stays. On CPython 3.11 a raised limit also lets another
-    thread's deep C recursion (``repr`` of a deeply nested list, say)
-    overflow the C stack and crash the process. A call started near the
-    caller's limit must fire its tripwire before it runs out of frames: at
-    the default limit of 1,000, one started at the top level fires it in
-    time at up to 110 frames a nested binder.
+    At top level the thunk runs once, on the calling thread. Once it has
+    nested 10 binder interpretations or ``lam_alg`` layers, the process-wide
+    recursion limit is raised as its measured stack needs; the last such
+    call to end puts the limit back, unless it was set to another value
+    meanwhile.
     """
     return _guarded(operator.call, thunk, max_depth)
 

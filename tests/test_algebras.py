@@ -90,6 +90,15 @@ def test_name_streams_are_immutable_values():
     assert s.start == 1
 
 
+def test_a_name_stream_is_matched_by_position():
+    # Like the law records, a stream names its field in __match_args__.
+    match names(3).rest:
+        case NameStream(4):
+            pass
+        case _:
+            pytest.fail("a name stream's start matches by position")
+
+
 @pytest.mark.parametrize("start", [1.5, "3", None, 2.0])
 def test_a_name_stream_rejects_a_start_that_is_no_integer(start):
     # Read with operator.index when the stream is made, not when a carrier

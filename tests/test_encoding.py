@@ -1,3 +1,4 @@
+import asyncio
 import contextvars
 import math
 import sys
@@ -498,6 +499,27 @@ def test_a_context_copied_inside_a_guarded_call_and_run_on_another_thread_has_it
     assert encoding.run_guarded(outer, max_depth=510) == 9
     assert results == [501]
 
+
+
+def test_an_asyncio_task_run_inside_a_guarded_call_shares_its_budget():
+    # A guarded thunk is synchronous, so a task runs during the call only
+    # when the thunk drives an event loop on its own thread. Each task's
+    # fold of 5 binders is then nested in the call and spends its budget:
+    # 10 binders fit a limit of 10 and not one of 8.
+    t = db_to_hoas(chain(5, 2))
+
+    async def fold_in_a_task():
+        return fold(size_alg(), t)
+
+    async def two_tasks():
+        return await asyncio.gather(fold_in_a_task(), fold_in_a_task())
+
+    with pytest.raises(DepthLimitError) as err:
+        encoding.run_guarded(lambda: asyncio.run(two_tasks()), 8)
+    assert err.value.limit == 8
+    assert encoding.run_guarded(lambda: asyncio.run(two_tasks()), 10) == [6, 6]
+    # Outside any guarded call each task's fold is a top-level call.
+    assert asyncio.run(two_tasks()) == [6, 6]
 
 # ---------------------------------------------------------------- recursion limit
 

@@ -67,7 +67,9 @@ from test_algebras import test_a_name_stream_rejects_a_start_that_is_no_integer 
 from test_algebras import test_a_de_bruijn_carrier_value_reads_a_bool_or_numpy_depth_as_its_int as _bool_depth
 from test_algebras import test_entry_points_equal_their_folds_at_the_canonical_argument as _entries_equal_folds
 from test_algebras import test_name_streams_are_immutable_values as _name_streams_immutable
+from test_algebras import test_a_name_stream_is_matched_by_position as _name_stream_matched
 from test_debruijn import _outcome
+from test_debruijn import test_db_to_hoas_renames_only_the_occurrence as _renames_only_the_occurrence
 from test_debruijn import test_a_de_bruijn_index_that_is_no_integer_is_rejected as _index_no_integer
 from test_debruijn import test_a_long_binder_run_is_read_in_chunks_that_split_no_name as _chunks_split_no_name
 from test_debruijn import test_a_name_the_named_syntax_cannot_spell_is_rejected as _name_cannot_spell
@@ -88,6 +90,8 @@ from test_encoding import (
 from test_laws import _RECORDS
 from test_laws import test_a_carrier_reads_a_bound_variable_as_applying_it_would as _reads_as_applying
 from test_laws import test_a_binder_count_or_bound_that_is_no_integer_is_rejected as _binders_no_integer
+from test_laws import test_a_law_instance_costs_a_fixed_number_of_python_calls as _law_instance_calls
+from test_laws import test_a_law_record_is_made_by_position_or_keyword_and_matched_by_position as _records_matched
 from test_laws import test_a_law_record_copies_pickles_and_shows_as_it_always_has as _record_copies
 from test_laws import test_a_skeleton_is_checked_when_it_is_made as _checked_when_made
 from test_laws import test_body_of_skeleton_rejects_malformed as _body_rejects_malformed
@@ -204,12 +208,46 @@ _closure_guard_checks = [partial(check_guard_charges_k_binders, run, closure_cha
         ("n = 1", "n = 0", _closure_guard_checks),
         # Counts an in-place step as two levels: Lam(Lam(Var(0))) refutes it.
         ("continue", "level += 1; continue", [partial(check_chains_agree_with_closures, 8)]),
+        # Stops at a carrier value instead of walking its chain on: an entry
+        # point then finds no bound variable where a term renamed in through
+        # lam_alg ends the chain.
+        ("if type(c) is not cls:", "if True:", [_entries_equal_folds]),
     ],
-    ids=["skip-any-algebra", "skip-level-off-by-one", "step-any-algebra", "step-uncharged", "step-level-twice"],
+    ids=[
+        "skip-any-algebra",
+        "skip-level-off-by-one",
+        "step-any-algebra",
+        "step-uncharged",
+        "step-level-twice",
+        "walk-stops-at-a-carrier",
+    ],
 )
 def test_the_shared_chain_loop(monkeypatch, old, new, checks):
     assert not any(_fails(check) for check in checks)
     _patch_the_chain_loop(monkeypatch, old, new)
+    assert all(_fails(check) for check in checks)
+
+
+# The law instances of the identity suites, each at its count of calls.
+_identity_instance_calls = [
+    partial(_law_instance_calls, *row) for row in _law_instance_calls.pytestmark[0].args[1] if row[1] == "id"
+]
+
+
+@pytest.mark.parametrize(
+    "new, checks",
+    [
+        # A binder outside the named one renames a target it does not carry yet.
+        ("mx is _IDENTITY_RENAME", [_renames_only_the_occurrence]),
+        # The identity rename is applied: one more Python call a binder.
+        ("below > index", _identity_instance_calls),
+    ],
+    ids=["rename-outside-the-named-binder", "rename-by-the-identity"],
+)
+def test_the_rename_skip(monkeypatch, new, checks):
+    assert not any(_fails(check) for check in checks)
+    mutant = _with_line(encoding, "_ChainBinder.__call__", "below > index or mx is _IDENTITY_RENAME", new)
+    monkeypatch.setattr(encoding._ChainBinder, "__call__", mutant)
     assert all(_fails(check) for check in checks)
 
 
@@ -625,6 +663,13 @@ def _db_edits_agree(k_values, at, new):
             "",
             _db_edits_agree([1_025, 2_049], lambda k: -k, ""),
         ),
+        # The match's count of closing parens may fall one short.
+        (
+            "parse_db",
+            "if closers < opens:",
+            "if closers + 1 < opens:",
+            [partial(_db_agrees_with_the_reference, t) for t in ("Lam (Var 0", "Lam (Lam (Var 0)")],
+        ),
     ],
     ids=[
         "no-prefix-check",
@@ -636,6 +681,7 @@ def _db_edits_agree(k_values, at, new):
         "blocks-one-short",
         "closer-blocks-offset",
         "rest-uncounted",
+        "regex-closers-one-short",
     ],
 )
 def test_the_de_bruijn_parser(monkeypatch, name, old, new, checks):
@@ -733,6 +779,21 @@ def test_the_record_base(monkeypatch, owner, name, old, new, checks):
     else:
         monkeypatch.setattr(getattr(encoding, owner), name, _with_line(encoding, f"{owner}.{name}", old, new))
     assert all(_fails(check) for check in checks)
+
+
+@pytest.mark.parametrize(
+    "cls, check",
+    [
+        *[(cls, _records_matched) for cls in (laws.BodySkeleton, laws.Witness, laws.Report, laws.CarrierContext)],
+        (algebras.NameStream, _name_stream_matched),
+    ],
+    ids=["BodySkeleton", "Witness", "Report", "CarrierContext", "NameStream"],
+)
+def test_the_match_args(monkeypatch, cls, check):
+    # A record class with no __match_args__ takes no positional pattern.
+    assert not _fails(check)
+    monkeypatch.delattr(cls, "__match_args__")
+    assert _fails(check)
 
 
 def _gen_count_zero():

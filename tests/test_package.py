@@ -1,6 +1,7 @@
 """The package's public surface: what the root exports, what importing it
-loads, and where the README and ``pyproject.toml`` name it; and the one
-module that owns the binder guard and the chain walk."""
+loads, and where the README and ``pyproject.toml`` name it; the README's
+CLI transcript and the tests its promises cite; and the one module that
+owns the binder guard and the chain walk."""
 
 import ast
 import copy
@@ -9,6 +10,7 @@ import inspect
 import pickle
 import pkgutil
 import re
+import shlex
 import tomllib
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import kripkelam.encoding as encoding
 import kripkelam.laws as laws
 
 from helpers import run_fresh
+from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = {"algebras": algebras, "debruijn": debruijn, "encoding": encoding, "laws": laws}
@@ -93,10 +96,15 @@ def test_run_guarded_is_the_only_public_callable_taking_max_depth():
     assert takers == ["kripkelam.encoding.run_guarded"]
 
 
+def _readme_section(heading: str) -> str:
+    """The body of README's ``## heading`` section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _layout_tables() -> dict[str, list[tuple[str, str]]]:
     """README's Layout section: each module's table rows, as (name, callers)."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    layout = _readme_section("Layout")
     tables = {}
     for section in layout.split("\n### ")[1:]:
         heading, _, body = section.partition("\n")
@@ -115,6 +123,65 @@ def test_the_readme_tables_list_exactly_each_modules_public_names():
         assert sorted(names) == sorted(importlib.import_module(module_name).__all__), module_name
         for name, callers in rows:
             assert callers == "tests only" or set(callers.split(", ")) <= CALLERS, name
+
+
+def _cli_transcript() -> list[tuple[str, list[str]]]:
+    """README's CLI block: each ``$`` line's command and the lines shown after it."""
+    block = _readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            runs.append((line[2:], []))
+        else:
+            runs[-1][1].append(line)
+    return runs
+
+
+def test_the_readme_cli_block_is_what_the_cli_prints(monkeypatch, capsys):
+    # Each command as a shell runs it: `echo 'text' |` hands the command
+    # the text and a newline on stdin. CI runs the same block through bash
+    # and the installed command.
+    runs = _cli_transcript()
+    assert len(runs) == 8
+    for command, shown in runs:
+        words = shlex.split(command)
+        stdin = ""
+        if words[0] == "echo":
+            assert words[2] == "|", command
+            stdin, words = words[1] + "\n", words[3:]
+        assert words[0] == "kripkelam", command
+        code, out, err = run_cli(monkeypatch, capsys, words[1:], stdin)
+        assert (code, err) == (0, ""), command
+        assert out.splitlines() == shown, command
+
+
+# A pytest node that README cites for a promise: tests/<file>.py::<test>.
+_CITATION = re.compile(r"`tests/(\w+\.py)::(\w+)`")
+
+
+def test_every_test_the_readme_cites_is_defined():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cited = set(_CITATION.findall(readme))
+    assert len(cited) > 40
+    defined = {}
+    for file, name in sorted(cited):
+        if file not in defined:
+            tree = ast.parse((ROOT / "tests" / file).read_text(encoding="utf-8"))
+            defined[file] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name.startswith("test_") and name in defined[file], f"tests/{file}::{name}"
+
+
+@pytest.mark.parametrize(
+    "heading", ["Deep terms", "What the law checks do and do not establish"], ids=["deep-terms", "law-checks"]
+)
+def test_every_promise_of_a_readme_section_cites_a_test(heading):
+    # Each promise is a bullet, and each sentence of one names the test
+    # that pins it.
+    bullets = _readme_section(heading).split("\n- ")[1:]
+    assert len(bullets) >= 7
+    for bullet in bullets:
+        for sentence in re.split(r"(?<=\.)\s+(?=[A-Z`])", bullet):
+            assert _CITATION.search(sentence), sentence
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
-"""Record one point of the benchmark trajectory in ``BENCH_37.json``.
+"""Record one point of the benchmark trajectory in ``BENCH_38.json``.
 
 Run from the root of a checkout, with no arguments:
 
     python3 tools/record_bench.py
 
 It measures the checkout it lives in and adds one record to
-``BENCH_37.json`` at the checkout's root. A record holds:
+``BENCH_38.json`` at the checkout's root. A record holds:
 
 - the commit, whether ``src/`` differs from it, a hash of the library's
   source, the Python version and the machine's CPU count;
@@ -39,8 +39,8 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# This trajectory point; the next one is BENCH_38.json.
-OUT = ROOT / "BENCH_37.json"
+# This trajectory point; the next one is BENCH_39.json.
+OUT = ROOT / "BENCH_38.json"
 SEEDS = (1, 2, 3)
 DEPTHS = (10, 100, 1_000, 10_000)
 # The skeleton of the one instance each suite is counted on.
