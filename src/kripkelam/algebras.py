@@ -9,14 +9,15 @@ fold does. Any other algebra, such as one that wraps these, is handed each
 binder through ``interpret`` and ``interpret_lam``, as the Mendler
 interface requires.
 
-The entry points ``size``, ``print_term`` and ``to_debruijn`` fold
-``to_debruijn_alg`` and walk its value in the guarded entry, applying
-nothing: the chain must end in the variable of a binder the loop walked,
-and each entry point builds its result from the binder count and that
-variable's level. Anything else that ends the chain makes the term
-ill-formed, one ``TypeError`` that names what it holds; so does a body that
-returns no open term, and an end that an applied carrier cannot apply or
-that gives no text or de Bruijn term.
+The entry points ``size``, ``print_term`` and ``to_debruijn`` walk the
+chain in the guarded entry with ``to_debruijn_alg``, applying nothing: the
+walk starts from the term's outermost library binder, or, for any other
+term, from its de Bruijn carrier value. The chain must end in the variable
+of a binder the loop walked, and each entry point builds its result from
+the binder count and that variable's level. Anything else that ends the
+chain makes the term ill-formed, one ``TypeError`` that names what it
+holds; so does a body that returns no open term, and an end that an
+applied carrier cannot apply or that gives no text or de Bruijn term.
 """
 
 from __future__ import annotations
@@ -257,9 +258,10 @@ def _applied(c, arg, kind):
 def _unfold(t: Term) -> tuple[int, int]:
     """The binder count of ``t`` and the level its occurrence names.
 
-    The guarded entry walks the ``to_debruijn_alg`` value of ``t`` from
-    level 1 and applies nothing: the chain must end in the variable of a
-    binder it walked.
+    The guarded entry walks the chain of ``t`` with ``to_debruijn_alg``
+    from level 1 and applies nothing: from its outermost binder when that
+    is a library binder, or, for any other term, from its de Bruijn carrier
+    value. The chain must end in the variable of a binder it walked.
     """
     level, end = _guarded(t.run, _TO_DEBRUIJN_ALG, None, _Level, _DepthCarrier)
     if type(end) is not _Level:

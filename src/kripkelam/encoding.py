@@ -25,8 +25,11 @@ chain loop, :func:`_chain_end`, that the size fold, the entry points and
 the applied carriers of :mod:`kripkelam.algebras` walk. The loop steps a
 ``lam`` node in place and skips in O(1) a chain of the chain binders that
 :func:`kripkelam.debruijn.db_to_hoas` makes, so every charge to the guard is
-made here. README's "Deep terms" section states what the guard and the loop
-promise, each with the test that pins it.
+made here. An entry point's walk starts from the term's outermost library
+binder (a ``closed``, ``db_to_hoas`` or ``body_of_skeleton`` one), or, for
+any other term, from its de Bruijn carrier value. README's "Deep terms"
+section states what the guard and the loop promise, each with the test
+that pins it.
 """
 
 from __future__ import annotations
@@ -435,7 +438,7 @@ _limit_before = 0
 _limit_set = 0
 
 
-def _chain_end(body, alg, level: int, var, own, cls=None, budget=None) -> tuple:
+def _chain_end(body, alg, level: int, var, own, cls=None, budget=None, opened=None) -> tuple:
     """Walk the chain from a binder with ``body``, read with the algebra ``alg``.
 
     The binder is at ``level``: its body is asked at the identity rename
@@ -447,17 +450,22 @@ def _chain_end(body, alg, level: int, var, own, cls=None, budget=None) -> tuple:
     (the size fold has none), as an occurrence that denotes a term renamed
     in through ``lam_alg`` does. Returns the level past the last binder
     walked and the value that ends the chain. The size fold and the two
-    function carriers call it and it reads the thread's ``budget``; the
-    guarded entry hands it the budget it read.
+    function carriers call it and it reads the thread's ``budget``.
+
+    The guarded entry hands it the budget it read and, for a term whose
+    outermost binder is a library binder, that binder as the node
+    ``opened`` at ``level``, read with ``own``: the walk starts there, with
+    no body to ask, and steps or skips it like any other.
     """
     budget = budget or _guard.budget
     while True:
-        try:
-            opened = body(_IDENTITY_RENAME, var(level))
-        except TypeError as err:
-            _raise_if_refused(body, err)
-            raise
-        level += 1
+        if opened is None:
+            try:
+                opened = body(_IDENTITY_RENAME, var(level))
+            except TypeError as err:
+                _raise_if_refused(body, err)
+                raise
+            level += 1
         if alg is own and (type(opened) is _Lam or type(opened) is _ChainBinder):
             n = 1
             if type(opened) is _ChainBinder:
@@ -481,7 +489,7 @@ def _chain_end(body, alg, level: int, var, own, cls=None, budget=None) -> tuple:
                 if budget.left < budget.trip:
                     _trip(budget, n)
             if type(opened) is _Lam:
-                body = opened._body
+                body, opened = opened._body, None
                 continue
         elif isinstance(opened, OpenTerm):
             c = opened.interpret(alg)
@@ -489,7 +497,7 @@ def _chain_end(body, alg, level: int, var, own, cls=None, budget=None) -> tuple:
             raise _ill_formed(body)
         if type(c) is not cls:
             return level, c
-        body, alg = c.body, c.alg
+        body, alg, opened = c.body, c.alg, None
 
 
 def _ill_formed(c) -> TypeError:
@@ -587,8 +595,11 @@ def _guarded(run, arg, max_depth=None, var=None, cls=None):
 
     At top level it sets the thread's budget for ``max_depth`` binders and
     clears it on exit; nested, it keeps the enclosing one. With a carrier
-    class ``cls``, ``run(arg)`` must give one, whose chain is walked from
-    level 1 with the budget read here, ``var`` and the algebra ``arg``.
+    class ``cls``, an entry point's, the chain is walked with the budget
+    read here, ``var`` and the algebra ``arg``, from level 1: from the
+    term's outermost binder when ``run`` is a library binder's
+    ``interpret``, so nothing interprets that binder; otherwise from
+    ``run(arg)``, its de Bruijn carrier value, which must be a ``cls``.
     """
     budget = _guard.budget
     limit = outer = budget.limit
@@ -602,9 +613,13 @@ def _guarded(run, arg, max_depth=None, var=None, cls=None):
     # Marked busy inside the try, so an interrupt cannot leave it so.
     try:
         budget.limit = limit
-        c = run(arg)
         if cls is None:
-            return c
+            return run(arg)
+        # The outermost binder of a closed, db_to_hoas or skeleton term.
+        node = getattr(run, "__self__", None)
+        if (type(node) is _ChainBinder or type(node) is _Lam) and run.__func__ is type(node).interpret:
+            return _chain_end(None, arg, 1, var, arg, cls, budget, node)
+        c = run(arg)
         if type(c) is not cls:
             raise _ill_formed(c)
         return _chain_end(c.body, c.alg, 1, var, arg, cls, budget)

@@ -18,8 +18,10 @@ from kripkelam import (
     Rename,
     Term,
     Var,
+    body_of_skeleton,
     closed,
     db_to_hoas,
+    enumerate_skeletons,
     enumerate_terms,
     fold,
     lam,
@@ -186,6 +188,20 @@ def six_outcomes(t: Term, budget: int | None = None) -> list:
     return [_outcome(run, t, budget) for run in SIX_RUNS]
 
 
+def hidden(t: Term) -> Term:
+    """``t`` with its outermost binder hidden: its ``run`` is no library
+    binder's ``interpret``, so an entry point interprets it, as it does a
+    ``lam_alg`` result or any term of the caller's own."""
+    return Term(lambda alg, run=t.run: run(alg))
+
+
+def _outcome_or_type_error(run, t):
+    try:
+        return _outcome(run, t, None)
+    except TypeError as err:
+        return TypeError, str(err)
+
+
 def check_chains_agree_with_closures(max_depth: int) -> None:
     """Assert that ``db_to_hoas`` chains and their ``closure_chain`` twins agree.
 
@@ -193,15 +209,29 @@ def check_chains_agree_with_closures(max_depth: int) -> None:
     through ``lam_alg``, the six runs must give the same values, and with a
     budget one binder short the same ``DepthLimitError``: the chain loop's
     skip of a chain binder against its in-place step of each closure
-    binder, one at a time.
+    binder, one at a time. The direct terms have one more twin each, their
+    ``hidden`` term, which an entry point interprets where it hands the
+    others' outermost binder to the chain loop.
+
+    So does a ``body_of_skeleton`` binder as a term, for every skeleton of
+    up to 3 binders (fresh, local and env leaves), with an env value that
+    each run sizes or rejects: the same values, or the same ill-formed
+    ``TypeError`` text, as its ``hidden`` twin.
     """
     for d in enumerate_terms(max_depth):
         k, i = d.binders, d.index
         skipped, walked = db_to_hoas(d), closure_chain(k, i)
-        for fast, slow in ((skipped, walked), (fold(lam_alg(), skipped), fold(lam_alg(), walked))):
-            budgets = (None, k - 1) if k > 1 else (None,)
+        direct = (skipped, walked, hidden(skipped), hidden(walked))
+        budgets = (None, k - 1) if k > 1 else (None,)
+        for terms in (direct, (fold(lam_alg(), skipped), fold(lam_alg(), walked))):
             for budget in budgets:
-                assert six_outcomes(fast, budget) == six_outcomes(slow, budget), (d, budget)
+                first, *rest = [six_outcomes(t, budget) for t in terms]
+                assert all(outcomes == first for outcomes in rest), (d, budget)
+    for skeleton in enumerate_skeletons(3):
+        for env_value in (7, "env"):
+            t = Term(body_of_skeleton(skeleton, env_value).interpret)
+            outcomes = [[_outcome_or_type_error(run, u) for run in SIX_RUNS] for u in (t, hidden(t))]
+            assert outcomes[0] == outcomes[1], (skeleton, env_value)
 
 
 def check_guard_charges_k_binders(run, t: Term, k: int) -> None:

@@ -66,6 +66,7 @@ from test_algebras import test_the_print_carrier_names_binders_from_any_start as
 from test_algebras import test_a_name_stream_rejects_a_start_that_is_no_integer as _start_no_integer
 from test_algebras import test_a_de_bruijn_carrier_value_reads_a_bool_or_numpy_depth_as_its_int as _bool_depth
 from test_algebras import test_entry_points_equal_their_folds_at_the_canonical_argument as _entries_equal_folds
+from test_algebras import test_chain_terms_exhaustively_against_oracles as _chain_terms_against_oracles
 from test_algebras import test_name_streams_are_immutable_values as _name_streams_immutable
 from test_algebras import test_a_name_stream_is_matched_by_position as _name_stream_matched
 from test_debruijn import _outcome
@@ -225,6 +226,36 @@ _closure_guard_checks = [partial(check_guard_charges_k_binders, run, closure_cha
 def test_the_shared_chain_loop(monkeypatch, old, new, checks):
     assert not any(_fails(check) for check in checks)
     _patch_the_chain_loop(monkeypatch, old, new)
+    assert all(_fails(check) for check in checks)
+
+
+_ENTRY = "_chain_end(None, arg, 1, var, arg, cls, budget, node)"
+
+
+@pytest.mark.parametrize(
+    "new, checks",
+    [
+        # Opens the outermost binder a level deeper than its carrier would.
+        (
+            _ENTRY.replace(", 1,", ", 2,"),
+            [_chain_terms_against_oracles, partial(check_chains_agree_with_closures, 8)],
+        ),
+        # Hands an outermost lam node's body on unopened, so nothing charges it.
+        (
+            f"_chain_end(node._body, arg, 1, var, arg, cls, budget) if type(node) is _Lam else {_ENTRY}",
+            # The entry points' rows: the closure chain's outermost binder
+            # is a closed term's lam node.
+            _closure_guard_checks[:3],
+        ),
+    ],
+    ids=["entry-opened-at-level-2", "entry-lam-uncharged"],
+)
+def test_the_entry_binder(monkeypatch, new, checks):
+    assert not any(_fails(check) for check in checks)
+    # The guarded entry lives in encoding; algebras imported it by name.
+    mutant = _with_line(encoding, "_guarded", _ENTRY, new)
+    for owner in (encoding, algebras):
+        monkeypatch.setattr(owner, "_guarded", mutant)
     assert all(_fails(check) for check in checks)
 
 

@@ -1,11 +1,11 @@
-"""Record one point of the benchmark trajectory in ``BENCH_38.json``.
+"""Record one point of the benchmark trajectory in ``BENCH_40.json``.
 
 Run from the root of a checkout, with no arguments:
 
     python3 tools/record_bench.py
 
 It measures the checkout it lives in and adds one record to
-``BENCH_38.json`` at the checkout's root. A record holds:
+``BENCH_40.json`` at the checkout's root. A record holds:
 
 - the commit, whether ``src/`` differs from it, a hash of the library's
   source, the Python version and the machine's CPU count;
@@ -17,8 +17,11 @@ It measures the checkout it lives in and adds one record to
   ``tracemalloc`` peak of ``run_all_laws(8, 1000, 0)``, of ``run_all_laws()``,
   of one instance (one ``hom_sides`` call) of each of the nine suites
   ``run_all_laws`` runs, and of ``size``, ``print_term``, ``to_debruijn``,
-  ``parse_named``, ``parse_db``, ``named_to_db`` and ``db_to_hoas`` on a
-  chain of 10, 100, 1,000 and 10,000 binders around index ``k // 2``.
+  ``parse_named``, ``parse_db``, ``named_to_db``, ``db_to_hoas`` and
+  ``size(fold(lam_alg(), t))`` on a chain of 10, 100, 1,000 and 10,000
+  binders around index ``k // 2``, and for the entry points among them the
+  reads of the thread's budget, counted by a stand-in for the thread-local
+  guard.
 
 A record replaces one of the same source tree and keeps the others, so the
 file, copied from one checkout to another and recorded again, holds both.
@@ -39,8 +42,8 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# This trajectory point; the next one is BENCH_39.json.
-OUT = ROOT / "BENCH_38.json"
+# This trajectory point; the next one is BENCH_41.json.
+OUT = ROOT / "BENCH_40.json"
 SEEDS = (1, 2, 3)
 DEPTHS = (10, 100, 1_000, 10_000)
 # The skeleton of the one instance each suite is counted on.
@@ -134,6 +137,27 @@ def peak_bytes(run) -> int:
     return peak - before
 
 
+def budget_reads(encoding, run) -> int:
+    """Reads of the thread's budget while ``run()`` runs: ``encoding._guard``
+    is replaced meanwhile by a stand-in that counts them."""
+    budget = encoding._guard.budget
+    reads = 0
+
+    class Counting:
+        @property
+        def budget(self):
+            nonlocal reads
+            reads += 1
+            return budget
+
+    guard, encoding._guard = encoding._guard, Counting()
+    try:
+        run()
+    finally:
+        encoding._guard = guard
+    return reads
+
+
 def counted(run) -> dict:
     run()  # warm: the name table, caches and first-call costs
     return {"python_calls": python_calls(run), "tracemalloc_peak_bytes": peak_bytes(run)}
@@ -145,6 +169,7 @@ def counts() -> dict:
         BodySkeleton,
         db_to_hoas,
         db_to_named,
+        encoding,
         fold,
         hom_sides,
         identity_term,
@@ -182,7 +207,8 @@ def counts() -> dict:
             instances[suite] = counted(partial(hom_sides, alg1, ctx.alg, h, skeleton, env_value, ctx.observe))
     out["instance"] = {"skeleton": skeleton.describe(), "suites": instances}
 
-    names = ("size", "print_term", "to_debruijn", "parse_named", "parse_db", "named_to_db", "db_to_hoas")
+    entry_points = ("size", "print_term", "to_debruijn", "size(fold(lam_alg(), t))")
+    names = (*entry_points, "parse_named", "parse_db", "named_to_db", "db_to_hoas")
     layers = {name: {} for name in names}
     for k in DEPTHS:
         db_text = "Lam (" * k + f"Var {k // 2}" + ")" * k
@@ -194,12 +220,15 @@ def counts() -> dict:
             ("size", partial(size, t)),
             ("print_term", partial(print_term, t)),
             ("to_debruijn", partial(to_debruijn, t)),
+            ("size(fold(lam_alg(), t))", lambda t=t: size(fold(lam_alg(), t))),
             ("parse_named", partial(parse_named, text)),
             ("parse_db", partial(parse_db, db_text)),
             ("named_to_db", partial(named_to_db, named)),
             ("db_to_hoas", partial(db_to_hoas, d)),
         ):
             layers[name][str(k)] = counted(run)
+            if name in entry_points:
+                layers[name][str(k)]["budget_reads"] = budget_reads(encoding, run)
     out["binders"] = {"depths": list(DEPTHS), "chain_index": "k // 2", "layers": layers}
     return out
 
